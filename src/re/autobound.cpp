@@ -1,5 +1,6 @@
 #include "re/autobound.hpp"
 
+#include "obs/trace.hpp"
 #include "re/engine.hpp"
 #include "re/rename.hpp"
 #include "re/simplify.hpp"
@@ -45,6 +46,40 @@ bool zeroRoundWithEdgeInputs(const Problem& p, EngineContext* ctx) {
   return ctx != nullptr
              ? ctx->zeroRoundSolvable(p, ZeroRoundMode::kWithEdgeInputs)
              : zeroRoundSolvableWithEdgeInputs(p);
+}
+
+// Merges label pairs of `p` greedily until at most `maxLabels` remain,
+// requiring every merge to keep the problem hard (otherwise the chain would
+// end uselessly early).  False when no hardness-preserving merge exists.
+bool mergeWhileHard(Problem& p, int maxLabels, EngineContext* ctx) {
+  if (p.alphabet.size() <= maxLabels) return true;
+  const obs::ScopedSpan span(
+      "re.autobound.merge",
+      ctx != nullptr ? ctx->tracer() : obs::Tracer::global());
+  while (p.alphabet.size() > maxLabels) {
+    bool merged = false;
+    const int n = p.alphabet.size();
+    for (Label a = 0; a < n && !merged; ++a) {
+      for (Label b = a + 1; b < n && !merged; ++b) {
+        Problem candidate = mergeTwoLabels(p, a, b);
+        // A candidate whose hardness the engine cannot certify (guard
+        // trips) is simply not merged -- the invariant needs a *proof* that
+        // the merged problem stays hard.
+        bool hard = false;
+        try {
+          hard = !zeroRoundWithEdgeInputs(candidate, ctx);
+        } catch (const Error&) {
+          hard = false;
+        }
+        if (hard) {
+          p = std::move(candidate);
+          merged = true;
+        }
+      }
+    }
+    if (!merged) return false;
+  }
+  return true;
 }
 
 }  // namespace
@@ -134,6 +169,14 @@ IterationTrace iterateSpeedup(const Problem& start,
 
 AutoLowerBound autoLowerBound(const Problem& start,
                               const AutoLowerBoundOptions& options) {
+  return options.context != nullptr
+             ? options.context->autoLowerBound(start, options)
+             : detail::autoLowerBoundImpl(start, options, nullptr);
+}
+
+AutoLowerBound detail::autoLowerBoundImpl(const Problem& start,
+                                          const AutoLowerBoundOptions& options,
+                                          EngineContext* ctx) {
   AutoLowerBound result;
   Problem current = start;
   result.labelsPerStep.push_back(current.alphabet.size());
@@ -144,7 +187,7 @@ AutoLowerBound autoLowerBound(const Problem& start,
     // chain with whatever was certified so far instead of throwing.
     bool solvable = false;
     try {
-      solvable = zeroRoundWithEdgeInputs(current, options.context);
+      solvable = zeroRoundWithEdgeInputs(current, ctx);
     } catch (const Error&) {
       result.reason = StopReason::kEngineLimit;
       return result;
@@ -157,40 +200,15 @@ AutoLowerBound autoLowerBound(const Problem& start,
     result.rounds = step + 1;
     Problem next;
     try {
-      next = options.context != nullptr
-                 ? options.context->speedupStep(current)
-                 : speedupStep(current, options.stepOptions);
+      next = ctx != nullptr ? ctx->speedupStep(current)
+                            : speedupStep(current, options.stepOptions);
     } catch (const Error&) {
       result.reason = StopReason::kEngineLimit;
       return result;
     }
-    // Merge labels greedily while too many, requiring every merge to keep
-    // the problem hard (otherwise the chain would end uselessly early).
-    while (next.alphabet.size() > options.maxLabels) {
-      bool merged = false;
-      const int n = next.alphabet.size();
-      for (Label a = 0; a < n && !merged; ++a) {
-        for (Label b = a + 1; b < n && !merged; ++b) {
-          const Problem candidate = mergeTwoLabels(next, a, b);
-          // A candidate whose hardness the engine cannot certify (guard
-          // trips) is simply not merged -- the invariant needs a *proof*
-          // that the merged problem stays hard.
-          bool hard = false;
-          try {
-            hard = !zeroRoundWithEdgeInputs(candidate, options.context);
-          } catch (const Error&) {
-            hard = false;
-          }
-          if (hard) {
-            next = candidate;
-            merged = true;
-          }
-        }
-      }
-      if (!merged) {
-        result.reason = StopReason::kLabelBudget;
-        return result;
-      }
+    if (!mergeWhileHard(next, options.maxLabels, ctx)) {
+      result.reason = StopReason::kLabelBudget;
+      return result;
     }
     current = std::move(next);
     result.labelsPerStep.push_back(current.alphabet.size());

@@ -102,14 +102,26 @@ struct AutoLowerBoundOptions {
   /// exists.
   int maxLabels = 8;
   StepOptions stepOptions;
-  /// Optional engine context: memoizes speedup steps and the (heavily
-  /// repeated) zero-round solvability checks of the merge search.  Results
-  /// are identical with and without a context.
+  /// Optional engine context: delegates to EngineSession::autoLowerBound,
+  /// which memoizes the whole result (a repeat skips the merge search), and
+  /// on a miss memoizes the speedup steps and the (heavily repeated)
+  /// zero-round solvability checks of the merge search.  stepOptions is
+  /// then ignored in favor of the context's options.  Results are identical
+  /// with and without a context.
   EngineContext* context = nullptr;
 };
 
 /// Fully automatic lower-bound search.
 [[nodiscard]] AutoLowerBound autoLowerBound(
     const Problem& start, const AutoLowerBoundOptions& options = {});
+
+namespace detail {
+/// The uncached search itself, shared by the free function (ctx == nullptr)
+/// and EngineSession::autoLowerBound on a memo miss (ctx != nullptr: steps
+/// and zero-round checks go through ctx; options.context is ignored).
+[[nodiscard]] AutoLowerBound autoLowerBoundImpl(
+    const Problem& start, const AutoLowerBoundOptions& options,
+    EngineContext* ctx);
+}  // namespace detail
 
 }  // namespace relb::re

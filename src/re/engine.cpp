@@ -36,6 +36,7 @@ std::string CacheStats::describe() const {
   out += line("right-closed families", rightClosedHits, rightClosedMisses);
   out += line("zero-round analyses", zeroRoundHits, zeroRoundMisses);
   out += line("canonical forms", canonicalHits, canonicalMisses);
+  out += line("automatic lower bounds", autoboundHits, autoboundMisses);
   out += "interned problems: " + std::to_string(internedProblems) + "\n";
   out += "step store: " + std::to_string(storeHits) + " hits / " +
          std::to_string(storeMisses) + " misses / " +
@@ -56,7 +57,31 @@ struct EngineCore::Impl {
     Problem input;
     Count maxRbarDelta;
     std::size_t enumerationLimit;
-    StepResult result;
+    std::optional<StepResult> result;  // unset: the step was refused
+    std::string refusal;               // the guard's re::Error message
+
+    /// R results hold under any options; R-bar results and every refusal
+    /// only under the guards they were computed with.
+    [[nodiscard]] bool answers(int k, const Problem& p,
+                               const StepOptions& o) const {
+      return kind == k && input == p &&
+             ((kind == 0 && result) ||
+              (maxRbarDelta == o.maxRbarDelta &&
+               enumerationLimit == o.enumerationLimit));
+    }
+    /// The memoized outcome: the result, or the refusal rethrown verbatim.
+    [[nodiscard]] StepResult replay() const {
+      if (!result) throw Error(refusal);
+      return *result;
+    }
+  };
+  struct AutoboundEntry {
+    Problem start;
+    int maxSteps;
+    int maxLabels;
+    Count maxRbarDelta;
+    std::size_t enumerationLimit;
+    AutoLowerBound result;
   };
   struct EdgeCompatEntry {
     Constraint edge;
@@ -88,6 +113,7 @@ struct EngineCore::Impl {
 
   mutable std::mutex mutex;
   std::unordered_map<std::uint64_t, std::vector<StepEntry>> steps;
+  std::unordered_map<std::uint64_t, std::vector<AutoboundEntry>> autobounds;
   std::unordered_map<std::uint64_t, std::vector<EdgeCompatEntry>> edgeCompat;
   std::unordered_map<std::uint64_t, std::vector<StrengthEntry>> strengths;
   std::unordered_map<std::uint64_t, std::vector<RightClosedEntry>> rightClosed;
@@ -141,6 +167,8 @@ struct EngineSession::ObsHooks {
   obs::Counter& zeroRoundMiss;
   obs::Counter& canonicalHit;
   obs::Counter& canonicalMiss;
+  obs::Counter& autoboundHit;
+  obs::Counter& autoboundMiss;
   obs::Counter& storeHit;
   obs::Counter& storeMiss;
   obs::Counter& storeWrite;
@@ -152,6 +180,8 @@ struct EngineSession::ObsHooks {
         zeroRoundMiss(r.counter("engine.zero_round.miss")),
         canonicalHit(r.counter("engine.canonical.hit")),
         canonicalMiss(r.counter("engine.canonical.miss")),
+        autoboundHit(r.counter("engine.autobound.hit")),
+        autoboundMiss(r.counter("engine.autobound.miss")),
         storeHit(r.counter("store.hit")),
         storeMiss(r.counter("store.miss")),
         storeWrite(r.counter("store.write")) {}
@@ -195,119 +225,126 @@ void EngineSession::attachStore(std::shared_ptr<StepStorage> store) {
 }
 
 StepResult EngineSession::applyR(const Problem& p) {
-  const obs::ScopedSpan span("engine.applyR", *tracer_);
-  EngineCore::Impl& impl = *core_->impl_;
-  const std::uint64_t hash = structuralHash(p);
-  const std::uint64_t key = mixKey(0, hash);
-  std::shared_ptr<StepStorage> storage;
-  {
-    std::lock_guard lock(impl.mutex);
-    const auto it = impl.steps.find(key);
-    if (it != impl.steps.end()) {
-      for (const auto& e : it->second) {
-        if (e.kind == 0 && e.input == p) {
-          ++impl.stats.stepHits;
-          ++stats_.stepHits;
-          obs_->memoHit.add();
-          return e.result;
-        }
-      }
-    }
-    storage = impl.storage;
-  }
-  if (storage != nullptr) {
-    if (auto loaded = storage->loadStep(0, p, hash, options_)) {
-      std::lock_guard lock(impl.mutex);
-      ++impl.stats.storeHits;
-      ++stats_.storeHits;
-      obs_->storeHit.add();
-      impl.steps[key].push_back({0, p, options_.maxRbarDelta,
-                                 options_.enumerationLimit, *loaded});
-      return *std::move(loaded);
-    }
-    std::lock_guard lock(impl.mutex);
-    ++impl.stats.storeMisses;
-    ++stats_.storeMisses;
-    obs_->storeMiss.add();
-  }
-  StepResult result = detail::applyRImpl(p, options_, this);
-  {
-    std::lock_guard lock(impl.mutex);
-    ++impl.stats.stepMisses;
-    ++stats_.stepMisses;
-    obs_->memoMiss.add();
-    impl.steps[key].push_back(
-        {0, p, options_.maxRbarDelta, options_.enumerationLimit, result});
-  }
-  if (storage != nullptr) {
-    storage->storeStep(0, p, hash, options_, result);
-    std::lock_guard lock(impl.mutex);
-    ++impl.stats.storeWrites;
-    ++stats_.storeWrites;
-    obs_->storeWrite.add();
-  }
-  return result;
+  return memoizedStep(0, p);
 }
 
 StepResult EngineSession::applyRbar(const Problem& p) {
-  const obs::ScopedSpan span("engine.applyRbar", *tracer_);
+  return memoizedStep(1, p);
+}
+
+StepResult EngineSession::memoizedStep(int kind, const Problem& p) {
+  const obs::ScopedSpan span(kind == 0 ? "engine.applyR" : "engine.applyRbar",
+                             *tracer_);
   EngineCore::Impl& impl = *core_->impl_;
   const std::uint64_t hash = structuralHash(p);
-  const std::uint64_t key = mixKey(1, hash);
+  const std::uint64_t key = mixKey(static_cast<std::uint64_t>(kind), hash);
   std::shared_ptr<StepStorage> storage;
   {
     std::lock_guard lock(impl.mutex);
     const auto it = impl.steps.find(key);
     if (it != impl.steps.end()) {
       for (const auto& e : it->second) {
-        if (e.kind == 1 && e.input == p &&
-            e.maxRbarDelta == options_.maxRbarDelta &&
-            e.enumerationLimit == options_.enumerationLimit) {
+        if (e.answers(kind, p, options_)) {
           ++impl.stats.stepHits;
           ++stats_.stepHits;
           obs_->memoHit.add();
-          return e.result;
+          return e.replay();
         }
       }
     }
     storage = impl.storage;
   }
+  EngineCore::Impl::StepEntry entry{kind, p, options_.maxRbarDelta,
+                                    options_.enumerationLimit, {}, {}};
   if (storage != nullptr) {
-    if (auto loaded = storage->loadStep(1, p, hash, options_)) {
-      std::lock_guard lock(impl.mutex);
+    std::optional<std::string> refusal =
+        storage->loadStepRefusal(kind, p, hash, options_);
+    if (!refusal) entry.result = storage->loadStep(kind, p, hash, options_);
+    std::lock_guard lock(impl.mutex);
+    if (refusal || entry.result) {
+      if (refusal) entry.refusal = std::move(*refusal);
       ++impl.stats.storeHits;
       ++stats_.storeHits;
       obs_->storeHit.add();
-      impl.steps[key].push_back({1, p, options_.maxRbarDelta,
-                                 options_.enumerationLimit, *loaded});
-      return *std::move(loaded);
+      impl.steps[key].push_back(entry);
+      return entry.replay();
     }
-    std::lock_guard lock(impl.mutex);
     ++impl.stats.storeMisses;
     ++stats_.storeMisses;
     obs_->storeMiss.add();
   }
-  StepResult result = detail::applyRbarImpl(p, options_, this);
+  try {
+    entry.result = kind == 0 ? detail::applyRImpl(p, options_, this)
+                             : detail::applyRbarImpl(p, options_, this);
+  } catch (const Error& e) {
+    entry.refusal = e.what();
+  }
   {
     std::lock_guard lock(impl.mutex);
     ++impl.stats.stepMisses;
     ++stats_.stepMisses;
     obs_->memoMiss.add();
-    impl.steps[key].push_back(
-        {1, p, options_.maxRbarDelta, options_.enumerationLimit, result});
+    impl.steps[key].push_back(entry);
   }
   if (storage != nullptr) {
-    storage->storeStep(1, p, hash, options_, result);
+    if (entry.result) {
+      storage->storeStep(kind, p, hash, options_, *entry.result);
+    } else {
+      storage->storeStepRefusal(kind, p, hash, options_, entry.refusal);
+    }
     std::lock_guard lock(impl.mutex);
     ++impl.stats.storeWrites;
     ++stats_.storeWrites;
     obs_->storeWrite.add();
   }
-  return result;
+  return entry.replay();
 }
 
 Problem EngineSession::speedupStep(const Problem& p) {
   return applyRbar(applyR(p).problem).problem;
+}
+
+AutoLowerBound EngineSession::autoLowerBound(
+    const Problem& start, const AutoLowerBoundOptions& options) {
+  const obs::ScopedSpan span("engine.autobound", *tracer_);
+  EngineCore::Impl& impl = *core_->impl_;
+  const auto matches = [&](const EngineCore::Impl::AutoboundEntry& e) {
+    return e.maxSteps == options.maxSteps &&
+           e.maxLabels == options.maxLabels &&
+           e.maxRbarDelta == options_.maxRbarDelta &&
+           e.enumerationLimit == options_.enumerationLimit && e.start == start;
+  };
+  std::uint64_t key = structuralHash(start);
+  for (const std::uint64_t field :
+       {static_cast<std::uint64_t>(options.maxSteps),
+        static_cast<std::uint64_t>(options.maxLabels),
+        static_cast<std::uint64_t>(options_.maxRbarDelta),
+        static_cast<std::uint64_t>(options_.enumerationLimit)}) {
+    key = mixKey(key, field);
+  }
+  {
+    std::lock_guard lock(impl.mutex);
+    const auto it = impl.autobounds.find(key);
+    if (it != impl.autobounds.end()) {
+      for (const auto& e : it->second) {
+        if (matches(e)) {
+          ++impl.stats.autoboundHits;
+          ++stats_.autoboundHits;
+          obs_->autoboundHit.add();
+          return e.result;
+        }
+      }
+    }
+  }
+  AutoLowerBound result = detail::autoLowerBoundImpl(start, options, this);
+  std::lock_guard lock(impl.mutex);
+  ++impl.stats.autoboundMisses;
+  ++stats_.autoboundMisses;
+  obs_->autoboundMiss.add();
+  impl.autobounds[key].push_back({start, options.maxSteps, options.maxLabels,
+                                  options_.maxRbarDelta,
+                                  options_.enumerationLimit, result});
+  return result;
 }
 
 std::vector<LabelSet> EngineSession::edgeCompatibility(const Constraint& edge,

@@ -3,16 +3,23 @@
 //
 // EngineCore is the thread-safe SHARED half: it owns every cache the speedup
 // machinery can reuse across requests --
-//   * a step memo (applyR / applyRbar / speedupStep results keyed by the
+//   * a step memo (applyR / applyRbar / speedupStep outcomes keyed by the
 //     exact structural hash of the input problem -- cache hits return
-//     bit-identical results, asserted by tests/re/engine_test.cpp);
+//     bit-identical results, asserted by tests/re/engine_test.cpp).  An
+//     outcome is a result or a *refusal*: the message of the re::Error an
+//     engine guard threw, replayed as an identical re::Error on a hit;
+//   * whole autoLowerBound results (see autobound.hpp), keyed by the start
+//     problem and every option the result depends on -- a warm request
+//     skips the greedy label-merge search entirely;
 //   * caches for edge-compatibility matrices, strength diagrams, and
 //     right-closed-set families (the sub-results every consumer used to
 //     recompute from scratch);
 //   * zero-round solvability caches for the three port models;
 //   * a canonical-problem intern table (see canonical.hpp): fixed-point
 //     detection reduces to "canonical form already interned";
-//   * the durable StepStorage hook (see store/step_store.hpp).
+//   * the durable StepStorage hook (see store/step_store.hpp), which
+//     persists step outcomes (refusals included) and zero-round verdicts;
+//     the autobound memo stays in memory.
 // Any number of sessions, on any threads, may share one core; results are
 // bit-identical to cold computes regardless of who warmed the cache.
 //
@@ -44,6 +51,10 @@
 // bit-identical to the legacy free functions applyR/applyRbar/speedupStep
 // in re_step.hpp, which remain as thin uncached wrappers.
 //
+// Only re::Error is memoized as a refusal: it is what the engine's size
+// guards throw, and nothing else throws it inside the engine (interrupts,
+// deadlines and shutdown are checked by callers between engine calls).
+//
 // Thread-safety: core lookups and insertions are mutex-protected; a
 // computation happens outside the lock, so two sessions missing the same key
 // concurrently may both compute it (the first insert wins and the results
@@ -60,6 +71,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "re/autobound.hpp"
 #include "re/canonical.hpp"
 #include "re/diagram.hpp"
 #include "re/re_step.hpp"
@@ -78,10 +90,12 @@ namespace relb::re {
 using PassOptions = StepOptions;
 
 /// Counters for every cache.  `hits + misses` is the number of lookups;
-/// `misses` is the number of times the underlying computation ran.  Both the
-/// core-wide aggregate (EngineCore::stats) and each session's attributed
-/// share (EngineSession::stats) use this shape; per session, a hit served
-/// from another session's earlier work still counts as a hit here.
+/// `misses` is the number of times the underlying computation ran (a step
+/// that an engine guard refused counts as a miss; replaying the refusal
+/// counts as a hit).  Both the core-wide aggregate (EngineCore::stats) and
+/// each session's attributed share (EngineSession::stats) use this shape;
+/// per session, a hit served from another session's earlier work still
+/// counts as a hit here.
 struct CacheStats {
   std::size_t stepHits = 0, stepMisses = 0;
   std::size_t edgeCompatHits = 0, edgeCompatMisses = 0;
@@ -89,6 +103,7 @@ struct CacheStats {
   std::size_t rightClosedHits = 0, rightClosedMisses = 0;
   std::size_t zeroRoundHits = 0, zeroRoundMisses = 0;
   std::size_t canonicalHits = 0, canonicalMisses = 0;
+  std::size_t autoboundHits = 0, autoboundMisses = 0;
   /// Distinct canonical forms interned so far (per session: interned by
   /// THIS session first).
   std::size_t internedProblems = 0;
@@ -107,10 +122,11 @@ enum class ZeroRoundMode {
   kWithEdgeInputs,
 };
 
-/// Durable backing for the step memo and the zero-round cache.  An attached
-/// storage is consulted on every in-memory miss and written through on every
-/// computation, making results survive across processes (see
-/// store/step_store.hpp for the on-disk implementation).
+/// Durable backing for the step memo (results and refusals) and the
+/// zero-round cache.  An attached storage is consulted on every in-memory
+/// miss and written through on every computation, making results survive
+/// across processes (see store/step_store.hpp for the on-disk
+/// implementation).
 ///
 /// Contract:
 ///   * `hash` is structuralHash(input); implementations key on it but MUST
@@ -120,6 +136,10 @@ enum class ZeroRoundMode {
 ///     `options` (for Rbar: equal maxRbarDelta and enumerationLimit;
 ///     numThreads and arena never affect results and must be ignored).
 ///   * All methods may be called concurrently from engine worker threads.
+///   * loadStepRefusal follows the same rules, but a refusal is only valid
+///     for equal maxRbarDelta and enumerationLimit for BOTH kinds.  The
+///     engine asks for a refusal first and falls back to loadStep, so an
+///     absent refusal should not count as a store miss.
 ///   * A load returning std::nullopt means "recompute"; corrupt entries
 ///     must not throw out of loads.
 class StepStorage {
@@ -133,6 +153,19 @@ class StepStorage {
   virtual void storeStep(int kind, const Problem& input, std::uint64_t hash,
                          const StepOptions& options,
                          const StepResult& result) = 0;
+
+  /// A persisted refusal: the re::Error message a guard threw for this
+  /// step.  The defaults persist nothing (refusals are then recomputed once
+  /// per process).
+  [[nodiscard]] virtual std::optional<std::string> loadStepRefusal(
+      int /*kind*/, const Problem& /*input*/, std::uint64_t /*hash*/,
+      const StepOptions& /*options*/) {
+    return std::nullopt;
+  }
+  virtual void storeStepRefusal(int /*kind*/, const Problem& /*input*/,
+                                std::uint64_t /*hash*/,
+                                const StepOptions& /*options*/,
+                                const std::string& /*message*/) {}
 
   [[nodiscard]] virtual std::optional<bool> loadZeroRound(
       ZeroRoundMode mode, const Problem& input, std::uint64_t hash) = 0;
@@ -213,9 +246,20 @@ class EngineSession {
 
   // -- Memoized speedup operators (bit-identical to the free functions) ----
 
+  /// A refused step throws re::Error; the refusal is memoized too, so a
+  /// repeat throws the identical message without recomputing.
   [[nodiscard]] StepResult applyR(const Problem& p);
   [[nodiscard]] StepResult applyRbar(const Problem& p);
   [[nodiscard]] Problem speedupStep(const Problem& p);
+
+  // -- Memoized automatic lower bound ----------------------------------------
+
+  /// re::autoLowerBound through this session, memoized as a whole: keyed by
+  /// `start`, options.maxSteps and options.maxLabels, and this session's
+  /// maxRbarDelta and enumerationLimit (options.stepOptions and
+  /// options.context are ignored; numThreads never affects results).
+  [[nodiscard]] AutoLowerBound autoLowerBound(
+      const Problem& start, const AutoLowerBoundOptions& options);
 
   // -- Cached sub-results --------------------------------------------------
 
@@ -269,6 +313,9 @@ class EngineSession {
   void resetStats();
 
  private:
+  /// The step memo behind applyR (kind 0) and applyRbar (kind 1).
+  [[nodiscard]] StepResult memoizedStep(int kind, const Problem& p);
+
   struct ObsHooks;       // interned counter references (engine.cpp)
   struct SessionArenas;  // serial-sweep result arena (engine.cpp)
 

@@ -230,6 +230,8 @@ Json statsToJson(const SessionStats& stats) {
   j.set("zero_round_misses", stats.zeroRoundMisses);
   j.set("canonical_hits", stats.canonicalHits);
   j.set("canonical_misses", stats.canonicalMisses);
+  j.set("autobound_hits", stats.autoboundHits);
+  j.set("autobound_misses", stats.autoboundMisses);
   j.set("store_hits", stats.storeHits);
   j.set("store_misses", stats.storeMisses);
   j.set("store_writes", stats.storeWrites);
@@ -252,6 +254,8 @@ SessionStats statsFromJson(const Json& j) {
   stats.zeroRoundMisses = intOr(j, "zero_round_misses", 0);
   stats.canonicalHits = intOr(j, "canonical_hits", 0);
   stats.canonicalMisses = intOr(j, "canonical_misses", 0);
+  stats.autoboundHits = intOr(j, "autobound_hits", 0);
+  stats.autoboundMisses = intOr(j, "autobound_misses", 0);
   stats.storeHits = intOr(j, "store_hits", 0);
   stats.storeMisses = intOr(j, "store_misses", 0);
   stats.storeWrites = intOr(j, "store_writes", 0);

@@ -130,17 +130,19 @@ struct SessionStats {
   std::int64_t rightClosedHits = 0, rightClosedMisses = 0;
   std::int64_t zeroRoundHits = 0, zeroRoundMisses = 0;
   std::int64_t canonicalHits = 0, canonicalMisses = 0;
+  std::int64_t autoboundHits = 0, autoboundMisses = 0;
   std::int64_t storeHits = 0, storeMisses = 0, storeWrites = 0;
   std::int64_t queueMicros = 0;
   std::int64_t runMicros = 0;
 
   [[nodiscard]] std::int64_t totalHits() const {
     return stepHits + edgeCompatHits + strengthHits + rightClosedHits +
-           zeroRoundHits + canonicalHits;
+           zeroRoundHits + canonicalHits + autoboundHits;
   }
   [[nodiscard]] std::int64_t totalMisses() const {
     return stepMisses + edgeCompatMisses + strengthMisses +
-           rightClosedMisses + zeroRoundMisses + canonicalMisses;
+           rightClosedMisses + zeroRoundMisses + canonicalMisses +
+           autoboundMisses;
   }
   /// The loadgen/CI one-liner: "N hits / M misses / W writes".
   [[nodiscard]] std::string describeLine() const;

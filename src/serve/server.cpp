@@ -371,6 +371,8 @@ Response Server::execute(const Request& request,
     stats.zeroRoundMisses = asInt(cache.zeroRoundMisses);
     stats.canonicalHits = asInt(cache.canonicalHits);
     stats.canonicalMisses = asInt(cache.canonicalMisses);
+    stats.autoboundHits = asInt(cache.autoboundHits);
+    stats.autoboundMisses = asInt(cache.autoboundMisses);
     stats.storeHits = asInt(cache.storeHits);
     stats.storeMisses = asInt(cache.storeMisses);
     stats.storeWrites = asInt(cache.storeWrites);

@@ -217,6 +217,54 @@ void DiskStepStore::storeStep(int kind, const Problem& input,
   count(&StoreStats::writes);
 }
 
+std::optional<std::string> DiskStepStore::loadStepRefusal(
+    int kind, const Problem& input, std::uint64_t hash,
+    const StepOptions& options) {
+  const std::filesystem::path path =
+      entryPath(hash, kind == 0 ? "rref" : "rbarref");
+  const auto text = readFile(path);
+  if (!text) return std::nullopt;
+  const obs::ScopedSpan span("store.load");
+  try {
+    const Json payload = unwrapEntry(*text);
+    if (payload.at("op").asInt() != kind) {
+      throw Error("step_store: entry operator mismatch");
+    }
+    if (io::problemFromJson(payload.at("input")) != input ||
+        payload.at("max_rbar_delta").asInt() != options.maxRbarDelta ||
+        payload.at("enumeration_limit").asInt() !=
+            static_cast<std::int64_t>(options.enumerationLimit)) {
+      return std::nullopt;  // another problem's or other guards' refusal
+    }
+    std::string message = payload.at("refusal").asString();
+    count(&StoreStats::hits);
+    return message;
+  } catch (const Error&) {
+    quarantine(path);
+    return std::nullopt;
+  }
+}
+
+void DiskStepStore::storeStepRefusal(int kind, const Problem& input,
+                                     std::uint64_t hash,
+                                     const StepOptions& options,
+                                     const std::string& message) {
+  const obs::ScopedSpan span("store.write");
+  Json payload = Json::object();
+  payload.set("op", kind);
+  payload.set("input", io::problemToJson(input));
+  payload.set("max_rbar_delta", options.maxRbarDelta);
+  payload.set("enumeration_limit",
+              static_cast<std::int64_t>(options.enumerationLimit));
+  payload.set("refusal", message);
+
+  const std::filesystem::path path =
+      entryPath(hash, kind == 0 ? "rref" : "rbarref");
+  std::filesystem::create_directories(path.parent_path());
+  io::atomicWriteFile(path, wrapEntry(std::move(payload)));
+  count(&StoreStats::writes);
+}
+
 std::optional<bool> DiskStepStore::loadZeroRound(ZeroRoundMode mode,
                                                  const Problem& input,
                                                  std::uint64_t hash) {

@@ -10,6 +10,8 @@
 //                                   input problem, <hh> its first two hex
 //                                   digits, and <tag> one of r / rbar /
 //                                   zr0 / zr1 / zr2 (the zero-round modes)
+//                                   / rref / rbarref (refused R / R-bar
+//                                   steps: the guard's error message)
 //   quarantine/                     corrupt entries are MOVED here on read
 //                                   (never deleted, never trusted again);
 //                                   the caller transparently recomputes
@@ -62,6 +64,17 @@ class DiskStepStore final : public re::StepStorage {
   void storeStep(int kind, const re::Problem& input, std::uint64_t hash,
                  const re::StepOptions& options,
                  const re::StepResult& result) override;
+
+  /// Refusal entries live under their own tags, so stores written before
+  /// refusals were persisted stay valid (and readers that predate them
+  /// never see one).  An absent refusal is not counted: the engine asks
+  /// loadStep next, which counts the miss.
+  [[nodiscard]] std::optional<std::string> loadStepRefusal(
+      int kind, const re::Problem& input, std::uint64_t hash,
+      const re::StepOptions& options) override;
+  void storeStepRefusal(int kind, const re::Problem& input,
+                        std::uint64_t hash, const re::StepOptions& options,
+                        const std::string& message) override;
 
   [[nodiscard]] std::optional<bool> loadZeroRound(
       re::ZeroRoundMode mode, const re::Problem& input,

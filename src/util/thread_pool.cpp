@@ -56,21 +56,16 @@ void ThreadPool::spawnWorkersLocked(int count) {
   concurrencyGauge_.setMax(static_cast<std::int64_t>(workers_.size()) + 1);
 }
 
-void ThreadPool::runItems(const std::function<void(std::size_t)>* fn,
-                          std::size_t n) {
-  // `fn` may be a stale pointer on a worker that wakes after its batch
-  // already drained; it is dereferenced only once an item is claimed, which
-  // cannot happen then (nextIndex_ stays >= n until the next batch resets
-  // every field together under the mutex).
+void ThreadPool::runItems(Batch& batch) {
   for (;;) {
-    const std::size_t i = nextIndex_.fetch_add(1, std::memory_order_relaxed);
-    if (i >= n) return;
+    const std::size_t i = batch.next.fetch_add(1, std::memory_order_relaxed);
+    if (i >= batch.size) return;
     try {
-      (*fn)(i);
+      (*batch.fn)(i);
     } catch (...) {
       std::lock_guard<std::mutex> lock(mutex_);
-      if (!firstError_) firstError_ = std::current_exception();
-      nextIndex_.store(n, std::memory_order_relaxed);
+      if (!batch.error) batch.error = std::current_exception();
+      batch.next.store(batch.size, std::memory_order_relaxed);
     }
   }
 }
@@ -83,14 +78,14 @@ void ThreadPool::workerLoop() {
     hasWork_.wait(lock, [&] { return stop_ || generation_ != seen; });
     if (stop_) return;
     seen = generation_;
-    const auto* job = job_;
-    const std::size_t n = jobSize_;
-    ++running_;
-    activeGauge_.setMax(running_ + 1);  // +1: the participating caller
+    Batch* batch = batch_;
+    if (batch == nullptr) continue;  // woke after the batch finished
+    ++batch->running;
+    activeGauge_.setMax(batch->running + 1);  // +1: the participating caller
     lock.unlock();
-    runItems(job, n);
+    runItems(*batch);
     lock.lock();
-    if (--running_ == 0) batchDone_.notify_all();
+    if (--batch->running == 0) batchDone_.notify_all();
   }
 }
 
@@ -106,16 +101,16 @@ void ThreadPool::forEachIndex(std::size_t n,
     for (std::size_t i = 0; i < n; ++i) fn(i);
     return;
   }
-  std::lock_guard<std::mutex> batch(batchMutex_);
+  std::lock_guard<std::mutex> serial(batchMutex_);
   batchesCounter_.add();
   itemsCounter_.add(n);
   maxBatchGauge_.setMax(static_cast<std::int64_t>(n));
+  Batch batch;
+  batch.fn = &fn;
+  batch.size = n;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    job_ = &fn;
-    jobSize_ = n;
-    nextIndex_.store(0, std::memory_order_relaxed);
-    firstError_ = nullptr;
+    batch_ = &batch;
     ++generation_;
   }
   hasWork_.notify_all();
@@ -123,16 +118,14 @@ void ThreadPool::forEachIndex(std::size_t n,
   // the duration so that nested parallel sections issued from its items run
   // inline instead of re-entering the (already held) batch mutex.
   tlsInsideWorker = true;
-  runItems(&fn, n);
+  runItems(batch);
   tlsInsideWorker = false;
   std::unique_lock<std::mutex> lock(mutex_);
-  batchDone_.wait(lock, [&] { return running_ == 0; });
-  job_ = nullptr;
-  if (firstError_) {
-    std::exception_ptr error = firstError_;
-    firstError_ = nullptr;
+  batchDone_.wait(lock, [&] { return batch.running == 0; });
+  batch_ = nullptr;
+  if (batch.error) {
     lock.unlock();
-    std::rethrow_exception(error);
+    std::rethrow_exception(batch.error);
   }
 }
 

@@ -82,8 +82,20 @@ class ThreadPool {
   static ThreadPool& global();
 
  private:
+  /// One forEachIndex call.  Every field a lane touches lives here, and a
+  /// worker claims items only through the batch it pinned under mutex_, so
+  /// a worker that wakes late sees no batch or the next one whole -- never
+  /// one batch's function with another's cursor.
+  struct Batch {
+    const std::function<void(std::size_t)>* fn = nullptr;
+    std::size_t size = 0;
+    std::atomic<std::size_t> next{0};
+    int running = 0;             // pinned workers; guarded by mutex_
+    std::exception_ptr error;    // first item failure; guarded by mutex_
+  };
+
   void workerLoop();
-  void runItems(const std::function<void(std::size_t)>* fn, std::size_t n);
+  void runItems(Batch& batch);
   void spawnWorkersLocked(int count);
 
   // pool.* instrumentation, interned once from the injected registry.
@@ -101,12 +113,11 @@ class ThreadPool {
   std::condition_variable hasWork_;
   std::condition_variable batchDone_;
   std::uint64_t generation_ = 0;
-  int running_ = 0;
   bool stop_ = false;
-  const std::function<void(std::size_t)>* job_ = nullptr;
-  std::size_t jobSize_ = 0;
-  std::atomic<std::size_t> nextIndex_{0};
-  std::exception_ptr firstError_;
+  /// The batch in flight (nullptr between batches), owned by the
+  /// forEachIndex frame.  A worker pins it under mutex_ by bumping
+  /// `running`; the caller clears it only once no worker is pinned.
+  Batch* batch_ = nullptr;
 };
 
 /// Runs `fn(i)` for i in [0, n) on up to `numThreads` lanes (dynamic

@@ -213,6 +213,32 @@ TEST(ResponseEnvelope, FullRoundTrip) {
   EXPECT_EQ(back.stats->runMicros, 4500);
 }
 
+TEST(ResponseEnvelope, AutoboundStatsAreAddedWithinTheVersion) {
+  Response response;
+  response.id = 12;
+  response.code = StatusCode::kOk;
+  response.status = "ok";
+  SessionStats stats;
+  stats.autoboundHits = 1;
+  stats.autoboundMisses = 2;
+  response.stats = stats;
+  const Response back = responseFromJson(responseToJson(response));
+  ASSERT_TRUE(back.stats.has_value());
+  EXPECT_EQ(back.stats->autoboundHits, 1);
+  EXPECT_EQ(back.stats->autoboundMisses, 2);
+  EXPECT_EQ(back.stats->totalHits(), 1);
+  EXPECT_EQ(back.stats->totalMisses(), 2);
+
+  // A response from a daemon that predates the members decodes as zeros.
+  const Response old = responseFromJson(io::Json::parse(
+      R"({"format":"relb-response","version":1,"id":3,"code":200,)"
+      R"("status":"ok","stats":{"step_hits":2,"step_misses":0}})"));
+  ASSERT_TRUE(old.stats.has_value());
+  EXPECT_EQ(old.stats->stepHits, 2);
+  EXPECT_EQ(old.stats->autoboundHits, 0);
+  EXPECT_EQ(old.stats->autoboundMisses, 0);
+}
+
 TEST(ResponseEnvelope, ErrorResponseAndStatusStrings) {
   const Response rejected =
       errorResponse(5, StatusCode::kRejected, "admission queue full");

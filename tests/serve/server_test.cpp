@@ -257,6 +257,36 @@ TEST(Server, WarmDuplicateChainHasZeroMissesAndIdenticalCertificate) {
   server.stop();
 }
 
+TEST(Server, WarmDuplicateProblemIsAnAutoboundHitWithZeroMisses) {
+  const fs::path storeDir = freshDir("serve_warm_problem_store");
+  ServeConfig config;
+  config.unixSocketPath = socketPath("warm-problem");
+  config.storeDir = storeDir.string();
+  Server server(config);
+  server.start();
+
+  Client client = Client::connectUnix(config.unixSocketPath);
+  const Response cold = client.roundTrip(problemRequest(1, 3));
+  ASSERT_TRUE(cold.ok()) << cold.diagnostics;
+  ASSERT_TRUE(cold.stats.has_value());
+  EXPECT_EQ(cold.stats->autoboundMisses, 1);
+  EXPECT_EQ(cold.stats->autoboundHits, 0);
+
+  // The duplicate skips the whole autobound search: one memo hit, and no
+  // computation or store write anywhere in the request.
+  const Response warm = client.roundTrip(problemRequest(2, 3));
+  ASSERT_TRUE(warm.ok()) << warm.diagnostics;
+  ASSERT_TRUE(warm.stats.has_value());
+  EXPECT_EQ(warm.stats->autoboundHits, 1);
+  EXPECT_EQ(warm.stats->autoboundMisses, 0);
+  EXPECT_EQ(warm.stats->totalMisses(), 0);
+  EXPECT_EQ(warm.stats->storeWrites, 0);
+  EXPECT_EQ(warm.output, cold.output);
+  EXPECT_LT(warm.stats->totalHits(), cold.stats->totalHits() +
+                                         cold.stats->totalMisses());
+  server.stop();
+}
+
 TEST(Server, FullQueueAnswers429) {
   ServeConfig config;
   config.unixSocketPath = socketPath("queue-full");

@@ -12,6 +12,7 @@
 #include "io/certificate.hpp"
 #include "obs/metrics.hpp"
 #include "re/problem.hpp"
+#include "re/re_step.hpp"
 
 namespace relb::store {
 namespace {
@@ -206,6 +207,91 @@ TEST(DiskStepStore, DistinctZeroRoundModesDoNotCollide) {
   (void)ctx.zeroRoundSolvable(p, re::ZeroRoundMode::kAdversarialPorts);
   (void)ctx.zeroRoundSolvable(p, re::ZeroRoundMode::kWithEdgeInputs);
   EXPECT_EQ(store->objectCount(), 3u);
+}
+
+// A step refused by an engine guard: the R-bar degree guard trips at once
+// for Delta = 3 when maxRbarDelta is 2.
+re::StepOptions tightOptions() {
+  re::StepOptions options;
+  options.maxRbarDelta = 2;
+  return options;
+}
+
+std::string refusalOf(re::EngineSession& session, const re::Problem& p) {
+  try {
+    (void)session.applyRbar(p);
+  } catch (const re::Error& e) {
+    return e.what();
+  }
+  return "(no refusal)";
+}
+
+TEST(DiskStepStore, RefusalsPersistAcrossContexts) {
+  const fs::path dir = freshDir("store-refusal");
+  const re::Problem p = re::misProblem(3);
+  std::string cold;
+  {
+    re::EngineSession session(tightOptions());
+    session.attachStore(std::make_shared<DiskStepStore>(dir));
+    cold = refusalOf(session, p);
+    EXPECT_EQ(session.stats().stepMisses, 1u);
+    EXPECT_EQ(session.stats().storeWrites, 1u);
+  }
+  ASSERT_NE(cold, "(no refusal)");
+  const auto files = objectFiles(dir);
+  ASSERT_EQ(files.size(), 1u);
+  EXPECT_EQ(files[0].filename().string().substr(16), ".rbarref.json");
+
+  auto store = std::make_shared<DiskStepStore>(dir);
+  re::EngineSession warm(tightOptions());
+  warm.attachStore(store);
+  EXPECT_EQ(refusalOf(warm, p), cold);
+  EXPECT_EQ(warm.stats().stepMisses, 0u) << "a stored refusal is a hit";
+  EXPECT_EQ(warm.stats().storeHits, 1u);
+  EXPECT_EQ(warm.stats().storeMisses, 0u);
+  EXPECT_EQ(store->stats().hits, 1u);
+  EXPECT_EQ(store->stats().misses, 0u);
+
+  // Other guards do not replay the refusal: the step is computed and
+  // written as an ordinary R-bar entry next to it.
+  re::EngineSession roomy;
+  roomy.attachStore(store);
+  EXPECT_EQ(roomy.applyRbar(p).problem, re::applyRbar(p).problem);
+  EXPECT_EQ(roomy.stats().stepMisses, 1u);
+  EXPECT_EQ(store->objectCount(), 2u);
+}
+
+TEST(DiskStepStore, CorruptedRefusalIsQuarantinedAndRecomputed) {
+  const fs::path dir = freshDir("store-refusal-corrupt");
+  const re::Problem p = re::misProblem(3);
+  std::string cold;
+  {
+    re::EngineSession session(tightOptions());
+    session.attachStore(std::make_shared<DiskStepStore>(dir));
+    cold = refusalOf(session, p);
+  }
+  const auto files = objectFiles(dir);
+  ASSERT_EQ(files.size(), 1u);
+  std::string text = [&] {
+    std::ifstream in(files[0], std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in), {});
+  }();
+  const auto pos = text.find("node degree");
+  ASSERT_NE(pos, std::string::npos) << text;
+  text.replace(pos, 4, "edge");
+  {
+    std::ofstream out(files[0], std::ios::binary | std::ios::trunc);
+    out << text;
+  }
+
+  auto store = std::make_shared<DiskStepStore>(dir);
+  re::EngineSession session(tightOptions());
+  session.attachStore(store);
+  EXPECT_EQ(refusalOf(session, p), cold) << "tampered text must not replay";
+  EXPECT_EQ(store->stats().quarantined, 1u);
+  EXPECT_EQ(session.stats().stepMisses, 1u);  // recomputed, not trusted
+  EXPECT_EQ(session.stats().storeWrites, 1u);
+  EXPECT_FALSE(fs::is_empty(dir / "quarantine"));
 }
 
 }  // namespace

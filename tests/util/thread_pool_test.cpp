@@ -7,6 +7,7 @@
 #include <atomic>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 namespace relb::util {
@@ -16,7 +17,10 @@ TEST(ResolveThreadCount, ZeroMeansHardwareConcurrency) {
   EXPECT_GE(resolveThreadCount(0), 1);
   EXPECT_EQ(resolveThreadCount(1), 1);
   EXPECT_EQ(resolveThreadCount(7), 7);
-  EXPECT_EQ(resolveThreadCount(-3), 1);
+  // Non-positive requests all mean "one lane per hardware core".
+  const unsigned hw = std::thread::hardware_concurrency();
+  EXPECT_EQ(resolveThreadCount(-3), hw > 0 ? static_cast<int>(hw) : 1);
+  EXPECT_EQ(resolveThreadCount(-3), resolveThreadCount(0));
 }
 
 TEST(ParallelFor, VisitsEveryIndexExactlyOnce) {
@@ -114,6 +118,33 @@ TEST(ThreadPool, StandalonePoolRunsBatches) {
                       [&](std::size_t i) { visits[i].fetch_add(1); });
   }
   for (const auto& v : visits) EXPECT_EQ(v.load(), 10);
+}
+
+TEST(ThreadPool, BackToBackTinyBatchesStayInTheirBatch) {
+  // 10^5 tiny batches issued back to back, growing the pool mid-stream:
+  // every batch must run each of its items exactly once, and no worker that
+  // wakes late may run items of the batch it did not pin (which used to
+  // crash on a stale job pointer or double-run a later batch's item).
+  constexpr int kBatches = 100'000;
+  ThreadPool pool(2);
+  int b = 0;
+  for (const std::size_t width : {2, 4, 16}) {
+    pool.ensureConcurrency(static_cast<int>(width));
+    for (const int end = b + kBatches / 3 + (width == 16 ? kBatches % 3 : 0);
+         b < end; ++b) {
+      std::atomic<std::size_t> ran{0};
+      std::atomic<std::uint32_t> mask{0};
+      pool.forEachIndex(width, [&, b](std::size_t i) {
+        ASSERT_LT(i, width) << "batch " << b;
+        mask.fetch_or(1u << i, std::memory_order_relaxed);
+        ran.fetch_add(1, std::memory_order_relaxed);
+      });
+      ASSERT_EQ(ran.load(), width) << "batch " << b;
+      ASSERT_EQ(mask.load(), (1u << width) - 1) << "batch " << b;
+    }
+  }
+  EXPECT_EQ(b, kBatches);
+  EXPECT_EQ(pool.concurrency(), 16);
 }
 
 }  // namespace

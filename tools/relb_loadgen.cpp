@@ -8,11 +8,14 @@
 //
 //     status: ok
 //     session: N hits / M misses / W writes
+//     autobound: H hits / M misses
 //
-// -- the line the CI service job greps: a warm duplicate request must show
+// -- the lines the CI service job greps: a warm duplicate request must show
 // `0 misses / 0 writes`, and FILE must be byte-identical (`cmp`) to what
 // `round_eliminator_cli --chain DELTA --save-cert` writes, because both are
-// the same driver run over the same engine.
+// the same driver run over the same engine.  --node SPEC --edge SPEC sends
+// one problem request instead (the CLI's positional mode, --max-steps
+// steps); a warm duplicate must answer from the autobound memo.
 //
 // Load mode (default): replays --requests mixed requests over --clients
 // concurrent connections -- random problems drawn from gen::randomProblem
@@ -62,6 +65,8 @@ struct Options {
   long deadlineMs = 0;
 
   // Single-shot mode.
+  std::string nodeSpec;
+  std::string edgeSpec;
   long chainDelta = -1;
   long chainX0 = 1;
   std::string certOut;
@@ -74,6 +79,9 @@ int usage(std::ostream& out, int code) {
          "  --x0 X               chain start parameter (default 1)\n"
          "  --cert-out FILE      write the returned certificate bytes to "
          "FILE\n"
+         "  --node SPEC --edge SPEC\n"
+         "                       send one problem request instead (with "
+         "--max-steps)\n"
          "load mode (default):\n"
          "  --requests N         total requests to send (default 256)\n"
          "  --clients N          concurrent connections (default 8)\n"
@@ -111,18 +119,28 @@ Client connect(const Options& options) {
 
 int runSingleShot(const Options& options) {
   Request request;
-  request.kind = Request::Kind::kChain;
   request.id = 1;
-  request.chainDelta = options.chainDelta;
-  request.chainX0 = options.chainX0;
-  request.wantCertificate = true;
+  if (options.nodeSpec.empty()) {
+    request.kind = Request::Kind::kChain;
+    request.chainDelta = options.chainDelta;
+    request.chainX0 = options.chainX0;
+    request.wantCertificate = true;
+  } else {
+    request.kind = Request::Kind::kProblem;
+    request.nodeSpec = options.nodeSpec;
+    request.edgeSpec = options.edgeSpec;
+    request.maxSteps = options.maxSteps;
+  }
   request.deadlineMillis = options.deadlineMs;
 
   Client client = connect(options);
   const Response response = client.roundTrip(request);
   std::cout << "status: " << response.status << "\n";
   if (response.stats.has_value()) {
-    std::cout << "session: " << response.stats->describeLine() << "\n";
+    std::cout << "session: " << response.stats->describeLine() << "\n"
+              << "autobound: " << response.stats->autoboundHits
+              << " hits / " << response.stats->autoboundMisses
+              << " misses\n";
   }
   if (!response.diagnostics.empty()) std::cerr << response.diagnostics;
   if (!response.ok()) return 1;
@@ -346,6 +364,10 @@ int main(int argc, char** argv) {
         options.chainX0 = std::stol(value());
       } else if (arg == "--cert-out") {
         options.certOut = value();
+      } else if (arg == "--node") {
+        options.nodeSpec = value();
+      } else if (arg == "--edge") {
+        options.edgeSpec = value();
       } else {
         std::cerr << "relb_loadgen: unknown flag '" << arg << "'\n";
         return usage(std::cerr, 2);
@@ -359,9 +381,14 @@ int main(int argc, char** argv) {
     std::cerr << "relb_loadgen: need --unix PATH or --host/--port\n";
     return usage(std::cerr, 2);
   }
+  if (options.nodeSpec.empty() != options.edgeSpec.empty()) {
+    std::cerr << "relb_loadgen: --node and --edge go together\n";
+    return usage(std::cerr, 2);
+  }
   try {
-    return options.chainDelta >= 0 ? runSingleShot(options)
-                                   : runLoad(options);
+    return options.chainDelta >= 0 || !options.nodeSpec.empty()
+               ? runSingleShot(options)
+               : runLoad(options);
   } catch (const relb::re::Error& e) {
     std::cerr << "relb_loadgen: " << e.what() << "\n";
     return 1;
