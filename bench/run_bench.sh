@@ -27,9 +27,11 @@
 # session-layer rows BM_SessionCreate / BM_ConcurrentSessions and the
 # service rows BM_ServeRoundTrip / BM_ServeThroughput (the relb-served
 # socket front end measured end-to-end over a warm core) and the LOCAL
-# simulator rows BM_CsrBuild / BM_LubyMisRound (CSR construction and one
-# full-frontier Luby round at 10^6 / 10^7 nodes; the second BM_LubyMisRound
-# argument is the thread width).  On a
+# simulator rows BM_CsrBuild / BM_CsrBuildParallel / BM_LubyMisRound /
+# BM_LocalSimEndToEnd (CSR construction serial and at the default width,
+# one full-frontier Luby round at 10^6 / 10^7 nodes, and a whole verified
+# 10^7-node MIS -> domset run; the second BM_LubyMisRound and
+# BM_LocalSimEndToEnd argument is the thread width).  On a
 # single-core machine numThreads=0 resolves to one lane, so the
 # serial/parallel rows coincide up to noise; the serial rows still track the
 # kernel and antichain-prune baselines against older revisions.
@@ -65,7 +67,7 @@ cmake --build "$BUILD_DIR" -j --target bench_perf_engine round_eliminator_cli
 BENCH_BIN="$BUILD_DIR/bench/bench_perf_engine"
 OUT="${BENCH_OUT:-BENCH_speedup.json}"
 "$BENCH_BIN" \
-  --benchmark_filter='BM_SpeedupStepFamily|BM_SpeedupStepMis|BM_MaximalEdgePairs|BM_CertifyChain|BM_DominationFilter|BM_RightClosure|BM_SubsetSweep|BM_ScopedSpan|BM_RegistryCounterAdd|BM_SessionCreate|BM_ConcurrentSessions|BM_ServeRoundTrip|BM_ServeThroughput|BM_CsrBuild|BM_LubyMisRound' \
+  --benchmark_filter='BM_SpeedupStepFamily|BM_SpeedupStepMis|BM_MaximalEdgePairs|BM_CertifyChain|BM_DominationFilter|BM_RightClosure|BM_SubsetSweep|BM_ScopedSpan|BM_RegistryCounterAdd|BM_SessionCreate|BM_ConcurrentSessions|BM_ServeRoundTrip|BM_ServeThroughput|BM_CsrBuild|BM_LubyMisRound|BM_LocalSimEndToEnd' \
   --benchmark_out="$OUT" \
   --benchmark_out_format=json \
   --benchmark_repetitions=1 \

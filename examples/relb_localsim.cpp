@@ -16,7 +16,9 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
+#include <stdexcept>
 #include <string>
 
 #include "local/sim.hpp"
@@ -86,7 +88,11 @@ int main(int argc, char** argv) {
       } else if (arg == "--nodes") {
         options.nodes = std::stoull(value());
       } else if (arg == "--max-degree") {
-        options.maxDegree = static_cast<std::uint32_t>(std::stoul(value()));
+        const unsigned long long degree = std::stoull(value());
+        if (degree > std::numeric_limits<std::uint32_t>::max()) {
+          throw std::out_of_range("--max-degree");
+        }
+        options.maxDegree = static_cast<std::uint32_t>(degree);
       } else if (arg == "--algo") {
         const std::string name = value();
         const auto algo = relb::local::algoFromName(name);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "local/frontier.hpp"
 #include "re/types.hpp"
 
 namespace relb::local {
@@ -29,32 +30,63 @@ CsrArrays allocateArrays(Vertex numNodes, std::uint64_t halfEdges) {
   return out;
 }
 
-/// Turns per-node degrees (stored in offsets[1..n]) into the exclusive
-/// prefix-sum offset table and returns the half-edge total.
-std::uint64_t prefixSum(std::uint32_t* offsets, Vertex numNodes) {
+/// Turns the per-node degrees stored in offsets[1..n] into *exclusive*
+/// prefix sums in place, so offsets[u + 1] becomes the first half-edge slot
+/// of node u, and returns the half-edge total.  The fill passes then use
+/// offsets[u + 1] as u's cursor: once u's row is written the cursor sits on
+/// the end of row u, which is the start of row u + 1, so the finished array
+/// is the CSR offset table and no separate cursor array is needed.
+///
+/// Blocked over the fixed frontier blocks: block sums in parallel, a serial
+/// scan over the block sums (which enforces the half-edge limit before any
+/// slot is rewritten), then every block rewrites its slice from its base.
+std::uint64_t exclusivePrefixSum(std::uint32_t* offsets, Vertex numNodes,
+                                 int numThreads) {
+  std::uint32_t* degrees = offsets + 1;
+  std::vector<std::uint64_t> base(numBlocks(numNodes));
+  forBlocks(numNodes, numThreads,
+            [&](std::size_t b, std::size_t begin, std::size_t end) {
+              std::uint64_t sum = 0;
+              for (std::size_t i = begin; i < end; ++i) sum += degrees[i];
+              base[b] = sum;
+            });
   std::uint64_t total = 0;
-  offsets[0] = 0;
-  for (Vertex v = 0; v < numNodes; ++v) {
-    total += offsets[v + 1];
-    if (total > 0xffffffffull) {
-      throw re::Error("CsrGraph: more than 2^32 - 1 half-edges");
-    }
-    offsets[v + 1] = static_cast<std::uint32_t>(total);
+  for (std::uint64_t& slot : base) {
+    const std::uint64_t sum = slot;
+    slot = total;
+    total += sum;
   }
+  if (total > 0xffffffffull) {
+    throw re::Error("CsrGraph: more than 2^32 - 1 half-edges");
+  }
+  forBlocks(numNodes, numThreads,
+            [&](std::size_t b, std::size_t begin, std::size_t end) {
+              std::uint64_t running = base[b];
+              for (std::size_t i = begin; i < end; ++i) {
+                const std::uint32_t degree = degrees[i];
+                degrees[i] = static_cast<std::uint32_t>(running);
+                running += degree;
+              }
+            });
+  offsets[0] = 0;
   return total;
 }
 
-std::uint32_t maxDegreeOf(const std::uint32_t* offsets, Vertex numNodes) {
-  std::uint32_t best = 0;
-  for (Vertex v = 0; v < numNodes; ++v) {
-    best = std::max(best, offsets[v + 1] - offsets[v]);
-  }
-  return best;
+/// Runs fn(k, lo, hi) on owner lane k for k in [0, bounds.size() - 1): lane
+/// k owns the node ids [bounds[k], bounds[k + 1]).  A lane that owns no id
+/// has nothing to scan for.
+template <typename Fn>
+void forOwners(const std::vector<Vertex>& bounds, Fn&& fn) {
+  const std::size_t lanes = bounds.size() - 1;
+  util::parallel_for(static_cast<int>(lanes), lanes, [&](std::size_t k) {
+    if (bounds[k] < bounds[k + 1]) fn(k, bounds[k], bounds[k + 1]);
+  });
 }
 
 }  // namespace
 
-CsrGraph CsrGraph::fromParents(std::span<const Vertex> parents) {
+CsrGraph CsrGraph::fromParents(std::span<const Vertex> parents,
+                               int numThreads) {
   if (parents.empty()) throw re::Error("CsrGraph: need at least one node");
   if (parents.size() >= static_cast<std::size_t>(kInvalidVertex)) {
     throw re::Error("CsrGraph: too many nodes for uint32 ids");
@@ -63,36 +95,78 @@ CsrGraph CsrGraph::fromParents(std::span<const Vertex> parents) {
   if (parents[0] != 0) {
     throw re::Error("CsrGraph: parents[0] must be 0 (node 0 is the root)");
   }
-  for (Vertex v = 1; v < n; ++v) {
-    if (parents[v] >= v) {
-      throw re::Error("CsrGraph: parents[v] < v required for v > 0");
-    }
+  // An AND over chunks (uint8_t slots: a vector<bool> of partial results
+  // would pack lanes into one word).
+  const std::uint8_t ordered = util::parallel_reduce(
+      numThreads, n - 1, std::uint8_t{1},
+      [&](std::size_t begin, std::size_t end) -> std::uint8_t {
+        for (std::size_t v = begin + 1; v < end + 1; ++v) {
+          if (parents[v] >= v) return 0;
+        }
+        return 1;
+      },
+      [](std::uint8_t a, std::uint8_t b) -> std::uint8_t { return a & b; });
+  if (ordered == 0) {
+    throw re::Error("CsrGraph: parents[v] < v required for v > 0");
   }
 
   CsrArrays arrays = allocateArrays(n, 2 * (static_cast<std::uint64_t>(n) - 1));
   std::uint32_t* offsets = arrays.offsets;
+  Vertex* neighbors = arrays.neighbors;
 
-  // Degree count into offsets[1..n], then exclusive prefix sum.
-  std::fill(offsets, offsets + n + 1, 0u);
-  for (Vertex v = 1; v < n; ++v) {
-    ++offsets[v + 1];
-    ++offsets[parents[v] + 1];
+  // Owner-computes: a lane alone writes offsets[u + 1] and row u for every
+  // id u it owns, so lanes never share a slot and need no atomics.  A child
+  // v of u has v > u, so the owner of [lo, hi) scans parents from lo + 1 and
+  // keeps the children whose parent it owns; the ascending scan hands each
+  // owned row its children in increasing id order.  Width 1 is one lane
+  // owning every id.
+  const std::size_t lanes = std::min<std::size_t>(
+      static_cast<std::size_t>(util::resolveThreadCount(numThreads)), n);
+  std::vector<Vertex> bounds(lanes + 1);
+  for (std::size_t k = 0; k <= lanes; ++k) {
+    bounds[k] = static_cast<Vertex>(std::uint64_t{n} * k / lanes);
   }
-  prefixSum(offsets, n);
+  std::vector<std::uint32_t> laneMaxDegree(lanes, 0);
 
-  // Fill in ascending v order: node u receives its parent entry at v == u
-  // and its children at v > u in increasing order, which yields the
-  // documented [parent, children ascending] neighbor layout.
-  std::vector<std::uint32_t> cursor(offsets, offsets + n);
-  for (Vertex v = 1; v < n; ++v) {
-    const Vertex p = parents[v];
-    arrays.neighbors[cursor[v]++] = p;
-    arrays.neighbors[cursor[p]++] = v;
+  // Degree count (the parent edge plus one per child) over equal id ranges,
+  // which also first-touches each lane's slice of offsets.
+  forOwners(bounds, [&](std::size_t k, Vertex lo, Vertex hi) {
+    for (Vertex u = lo; u < hi; ++u) offsets[u + 1] = u == 0 ? 0 : 1;
+    const Vertex owned = hi - lo;
+    for (Vertex v = lo + 1; v < n; ++v) {
+      const Vertex p = parents[v];
+      if (p - lo < owned) ++offsets[p + 1];
+    }
+    std::uint32_t best = 0;
+    for (Vertex u = lo; u < hi; ++u) best = std::max(best, offsets[u + 1]);
+    laneMaxDegree[k] = best;
+  });
+  const std::uint64_t halfEdges = exclusivePrefixSum(offsets, n, numThreads);
+
+  // Fill: every owned row gets its parent first, then its children.  Now
+  // that the row starts are known (offsets[u + 1]), the id ranges are
+  // re-cut so every lane owns about the same number of half-edges: the low
+  // ids of an attachment tree carry most of the children.  The cut only
+  // moves work between lanes; every row is written the same way.
+  for (std::size_t k = 1; k < lanes; ++k) {
+    bounds[k] = static_cast<Vertex>(
+        std::lower_bound(offsets + 1, offsets + 1 + n, halfEdges * k / lanes) -
+        (offsets + 1));
   }
+  forOwners(bounds, [&](std::size_t, Vertex lo, Vertex hi) {
+    for (Vertex u = std::max<Vertex>(lo, 1); u < hi; ++u) {
+      neighbors[offsets[u + 1]++] = parents[u];
+    }
+    const Vertex owned = hi - lo;
+    for (Vertex v = lo + 1; v < n; ++v) {
+      const Vertex p = parents[v];
+      if (p - lo < owned) neighbors[offsets[p + 1]++] = v;
+    }
+  });
 
-  const std::uint32_t maxDeg = maxDegreeOf(offsets, n);
-  return CsrGraph(std::move(arrays.arena), offsets, arrays.neighbors, n,
-                  maxDeg);
+  const std::uint32_t maxDeg =
+      *std::max_element(laneMaxDegree.begin(), laneMaxDegree.end());
+  return CsrGraph(std::move(arrays.arena), offsets, neighbors, n, maxDeg);
 }
 
 CsrGraph CsrGraph::fromEdges(Vertex numNodes,
@@ -114,15 +188,16 @@ CsrGraph CsrGraph::fromEdges(Vertex numNodes,
     ++offsets[u + 1];
     ++offsets[v + 1];
   }
-  prefixSum(offsets, numNodes);
-
-  std::vector<std::uint32_t> cursor(offsets, offsets + numNodes);
+  exclusivePrefixSum(offsets, numNodes, util::kSerialNumThreads);
   for (const auto& [u, v] : edges) {
-    arrays.neighbors[cursor[u]++] = v;
-    arrays.neighbors[cursor[v]++] = u;
+    arrays.neighbors[offsets[u + 1]++] = v;
+    arrays.neighbors[offsets[v + 1]++] = u;
   }
 
-  const std::uint32_t maxDeg = maxDegreeOf(offsets, numNodes);
+  std::uint32_t maxDeg = 0;
+  for (Vertex v = 0; v < numNodes; ++v) {
+    maxDeg = std::max(maxDeg, offsets[v + 1] - offsets[v]);
+  }
   return CsrGraph(std::move(arrays.arena), offsets, arrays.neighbors, numNodes,
                   maxDeg);
 }

@@ -20,7 +20,9 @@
 // `fromParents` stores each node's parent first, then its children in
 // increasing id order; `fromEdges` appends in edge enumeration order.  The
 // frontier kernels never depend on the order, but tests and the CV color
-// reduction may.
+// reduction may.  `fromParents` runs on util::ThreadPool lanes and its
+// output is byte-identical at every width (docs/simulator.md, item 6 of the
+// determinism contract).
 #pragma once
 
 #include <cstdint>
@@ -30,6 +32,7 @@
 #include <vector>
 
 #include "util/arena.hpp"
+#include "util/thread_pool.hpp"
 
 namespace relb::local {
 
@@ -49,8 +52,12 @@ class CsrGraph {
 
   /// Builds the CSR form of the tree encoded by `parents`:
   /// parents[0] == 0 (node 0 is the root) and parents[v] < v for v > 0.
-  /// Neighbor lists come out as [parent, children ascending].
-  [[nodiscard]] static CsrGraph fromParents(std::span<const Vertex> parents);
+  /// Neighbor lists come out as [parent, children ascending].  Runs on up to
+  /// `numThreads` lanes (0 = one per core); the arrays are identical at
+  /// every width.
+  [[nodiscard]] static CsrGraph fromParents(
+      std::span<const Vertex> parents,
+      int numThreads = util::kDefaultNumThreads);
 
   /// Builds from an explicit undirected edge list (gadgets, tests).
   /// Neighbor lists follow edge enumeration order.

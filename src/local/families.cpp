@@ -1,5 +1,6 @@
 #include "local/families.hpp"
 
+#include "local/frontier.hpp"
 #include "re/types.hpp"
 
 namespace relb::local {
@@ -24,25 +25,43 @@ Vertex checkedNodeCount(std::uint64_t nodes) {
   return static_cast<Vertex>(nodes);
 }
 
-/// Uniform attachment: node v picks an earlier node.  With a cap, full
-/// candidates are skipped by a deterministic downward probe (slightly
-/// non-uniform, but every probe sequence is a pure function of the seed).
-std::vector<Vertex> attachmentParents(Vertex n, std::uint32_t cap,
-                                      std::uint64_t seed) {
+/// Uniform attachment draw: node v's candidate parent, an earlier node.
+Vertex attachmentDraw(std::uint64_t seed, Vertex v) {
+  return static_cast<Vertex>(splitmix64(seed ^ (0xa11ac4edull << 20) ^ v) % v);
+}
+
+/// Families whose parents[v] is a pure function of v: filled over the fixed
+/// frontier blocks, so every width writes the same array.
+template <typename ParentOf>
+std::vector<Vertex> closedFormParents(Vertex n, int numThreads,
+                                      ParentOf&& parentOf) {
+  std::vector<Vertex> parents(n, 0);
+  forBlocks(n, numThreads,
+            [&](std::size_t, std::size_t begin, std::size_t end) {
+              for (std::size_t v = begin == 0 ? 1 : begin; v < end; ++v) {
+                parents[v] = parentOf(static_cast<Vertex>(v));
+              }
+            });
+  return parents;
+}
+
+/// Capped uniform attachment: full candidates are skipped by a deterministic
+/// downward probe (slightly non-uniform, but every probe sequence is a pure
+/// function of the seed).  Serial by nature: whether node v's probe stops
+/// depends on the degrees every earlier node's choice produced.
+std::vector<Vertex> boundedAttachmentParents(Vertex n, std::uint32_t cap,
+                                             std::uint64_t seed) {
   std::vector<Vertex> parents(n, 0);
   std::vector<std::uint32_t> degree(n, 0);
   for (Vertex v = 1; v < n; ++v) {
-    Vertex u = static_cast<Vertex>(splitmix64(seed ^ (0xa11ac4edull << 20) ^ v) %
-                                   v);
-    if (cap > 0) {
-      Vertex probes = 0;
-      while (degree[u] >= cap && probes < v) {
-        u = (u == 0) ? v - 1 : u - 1;
-        ++probes;
-      }
-      if (degree[u] >= cap) {
-        throw re::Error("makeTree: degree cap too low for node count");
-      }
+    Vertex u = attachmentDraw(seed, v);
+    Vertex probes = 0;
+    while (degree[u] >= cap && probes < v) {
+      u = (u == 0) ? v - 1 : u - 1;
+      ++probes;
+    }
+    if (degree[u] >= cap) {
+      throw re::Error("makeTree: degree cap too low for node count");
     }
     parents[v] = u;
     ++degree[u];
@@ -53,38 +72,12 @@ std::vector<Vertex> attachmentParents(Vertex n, std::uint32_t cap,
 
 /// Complete Delta-regular tree in BFS order: level sizes 1, Delta,
 /// Delta(Delta-1), ...; generation stops at the requested node count, so the
-/// last level may be partial (degrees stay <= Delta either way).
-std::vector<Vertex> completeTreeParents(Vertex n, std::uint32_t delta) {
-  std::vector<Vertex> parents(n, 0);
-  if (n == 1) return parents;
-  // Nodes 1..delta hang off the root; from there every internal node gets
-  // delta - 1 children, assigned in index order.
-  for (Vertex v = 1; v < n && v <= delta; ++v) parents[v] = 0;
-  Vertex nextParent = 1;          // first node of the previous level
-  std::uint32_t childrenLeft = delta - 1;
-  for (Vertex v = delta + 1; v < n; ++v) {
-    parents[v] = nextParent;
-    if (--childrenLeft == 0) {
-      ++nextParent;
-      childrenLeft = delta - 1;
-    }
-  }
-  return parents;
-}
-
-std::vector<Vertex> pathParents(Vertex n) {
-  std::vector<Vertex> parents(n, 0);
-  for (Vertex v = 1; v < n; ++v) parents[v] = v - 1;
-  return parents;
-}
-
-std::vector<Vertex> broomParents(Vertex n) {
-  std::vector<Vertex> parents(n, 0);
-  const Vertex handle = n / 2 == 0 ? 1 : n / 2;
-  for (Vertex v = 1; v < n; ++v) {
-    parents[v] = v < handle ? v - 1 : handle - 1;
-  }
-  return parents;
+/// last level may be partial (degrees stay <= Delta either way).  Nodes
+/// 1..Delta hang off the root; from there every internal node gets Delta - 1
+/// children, assigned in index order.
+Vertex completeTreeParent(Vertex v, std::uint32_t delta) {
+  if (v <= delta) return 0;
+  return static_cast<Vertex>(1 + (std::uint64_t{v} - delta - 1) / (delta - 1));
 }
 
 }  // namespace
@@ -114,34 +107,44 @@ std::vector<Family> allFamilies() {
           Family::kCompleteTree, Family::kPath, Family::kBroom};
 }
 
-TreeInstance makeTree(Family family, std::uint64_t nodes,
-                      std::uint32_t maxDegree, std::uint64_t seed) {
+std::vector<Vertex> makeParents(Family family, std::uint64_t nodes,
+                                std::uint32_t maxDegree, std::uint64_t seed,
+                                int numThreads) {
   const Vertex n = checkedNodeCount(nodes);
-  TreeInstance out;
   switch (family) {
     case Family::kRandomTree:
-      out.parents = attachmentParents(n, 0, seed);
-      break;
+      return closedFormParents(
+          n, numThreads, [seed](Vertex v) { return attachmentDraw(seed, v); });
     case Family::kBoundedDegreeTree: {
       const std::uint32_t cap = maxDegree == 0 ? 8 : maxDegree;
       if (cap < 2) throw re::Error("makeTree: bounded-tree needs cap >= 2");
-      out.parents = attachmentParents(n, cap, seed);
-      break;
+      return boundedAttachmentParents(n, cap, seed);
     }
     case Family::kCompleteTree: {
       const std::uint32_t delta = maxDegree == 0 ? 3 : maxDegree;
       if (delta < 2) throw re::Error("makeTree: complete-tree needs Delta >= 2");
-      out.parents = completeTreeParents(n, delta);
-      break;
+      return closedFormParents(n, numThreads, [delta](Vertex v) {
+        return completeTreeParent(v, delta);
+      });
     }
     case Family::kPath:
-      out.parents = pathParents(n);
-      break;
-    case Family::kBroom:
-      out.parents = broomParents(n);
-      break;
+      return closedFormParents(n, numThreads, [](Vertex v) { return v - 1; });
+    case Family::kBroom: {
+      const Vertex handle = n / 2 == 0 ? 1 : n / 2;
+      return closedFormParents(n, numThreads, [handle](Vertex v) {
+        return v < handle ? v - 1 : handle - 1;
+      });
+    }
   }
-  out.graph = CsrGraph::fromParents(out.parents);
+  throw re::Error("makeTree: unknown family");
+}
+
+TreeInstance makeTree(Family family, std::uint64_t nodes,
+                      std::uint32_t maxDegree, std::uint64_t seed,
+                      int numThreads) {
+  TreeInstance out;
+  out.parents = makeParents(family, nodes, maxDegree, seed, numThreads);
+  out.graph = CsrGraph::fromParents(out.parents, numThreads);
   return out;
 }
 

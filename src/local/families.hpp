@@ -4,8 +4,9 @@
 // root) and converted to CSR by CsrGraph::fromParents, so a (family, nodes,
 // maxDegree, seed) tuple names one exact graph on every machine and at
 // every thread width -- the precondition for the kernels' bit-identity
-// contract.  The gadget-sized builders in local/graph.hpp remain the tool
-// for port-numbering arguments (symmetricPortGadget and friends); these
+// contract.  Generation and the CSR build both run on the thread pool.
+// The gadget-sized builders in local/graph.hpp remain the tool for
+// port-numbering arguments (symmetricPortGadget and friends); these
 // builders exist to run the paper's *upper bounds* at 10^7-10^8 nodes.
 #pragma once
 
@@ -45,11 +46,21 @@ struct TreeInstance {
   std::vector<Vertex> parents;
 };
 
-/// Generates `family` on `nodes` nodes.  `maxDegree` 0 picks the family
-/// default (8 for bounded-degree, 3 for complete trees; ignored by path and
-/// broom).  `seed` only matters for the randomized families.
+/// The parent array of `family` on `nodes` nodes.  `maxDegree` 0 picks the
+/// family default (8 for bounded-degree, 3 for complete trees; ignored by
+/// path and broom).  `seed` only matters for the randomized families.
+/// Every family but bounded-tree is a closed form in v and is filled on up
+/// to `numThreads` lanes; bounded-tree's capped probe reads the degrees of
+/// all earlier choices and stays serial.  The array is the same at every
+/// width.
+[[nodiscard]] std::vector<Vertex> makeParents(
+    Family family, std::uint64_t nodes, std::uint32_t maxDegree,
+    std::uint64_t seed, int numThreads = util::kDefaultNumThreads);
+
+/// makeParents followed by CsrGraph::fromParents, both at `numThreads`.
 [[nodiscard]] TreeInstance makeTree(Family family, std::uint64_t nodes,
                                     std::uint32_t maxDegree,
-                                    std::uint64_t seed);
+                                    std::uint64_t seed,
+                                    int numThreads = util::kDefaultNumThreads);
 
 }  // namespace relb::local

@@ -73,8 +73,15 @@ SimResult runSim(const SimOptions& options) {
   TreeInstance instance;
   {
     obs::ScopedSpan span("local.build");
-    instance = makeTree(options.family, options.nodes, options.maxDegree,
-                        options.seed);
+    {
+      obs::ScopedSpan parentsSpan("local.build.parents");
+      instance.parents = makeParents(options.family, options.nodes,
+                                     options.maxDegree, options.seed,
+                                     options.numThreads);
+    }
+    obs::ScopedSpan csrSpan("local.build.csr");
+    instance.graph =
+        CsrGraph::fromParents(instance.parents, options.numThreads);
   }
   const CsrGraph& g = instance.graph;
   result.nodes = g.numNodes();

@@ -9,7 +9,8 @@
 // (tools/gap_figure.py) joins against the engine-certified lower bounds.
 //
 // Observability: the three phases emit the root spans local.build /
-// local.algo / local.verify; every kernel round ticks the counters
+// local.algo / local.verify (local.build splits into the child spans
+// local.build.parents and local.build.csr); every kernel round ticks the counters
 // local.rounds.total and local.frontier.processed and (when a sink is
 // attached) a local.frontier tracer counter sample, and the instance shape
 // lands in the local.nodes / local.half_edges / local.max_degree gauges.

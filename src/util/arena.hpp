@@ -109,7 +109,11 @@ class Arena {
     std::size_t size = chunks_.empty() ? firstChunkBytes_
                                        : chunks_.back().size * 2;
     if (size < atLeast) size = atLeast;
-    chunks_.push_back({std::make_unique<std::byte[]>(size), size});
+    // Left uninitialized (as allocate() promises): zeroing would touch every
+    // page on this thread, and large consumers such as the CSR builder
+    // first-touch their arrays from many lanes.
+    chunks_.push_back(
+        {std::make_unique_for_overwrite<std::byte[]>(size), size});
     current_ = chunks_.size() - 1;
     used_ = 0;
   }

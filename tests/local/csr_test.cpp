@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -55,11 +57,7 @@ TEST(Csr, FromParentsRoundTripsAgainstLegacyGraph) {
 }
 
 TEST(Csr, NeighborOrderIsParentFirstThenChildrenAscending) {
-  //      0
-  //     / \
-  //    1   2
-  //   /|   |
-  //  3 4   5
+  // 0 -> {1, 2}, 1 -> {3, 4}, 2 -> {5}
   const std::vector<Vertex> parents{0, 0, 0, 1, 1, 2};
   const CsrGraph g = CsrGraph::fromParents(parents);
   const auto row = [&](Vertex v) {
@@ -71,6 +69,19 @@ TEST(Csr, NeighborOrderIsParentFirstThenChildrenAscending) {
   EXPECT_EQ(row(2), (std::vector<Vertex>{0, 5}));
   EXPECT_EQ(row(3), (std::vector<Vertex>{1}));
   EXPECT_EQ(g.maxDegree(), 3u);
+}
+
+TEST(Csr, FromEdgesKeepsEdgeEnumerationOrder) {
+  const std::vector<std::pair<Vertex, Vertex>> edges{{2, 0}, {1, 2}, {0, 1}};
+  const CsrGraph g = CsrGraph::fromEdges(3, edges);
+  const auto row = [&](Vertex v) {
+    const auto span = g.neighbors(v);
+    return std::vector<Vertex>(span.begin(), span.end());
+  };
+  EXPECT_EQ(row(0), (std::vector<Vertex>{2, 1}));
+  EXPECT_EQ(row(1), (std::vector<Vertex>{2, 0}));
+  EXPECT_EQ(row(2), (std::vector<Vertex>{0, 1}));
+  EXPECT_EQ(g.maxDegree(), 2u);
 }
 
 TEST(Csr, FromEdgesMatchesFromParents) {
@@ -155,6 +166,161 @@ TEST(Csr, FamilyNamesRoundTrip) {
     EXPECT_EQ(*parsed, family);
   }
   EXPECT_FALSE(familyFromName("no-such-family").has_value());
+}
+
+// ---------------------------------------------------------------------------
+// Width invariance of the partitioned build (docs/simulator.md, determinism
+// contract item 6).
+// ---------------------------------------------------------------------------
+
+constexpr int kBuildWidths[] = {1, 2, 3, 8};
+
+/// The CSR arrays, read back through the public accessors.
+struct Layout {
+  std::vector<std::uint32_t> offsets;
+  std::vector<Vertex> neighbors;
+  std::uint32_t maxDegree = 0;
+  bool operator==(const Layout&) const = default;
+};
+
+Layout layoutOf(const CsrGraph& g) {
+  Layout out;
+  out.offsets.push_back(0);
+  for (Vertex v = 0; v < g.numNodes(); ++v) {
+    const auto row = g.neighbors(v);
+    out.neighbors.insert(out.neighbors.end(), row.begin(), row.end());
+    out.offsets.push_back(static_cast<std::uint32_t>(out.neighbors.size()));
+  }
+  out.maxDegree = g.maxDegree();
+  return out;
+}
+
+/// The single-pass serial builder (degree count, prefix sum, one cursor
+/// fill in ascending child order) kept as the oracle for the partitioned
+/// one.
+Layout referenceLayout(const std::vector<Vertex>& parents) {
+  const std::size_t n = parents.size();
+  Layout out;
+  out.offsets.assign(n + 1, 0);
+  for (std::size_t v = 1; v < n; ++v) {
+    ++out.offsets[v + 1];
+    ++out.offsets[parents[v] + 1];
+  }
+  for (std::size_t v = 0; v < n; ++v) out.offsets[v + 1] += out.offsets[v];
+  out.neighbors.resize(out.offsets[n]);
+  std::vector<std::uint32_t> cursor(out.offsets.begin(), out.offsets.end() - 1);
+  for (std::size_t v = 1; v < n; ++v) {
+    const Vertex p = parents[v];
+    out.neighbors[cursor[v]++] = p;
+    out.neighbors[cursor[p]++] = static_cast<Vertex>(v);
+  }
+  for (std::size_t v = 0; v < n; ++v) {
+    out.maxDegree =
+        std::max(out.maxDegree, out.offsets[v + 1] - out.offsets[v]);
+  }
+  return out;
+}
+
+void expectLayoutAtEveryWidth(const std::vector<Vertex>& parents,
+                              const std::string& what) {
+  const Layout want = referenceLayout(parents);
+  for (const int width : kBuildWidths) {
+    const Layout got = layoutOf(CsrGraph::fromParents(parents, width));
+    EXPECT_EQ(got.offsets, want.offsets) << what << " width " << width;
+    EXPECT_EQ(got.neighbors, want.neighbors) << what << " width " << width;
+    EXPECT_EQ(got.maxDegree, want.maxDegree) << what << " width " << width;
+  }
+}
+
+TEST(CsrBuildParallel, EveryFamilyMatchesTheSerialReferenceAtEveryWidth) {
+  for (const Family family : allFamilies()) {
+    for (const std::uint64_t nodes : {1ull, 2ull, 3ull, 50000ull}) {
+      const std::vector<Vertex> parents = makeParents(family, nodes, 0, 17, 1);
+      expectLayoutAtEveryWidth(parents, std::string(familyName(family)) +
+                                            " n=" + std::to_string(nodes));
+    }
+  }
+}
+
+TEST(CsrBuildParallel, StarAndPathMatchTheSerialReferenceAtEveryWidth) {
+  for (const Vertex n : {2u, 3u, 7u, 8u, 9u, 50000u}) {
+    // A star puts every child under one owner; a path gives every node a
+    // parent one id below it, so each id-range boundary splits an edge.
+    const std::vector<Vertex> star(n, 0);
+    expectLayoutAtEveryWidth(star, "star n=" + std::to_string(n));
+    std::vector<Vertex> path(n, 0);
+    for (Vertex v = 1; v < n; ++v) path[v] = v - 1;
+    expectLayoutAtEveryWidth(path, "path n=" + std::to_string(n));
+  }
+}
+
+TEST(CsrBuildParallel, MakeTreeIsIdenticalAtEveryWidth) {
+  for (const Family family : allFamilies()) {
+    for (const std::uint64_t nodes : {1ull, 2ull, 3ull, 50000ull}) {
+      const TreeInstance base = makeTree(family, nodes, 0, 29, 1);
+      for (const int width : kBuildWidths) {
+        const TreeInstance inst = makeTree(family, nodes, 0, 29, width);
+        EXPECT_EQ(inst.parents, base.parents)
+            << familyName(family) << " n=" << nodes << " width " << width;
+        EXPECT_EQ(layoutOf(inst.graph), layoutOf(base.graph))
+            << familyName(family) << " n=" << nodes << " width " << width;
+      }
+    }
+  }
+}
+
+TEST(CsrBuildParallel, ClosedFormParentsMatchTheSequentialGenerators) {
+  // The iterative complete-tree, path and broom generators the closed forms
+  // replaced: they pin that every instance (and so every state checksum)
+  // is unchanged.
+  const Vertex n = 5000;
+  for (const std::uint32_t delta : {2u, 3u, 5u, 32u, 6000u}) {
+    std::vector<Vertex> want(n, 0);
+    Vertex nextParent = 1;
+    std::uint32_t childrenLeft = delta - 1;
+    for (Vertex v = delta + 1; v < n; ++v) {
+      want[v] = nextParent;
+      if (--childrenLeft == 0) {
+        ++nextParent;
+        childrenLeft = delta - 1;
+      }
+    }
+    EXPECT_EQ(makeParents(Family::kCompleteTree, n, delta, 0, 8), want)
+        << "Delta " << delta;
+  }
+  std::vector<Vertex> path(n, 0);
+  std::vector<Vertex> broom(n, 0);
+  for (Vertex v = 1; v < n; ++v) {
+    path[v] = v - 1;
+    broom[v] = v < n / 2 ? v - 1 : n / 2 - 1;
+  }
+  EXPECT_EQ(makeParents(Family::kPath, n, 0, 0, 8), path);
+  EXPECT_EQ(makeParents(Family::kBroom, n, 0, 0, 8), broom);
+}
+
+std::string buildError(const std::vector<Vertex>& parents, int width) {
+  try {
+    (void)CsrGraph::fromParents(parents, width);
+  } catch (const re::Error& e) {
+    return e.what();
+  }
+  return "no error";
+}
+
+TEST(CsrBuildParallel, MalformedParentsThrowTheSameErrorAtWidthEight) {
+  std::vector<Vertex> lateForward(50000, 0);
+  for (Vertex v = 1; v < 50000; ++v) lateForward[v] = v - 1;
+  lateForward[49999] = 49999;  // parents[v] == v, in the last lane's range
+  const std::vector<std::vector<Vertex>> bad{
+      {1, 0}, {0, 2, 0}, {0, 0, 5}, lateForward};
+  for (const std::vector<Vertex>& parents : bad) {
+    const std::string serial = buildError(parents, 1);
+    EXPECT_NE(serial, "no error");
+    EXPECT_EQ(buildError(parents, 8), serial);
+  }
+  EXPECT_EQ(buildError({0, 2, 0}, 8),
+            "CsrGraph: parents[v] < v required for v > 0");
+  EXPECT_EQ(buildError({}, 8), "CsrGraph: need at least one node");
 }
 
 }  // namespace
