@@ -119,9 +119,12 @@ CsrGraph CsrGraph::fromParents(std::span<const Vertex> parents,
   // v of u has v > u, so the owner of [lo, hi) scans parents from lo + 1 and
   // keeps the children whose parent it owns; the ascending scan hands each
   // owned row its children in increasing id order.  Width 1 is one lane
-  // owning every id.
+  // owning every id.  Every owner repeats the scan, so w owners read about
+  // n(w + 1)/2 parents per pass: owners are capped at the CPUs the process
+  // can run on, where the extra reads overlap instead of queueing.
   const std::size_t lanes = std::min<std::size_t>(
-      static_cast<std::size_t>(util::resolveThreadCount(numThreads)), n);
+      {static_cast<std::size_t>(util::resolveThreadCount(numThreads)),
+       static_cast<std::size_t>(util::availableCpuCount()), n});
   std::vector<Vertex> bounds(lanes + 1);
   for (std::size_t k = 0; k <= lanes; ++k) {
     bounds[k] = static_cast<Vertex>(std::uint64_t{n} * k / lanes);

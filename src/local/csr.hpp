@@ -53,8 +53,9 @@ class CsrGraph {
   /// Builds the CSR form of the tree encoded by `parents`:
   /// parents[0] == 0 (node 0 is the root) and parents[v] < v for v > 0.
   /// Neighbor lists come out as [parent, children ascending].  Runs on up to
-  /// `numThreads` lanes (0 = one per core); the arrays are identical at
-  /// every width.
+  /// `numThreads` lanes (0 = one per core), and on no more than
+  /// util::availableCpuCount() lanes for the two owner scans, whose reads
+  /// grow with the lane count; the arrays are identical at every width.
   [[nodiscard]] static CsrGraph fromParents(
       std::span<const Vertex> parents,
       int numThreads = util::kDefaultNumThreads);

@@ -140,11 +140,10 @@ std::vector<Vertex> makeParents(Family family, std::uint64_t nodes,
 }
 
 TreeInstance makeTree(Family family, std::uint64_t nodes,
-                      std::uint32_t maxDegree, std::uint64_t seed,
-                      int numThreads) {
+                      std::uint32_t maxDegree, std::uint64_t seed) {
   TreeInstance out;
-  out.parents = makeParents(family, nodes, maxDegree, seed, numThreads);
-  out.graph = CsrGraph::fromParents(out.parents, numThreads);
+  out.parents = makeParents(family, nodes, maxDegree, seed);
+  out.graph = CsrGraph::fromParents(out.parents);
   return out;
 }
 

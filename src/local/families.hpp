@@ -57,10 +57,10 @@ struct TreeInstance {
     Family family, std::uint64_t nodes, std::uint32_t maxDegree,
     std::uint64_t seed, int numThreads = util::kDefaultNumThreads);
 
-/// makeParents followed by CsrGraph::fromParents, both at `numThreads`.
+/// makeParents followed by CsrGraph::fromParents, both at the default
+/// width.
 [[nodiscard]] TreeInstance makeTree(Family family, std::uint64_t nodes,
                                     std::uint32_t maxDegree,
-                                    std::uint64_t seed,
-                                    int numThreads = util::kDefaultNumThreads);
+                                    std::uint64_t seed);
 
 }  // namespace relb::local

@@ -1,17 +1,61 @@
 #include "util/thread_pool.hpp"
 
+#include <algorithm>
+#include <cstdlib>
+#include <fstream>
+#include <string>
+
+#ifdef __linux__
+#include <sched.h>
+#endif
+
 #include "obs/metrics.hpp"
 
 namespace relb::util {
 
 namespace {
 thread_local bool tlsInsideWorker = false;
+
+/// The cgroup CPU quota in whole CPUs (rounded up), or 0 when none is set
+/// or none can be read.  cgroup v2 keeps "<quota|max> <period>" in
+/// cpu.max; v1 keeps the two numbers in separate files, quota -1 meaning
+/// unlimited.
+int cgroupCpuQuota() {
+  long long quota = -1;
+  long long period = 0;
+  if (std::ifstream v2("/sys/fs/cgroup/cpu.max"); v2) {
+    std::string text;
+    if (v2 >> text >> period && text != "max") {
+      quota = std::strtoll(text.c_str(), nullptr, 10);
+    }
+  } else {
+    std::ifstream("/sys/fs/cgroup/cpu/cpu.cfs_quota_us") >> quota;
+    std::ifstream("/sys/fs/cgroup/cpu/cpu.cfs_period_us") >> period;
+  }
+  if (quota <= 0 || period <= 0) return 0;
+  return static_cast<int>((quota + period - 1) / period);
+}
 }  // namespace
 
 int resolveThreadCount(int requested) {
   if (requested > 0) return requested;
   const unsigned hw = std::thread::hardware_concurrency();
   return hw > 0 ? static_cast<int>(hw) : 1;
+}
+
+int availableCpuCount() {
+  int cpus = resolveThreadCount(kDefaultNumThreads);
+#ifdef __linux__
+  cpu_set_t mask;
+  CPU_ZERO(&mask);
+  if (sched_getaffinity(0, sizeof(mask), &mask) == 0) {
+    cpus = std::min(cpus, CPU_COUNT(&mask));
+  }
+#endif
+  if (const int quota = cgroupCpuQuota(); quota > 0) {
+    cpus = std::min(cpus, quota);
+  }
+  return std::max(cpus, 1);
 }
 
 bool insideWorker() { return tlsInsideWorker; }

@@ -12,6 +12,9 @@
 //   numThreads == 1  ->  fully serial (the pool is never touched),
 //   numThreads >= 2  ->  exactly that many lanes, even beyond the core count
 //                        (useful for determinism tests on small machines).
+// The one exception is a pass whose total work grows with its lane count
+// (CsrGraph::fromParents's owner scans): it uses no more lanes than
+// availableCpuCount().
 //
 // Nested parallel sections run inline on the worker that encounters them:
 // a pool worker never blocks on work that only other pool workers could
@@ -43,6 +46,14 @@ inline constexpr int kSerialNumThreads = 1;
 /// Resolves a user-facing thread-count option: 0 means "hardware
 /// concurrency"; anything else is clamped to at least 1.
 [[nodiscard]] int resolveThreadCount(int requested);
+
+/// The CPUs this process can actually run on: the hardware concurrency,
+/// lowered by the scheduler affinity mask (taskset, cpuset) and by a cgroup
+/// CPU quota rounded up to whole CPUs (cgroup v2 cpu.max or v1
+/// cpu.cfs_quota_us at the cgroup root).  At least 1.  Only for passes
+/// whose total work grows with the number of lanes, which should not use
+/// more lanes than can run at once; everything else follows the width.
+[[nodiscard]] int availableCpuCount();
 
 /// True while the calling thread is executing a ThreadPool task.
 [[nodiscard]] bool insideWorker();

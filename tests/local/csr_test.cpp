@@ -8,6 +8,10 @@
 #include <utility>
 #include <vector>
 
+#ifdef __linux__
+#include <sched.h>
+#endif
+
 #include "local/families.hpp"
 #include "local/graph.hpp"
 #include "re/types.hpp"
@@ -254,15 +258,32 @@ TEST(CsrBuildParallel, StarAndPathMatchTheSerialReferenceAtEveryWidth) {
   }
 }
 
-TEST(CsrBuildParallel, MakeTreeIsIdenticalAtEveryWidth) {
+#ifdef __linux__
+TEST(CsrBuildParallel, OneRunnableCpuBuildsTheSameArrays) {
+  // Pinned to one CPU, the owner scans run on one lane at any width.
+  const std::vector<Vertex> parents =
+      makeParents(Family::kRandomTree, 50000, 0, 31, 1);
+  const Layout want = referenceLayout(parents);
+  cpu_set_t saved;
+  ASSERT_EQ(sched_getaffinity(0, sizeof(saved), &saved), 0);
+  int first = 0;
+  while (!CPU_ISSET(first, &saved)) ++first;
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(first, &one);
+  ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
+  const Layout got = layoutOf(CsrGraph::fromParents(parents, 8));
+  ASSERT_EQ(sched_setaffinity(0, sizeof(saved), &saved), 0);
+  EXPECT_EQ(got, want);
+}
+#endif
+
+TEST(CsrBuildParallel, MakeParentsIsIdenticalAtEveryWidth) {
   for (const Family family : allFamilies()) {
     for (const std::uint64_t nodes : {1ull, 2ull, 3ull, 50000ull}) {
-      const TreeInstance base = makeTree(family, nodes, 0, 29, 1);
+      const std::vector<Vertex> base = makeParents(family, nodes, 0, 29, 1);
       for (const int width : kBuildWidths) {
-        const TreeInstance inst = makeTree(family, nodes, 0, 29, width);
-        EXPECT_EQ(inst.parents, base.parents)
-            << familyName(family) << " n=" << nodes << " width " << width;
-        EXPECT_EQ(layoutOf(inst.graph), layoutOf(base.graph))
+        EXPECT_EQ(makeParents(family, nodes, 0, 29, width), base)
             << familyName(family) << " n=" << nodes << " width " << width;
       }
     }

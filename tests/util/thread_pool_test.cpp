@@ -10,6 +10,10 @@
 #include <thread>
 #include <vector>
 
+#ifdef __linux__
+#include <sched.h>
+#endif
+
 namespace relb::util {
 namespace {
 
@@ -22,6 +26,28 @@ TEST(ResolveThreadCount, ZeroMeansHardwareConcurrency) {
   EXPECT_EQ(resolveThreadCount(-3), hw > 0 ? static_cast<int>(hw) : 1);
   EXPECT_EQ(resolveThreadCount(-3), resolveThreadCount(0));
 }
+
+TEST(AvailableCpuCount, IsAtLeastOneAndAtMostTheHardwareConcurrency) {
+  const int cpus = availableCpuCount();
+  EXPECT_GE(cpus, 1);
+  EXPECT_LE(cpus, resolveThreadCount(0));
+}
+
+#ifdef __linux__
+TEST(AvailableCpuCount, FollowsTheAffinityMask) {
+  cpu_set_t saved;
+  ASSERT_EQ(sched_getaffinity(0, sizeof(saved), &saved), 0);
+  int first = 0;
+  while (!CPU_ISSET(first, &saved)) ++first;
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(first, &one);
+  ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
+  const int pinned = availableCpuCount();
+  ASSERT_EQ(sched_setaffinity(0, sizeof(saved), &saved), 0);
+  EXPECT_EQ(pinned, 1);
+}
+#endif
 
 TEST(ParallelFor, VisitsEveryIndexExactlyOnce) {
   for (const int threads : {1, 2, 8}) {
