@@ -326,7 +326,7 @@ BENCHMARK(BM_CertifyChain)
     ->UseRealTime();
 
 // ---------------------------------------------------------------------------
-// Warm-context benchmarks: the same hot paths served from an EngineContext
+// Warm-session benchmarks: the same hot paths served from an EngineSession
 // whose caches were warmed once before the timing loop.  The measured cost
 // is hashing + lookup; the delta against the cold rows above is what the
 // cross-layer memoization buys consumers like autobound / certifyChain.
@@ -334,7 +334,7 @@ BENCHMARK(BM_CertifyChain)
 
 void BM_SpeedupStepMisCached(benchmark::State& state) {
   const auto mis = re::misProblem(state.range(0));
-  re::EngineContext ctx;
+  re::EngineSession ctx;
   benchmark::DoNotOptimize(ctx.speedupStep(mis));  // warm the memo
   for (auto _ : state) {
     benchmark::DoNotOptimize(ctx.speedupStep(mis));
@@ -345,7 +345,7 @@ BENCHMARK(BM_SpeedupStepMisCached)->Arg(2)->Arg(3)->Arg(4);
 void BM_SpeedupStepFamilyCached(benchmark::State& state) {
   const re::Count delta = state.range(0);
   const auto pi = core::familyProblem(delta, delta / 2, 1);
-  re::EngineContext ctx;
+  re::EngineSession ctx;
   benchmark::DoNotOptimize(ctx.speedupStep(pi));  // warm the memo
   for (auto _ : state) {
     benchmark::DoNotOptimize(ctx.speedupStep(pi));
@@ -357,7 +357,7 @@ void BM_CertifyChainCached(benchmark::State& state) {
   const re::Count delta = state.range(0);
   const int numThreads = static_cast<int>(state.range(1));
   const auto chain = core::exactChain(delta, 1);
-  re::EngineContext ctx;
+  re::EngineSession ctx;
   benchmark::DoNotOptimize(core::certifyChain(chain, ctx, numThreads));
   for (auto _ : state) {
     benchmark::DoNotOptimize(core::certifyChain(chain, ctx, numThreads));
@@ -427,7 +427,7 @@ void BM_CertifyChainColdStore(benchmark::State& state) {
     state.PauseTiming();
     std::filesystem::remove_all(dir);
     state.ResumeTiming();
-    re::EngineContext ctx;
+    re::EngineSession ctx;
     ctx.attachStore(std::make_shared<store::DiskStepStore>(dir));
     benchmark::DoNotOptimize(core::certifyChain(chain, ctx, 1));
   }
@@ -444,14 +444,14 @@ void BM_CertifyChainWarmStore(benchmark::State& state) {
   const auto dir = benchStoreDir();
   std::filesystem::remove_all(dir);
   {
-    re::EngineContext warmup;
+    re::EngineSession warmup;
     warmup.attachStore(std::make_shared<store::DiskStepStore>(dir));
     benchmark::DoNotOptimize(core::certifyChain(chain, warmup, 1));
   }
   for (auto _ : state) {
     // Fresh context and store handle each iteration: everything is served
     // from disk, nothing from the in-memory memo.
-    re::EngineContext ctx;
+    re::EngineSession ctx;
     ctx.attachStore(std::make_shared<store::DiskStepStore>(dir));
     benchmark::DoNotOptimize(core::certifyChain(chain, ctx, 1));
   }

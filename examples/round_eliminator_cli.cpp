@@ -12,7 +12,7 @@
 // width (0 = one thread per core, the default; results are identical for
 // every value).  Flags:
 //
-//   --stats            print per-pass tables and the engine cache counters
+//   --stats            print per-operator tables and the engine cache counters
 //   --store DIR        attach the on-disk step store at DIR (created on
 //                      first use); results persist across runs
 //   --resume           require an existing store at --store DIR (refuses to

@@ -20,7 +20,7 @@ bool corollary10Applies(Count a, Count x, Count delta) {
 // Shared body of both certifyChain overloads.  `zeroRoundCheck(i)` decides
 // Lemma 12 for step i; it is invoked from the fan-out workers, so it must be
 // safe to call concurrently.  Spans go to `tracer` -- the session's tracer
-// for the context-backed overload, so concurrent sessions keep their
+// for the session-backed overload, so concurrent sessions keep their
 // certification timelines attributable.
 template <typename ZeroRoundCheck>
 std::string certifyChainImpl(const Chain& chain, int numThreads,
@@ -123,22 +123,24 @@ std::string certifyChain(const Chain& chain, int numThreads) {
       });
 }
 
-std::string certifyChain(const Chain& chain, re::EngineContext& context,
+std::string certifyChain(const Chain& chain, re::EngineSession& session,
                          int numThreads) {
   return certifyChainImpl(
-      chain, numThreads, context.tracer(), [&](std::size_t i) {
-        return context.zeroRoundSolvable(
+      chain, numThreads, session.tracer(), [&](std::size_t i) {
+        return session.zeroRoundSolvable(
             familyProblem(chain.delta, chain.steps[i].a, chain.steps[i].x),
             re::ZeroRoundMode::kSymmetricPorts);
       });
 }
 
 io::Certificate buildChainCertificate(const Chain& chain,
-                                      re::EngineContext* context,
+                                      re::EngineSession* session,
                                       int numThreads) {
-  const std::string violation =
-      context != nullptr ? certifyChain(chain, *context, numThreads)
-                         : certifyChain(chain, numThreads);
+  if (session == nullptr) {
+    re::EngineSession own;
+    return buildChainCertificate(chain, &own, numThreads);
+  }
+  const std::string violation = certifyChain(chain, *session, numThreads);
   if (!violation.empty()) {
     throw re::Error("buildChainCertificate: chain does not certify: " +
                     violation);
@@ -156,13 +158,9 @@ io::Certificate buildChainCertificate(const Chain& chain,
     out.x = step.x;
     out.problem = familyProblem(chain.delta, step.a, step.x);
     // certifyChain established non-solvability for every step; the verdicts
-    // below are therefore all false (and served from the context's cache
-    // when one is given).
-    out.zeroRoundSolvable =
-        context != nullptr
-            ? context->zeroRoundSolvable(out.problem,
-                                         re::ZeroRoundMode::kSymmetricPorts)
-            : re::zeroRoundSolvableSymmetricPorts(out.problem);
+    // below are therefore all false, served from the session's cache.
+    out.zeroRoundSolvable = session->zeroRoundSolvable(
+        out.problem, re::ZeroRoundMode::kSymmetricPorts);
     cert.steps.push_back(std::move(out));
   }
   return cert;

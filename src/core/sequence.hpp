@@ -19,7 +19,6 @@
 
 namespace relb::re {
 class EngineSession;
-using EngineContext = EngineSession;
 }  // namespace relb::re
 
 namespace relb::core {
@@ -61,24 +60,24 @@ struct Chain {
 [[nodiscard]] std::string certifyChain(
     const Chain& chain, int numThreads = util::kDefaultNumThreads);
 
-/// Context-backed overload: the per-step 0-round verdicts are memoized in
-/// `context`, so re-certifying a chain (or certifying overlapping chains)
-/// against a warm context performs zero recomputation.  The verdict is
-/// identical to the context-free overload.
+/// Session-backed overload: the per-step 0-round verdicts are memoized in
+/// `session`, so re-certifying a chain (or certifying overlapping chains)
+/// against a warm session performs zero recomputation.  The verdict is
+/// identical to the session-free overload.
 [[nodiscard]] std::string certifyChain(
-    const Chain& chain, re::EngineContext& context,
+    const Chain& chain, re::EngineSession& session,
     int numThreads = util::kDefaultNumThreads);
 
 /// Builds the durable "family-chain" certificate for `chain`: per step the
-/// parameters, the fully expanded problem, and the zero-round verdict
-/// (recomputed here; memoized in `context` when one is given, so a warm
-/// context or attached store performs zero recomputation).  The certificate
-/// is deterministic -- the same chain always serializes to the same bytes --
+/// parameters, the fully expanded problem, and the zero-round verdict,
+/// memoized in `session` (a warm session or attached store performs zero
+/// recomputation; nullptr: a private session).  The certificate is
+/// deterministic -- the same chain always serializes to the same bytes --
 /// and io::verifyCertificate re-checks every claim without the engine.
 /// Throws re::Error if the chain does not certify (the certificate would be
 /// rejected anyway; the error carries certifyChain's violation text).
 [[nodiscard]] io::Certificate buildChainCertificate(
-    const Chain& chain, re::EngineContext* context = nullptr,
+    const Chain& chain, re::EngineSession* session = nullptr,
     int numThreads = util::kDefaultNumThreads);
 
 /// Lemma 12 for the family: Pi_Delta(a, x) is 0-round solvable on the

@@ -1,11 +1,13 @@
 #include "driver/driver.hpp"
 
+#include <charconv>
 #include <chrono>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <optional>
 #include <sstream>
+#include <string_view>
+#include <system_error>
 #include <vector>
 
 #include "core/sequence.hpp"
@@ -30,6 +32,15 @@
 namespace relb::driver {
 
 namespace {
+
+// Reads all of `text` as a base-10 integer: an empty token, a leftover
+// character or an out-of-range value is a failure.
+template <typename Int>
+bool parseNumber(std::string_view text, Int& out) {
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, out);
+  return ec == std::errc() && ptr == end;
+}
 
 std::string splitLines(std::string spec) {
   for (char& ch : spec) {
@@ -188,6 +199,12 @@ ParseOutcome parseArgs(int argc, const char* const* argv) {
     dest = argv[++i];
     return true;
   };
+  const auto number = [&](std::string_view text, auto& dest,
+                          const std::string& what) {
+    if (parseNumber(text, dest)) return true;
+    outcome.error = "bad value for " + what;
+    return false;
+  };
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     std::string value;
@@ -202,11 +219,13 @@ ParseOutcome parseArgs(int argc, const char* const* argv) {
     } else if (arg == "--verify-cert") {
       if (!flagValue(i, arg, req.verifyCertPath)) return outcome;
     } else if (arg == "--chain") {
-      if (!flagValue(i, arg, value)) return outcome;
-      req.chainDelta = std::atol(value.c_str());
+      if (!flagValue(i, arg, value) || !number(value, req.chainDelta, arg)) {
+        return outcome;
+      }
     } else if (arg == "--x0") {
-      if (!flagValue(i, arg, value)) return outcome;
-      req.chainX0 = std::atol(value.c_str());
+      if (!flagValue(i, arg, value) || !number(value, req.chainX0, arg)) {
+        return outcome;
+      }
     } else if (arg == "--family") {
       if (!flagValue(i, arg, req.familyName)) return outcome;
     } else if (arg == "--family-def") {
@@ -218,8 +237,11 @@ ParseOutcome parseArgs(int argc, const char* const* argv) {
         outcome.error = "--param expects NAME=VALUE, got '" + value + "'";
         return outcome;
       }
-      req.familyParams.emplace_back(value.substr(0, eq),
-                                    std::atol(value.c_str() + eq + 1));
+      long paramValue = 0;
+      if (!number(std::string_view(value).substr(eq + 1), paramValue, arg)) {
+        return outcome;
+      }
+      req.familyParams.emplace_back(value.substr(0, eq), paramValue);
     } else if (arg == "--trace") {
       if (!flagValue(i, arg, req.tracePath)) return outcome;
     } else if (arg == "--trace-format") {
@@ -256,11 +278,13 @@ ParseOutcome parseArgs(int argc, const char* const* argv) {
                                    : 2;
   if (positional.size() > 0 && stepsIdx >= 1) req.nodeSpec = positional[0];
   if (positional.size() > 1 && stepsIdx >= 2) req.edgeSpec = positional[1];
-  if (positional.size() > stepsIdx) {
-    req.maxSteps = std::atoi(positional[stepsIdx].c_str());
+  if (positional.size() > stepsIdx &&
+      !number(positional[stepsIdx], req.maxSteps, "maxSteps")) {
+    return outcome;
   }
-  if (positional.size() > stepsIdx + 1) {
-    req.numThreads = std::atoi(positional[stepsIdx + 1].c_str());
+  if (positional.size() > stepsIdx + 1 &&
+      !number(positional[stepsIdx + 1], req.numThreads, "threads")) {
+    return outcome;
   }
   return outcome;
 }
@@ -518,17 +542,15 @@ RunResult run(const RunRequest& request, std::shared_ptr<re::EngineCore> core) {
     }
 
     if (request.showStats) {
-      // Drive the speedup through the pass pipeline, one stats table per
-      // step.
+      // One stats table per speedup step.
       const obs::ScopedSpan phase("phase.pipeline");
       re::Problem current = p;
       for (int step = 1; step <= maxSteps; ++step) {
         if (interrupted()) return finishInterrupted();
         try {
-          auto stepResult = ctx.pipeline().run(current, ctx);
+          auto stepResult = ctx.speedupStepWithStats(current);
           out << "speedup step " << step << ":\n"
               << stepResult.renderStatsTable() << "\n";
-          if (stepResult.stopped) break;
           current = std::move(stepResult.problem);
         } catch (const re::Error& e) {
           out << "speedup step " << step << ": engine guard (" << e.what()

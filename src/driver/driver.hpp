@@ -157,8 +157,9 @@ struct ParseOutcome {
 /// Parses an argv into a RunRequest with the CLI's exact flag grammar:
 /// unknown flags are positional arguments, positionals are
 /// ["<node>" "<edge>"] [maxSteps] [threads] (the specs implied in --chain
-/// mode).  Only flag-syntax problems (missing value, bad --trace-format)
-/// surface here; semantic problems (missing positionals, unparsable specs,
+/// mode).  Only flag-syntax problems (missing value, bad --trace-format, a
+/// number -- --chain, --x0, a --param value, maxSteps, threads -- that is
+/// not entirely a base-10 integer) surface here; semantic problems (missing positionals, unparsable specs,
 /// --resume without --store) are diagnosed by run() so that trace/report
 /// files are still written, as the CLI always did.
 [[nodiscard]] ParseOutcome parseArgs(int argc, const char* const* argv);

@@ -14,26 +14,23 @@ IterationStep describeProblem(const Problem& p) {
   return {p.alphabet.size(), p.node.size(), p.edge.size()};
 }
 
-// Fixed-point test for two consecutive iterates.  With a context, the
-// syntactic canonical forms are compared first: equal canonical forms prove
-// isomorphism without any permutation search (and the intern table makes
-// the lookup O(1) amortized across the whole iteration).  Unequal canonical
-// forms do NOT disprove *semantic* equivalence (differently condensed but
-// language-equal constraints), so the semantic search still runs as a
-// fallback -- behavior matches the context-free path exactly.
+// Fixed-point test for two consecutive iterates.  The syntactic canonical
+// forms are compared first: equal canonical forms prove isomorphism without
+// any permutation search (and the intern table makes the lookup O(1)
+// amortized across the whole iteration).  Unequal canonical forms do NOT
+// disprove *semantic* equivalence (differently condensed but language-equal
+// constraints), so the semantic search still runs as a fallback.
 bool sameUpToRenaming(const Problem& prev, const Problem& next,
-                      EngineContext* ctx) {
-  if (ctx != nullptr) {
-    try {
-      const auto prevInterned = ctx->intern(prev);
-      const auto nextInterned = ctx->intern(next);
-      if (prevInterned.hash == nextInterned.hash &&
-          prevInterned.canonical.problem == nextInterned.canonical.problem) {
-        return true;
-      }
-    } catch (const Error&) {
-      // canonicalize refused (too symmetric / too large); fall through.
+                      EngineSession& session) {
+  try {
+    const auto prevInterned = session.intern(prev);
+    const auto nextInterned = session.intern(next);
+    if (prevInterned.hash == nextInterned.hash &&
+        prevInterned.canonical.problem == nextInterned.canonical.problem) {
+      return true;
     }
+  } catch (const Error&) {
+    // canonicalize refused (too symmetric / too large); fall through.
   }
   try {
     return equivalentUpToRenaming(prev, next);
@@ -42,20 +39,12 @@ bool sameUpToRenaming(const Problem& prev, const Problem& next,
   }
 }
 
-bool zeroRoundWithEdgeInputs(const Problem& p, EngineContext* ctx) {
-  return ctx != nullptr
-             ? ctx->zeroRoundSolvable(p, ZeroRoundMode::kWithEdgeInputs)
-             : zeroRoundSolvableWithEdgeInputs(p);
-}
-
 // Merges label pairs of `p` greedily until at most `maxLabels` remain,
 // requiring every merge to keep the problem hard (otherwise the chain would
 // end uselessly early).  False when no hardness-preserving merge exists.
-bool mergeWhileHard(Problem& p, int maxLabels, EngineContext* ctx) {
+bool mergeWhileHard(Problem& p, int maxLabels, EngineSession& session) {
   if (p.alphabet.size() <= maxLabels) return true;
-  const obs::ScopedSpan span(
-      "re.autobound.merge",
-      ctx != nullptr ? ctx->tracer() : obs::Tracer::global());
+  const obs::ScopedSpan span("re.autobound.merge", session.tracer());
   while (p.alphabet.size() > maxLabels) {
     bool merged = false;
     const int n = p.alphabet.size();
@@ -67,7 +56,8 @@ bool mergeWhileHard(Problem& p, int maxLabels, EngineContext* ctx) {
         // the merged problem stays hard.
         bool hard = false;
         try {
-          hard = !zeroRoundWithEdgeInputs(candidate, ctx);
+          hard = !session.zeroRoundSolvable(candidate,
+                                            ZeroRoundMode::kWithEdgeInputs);
         } catch (const Error&) {
           hard = false;
         }
@@ -116,10 +106,20 @@ std::string IterationTrace::describe() const {
 
 IterationTrace iterateSpeedup(const Problem& start,
                               const IterateOptions& options) {
+  if (options.context == nullptr) {
+    EngineSession own(nullptr, options.stepOptions);
+    IterateOptions withOwn = options;
+    withOwn.context = &own;
+    return iterateSpeedup(start, withOwn);
+  }
+  EngineSession& session = *options.context;
   IterationTrace trace;
   trace.last = start;
   trace.steps.push_back(describeProblem(start));
 
+  // The input's verdict stays outside the session's cache: routing it
+  // through the session would add a lookup (and a store write) to every
+  // run's statistics, and warm stores written without it would miss.
   if (zeroRoundSolvableAdversarialPorts(start)) {
     trace.reason = StopReason::kZeroRoundSolvable;
     trace.zeroRoundAfter = 0;
@@ -129,19 +129,14 @@ IterationTrace iterateSpeedup(const Problem& start,
   for (int step = 1; step <= options.maxSteps; ++step) {
     Problem next;
     try {
-      next = options.context != nullptr
-                 ? options.context->speedupStep(trace.last)
-                 : speedupStep(trace.last, options.stepOptions);
+      next = session.speedupStep(trace.last);
     } catch (const Error&) {
       trace.reason = StopReason::kEngineLimit;
       return trace;
     }
     trace.steps.push_back(describeProblem(next));
 
-    if (options.context != nullptr
-            ? options.context->zeroRoundSolvable(
-                  next, ZeroRoundMode::kAdversarialPorts)
-            : zeroRoundSolvableAdversarialPorts(next)) {
+    if (session.zeroRoundSolvable(next, ZeroRoundMode::kAdversarialPorts)) {
       trace.last = std::move(next);
       trace.reason = StopReason::kZeroRoundSolvable;
       trace.zeroRoundAfter = step;
@@ -149,8 +144,7 @@ IterationTrace iterateSpeedup(const Problem& start,
     }
     if (options.detectFixedPoint && next.alphabet.size() <= 10 &&
         trace.last.alphabet.size() == next.alphabet.size()) {
-      const bool same = sameUpToRenaming(trace.last, next, options.context);
-      if (same) {
+      if (sameUpToRenaming(trace.last, next, session)) {
         trace.last = std::move(next);
         trace.reason = StopReason::kFixedPoint;
         trace.fixedPointAt = step - 1;
@@ -169,14 +163,16 @@ IterationTrace iterateSpeedup(const Problem& start,
 
 AutoLowerBound autoLowerBound(const Problem& start,
                               const AutoLowerBoundOptions& options) {
-  return options.context != nullptr
-             ? options.context->autoLowerBound(start, options)
-             : detail::autoLowerBoundImpl(start, options, nullptr);
+  if (options.context == nullptr) {
+    EngineSession own(nullptr, options.stepOptions);
+    return detail::autoLowerBoundImpl(start, options, own);
+  }
+  return options.context->autoLowerBound(start, options);
 }
 
 AutoLowerBound detail::autoLowerBoundImpl(const Problem& start,
                                           const AutoLowerBoundOptions& options,
-                                          EngineContext* ctx) {
+                                          EngineSession& session) {
   AutoLowerBound result;
   Problem current = start;
   result.labelsPerStep.push_back(current.alphabet.size());
@@ -187,7 +183,8 @@ AutoLowerBound detail::autoLowerBoundImpl(const Problem& start,
     // chain with whatever was certified so far instead of throwing.
     bool solvable = false;
     try {
-      solvable = zeroRoundWithEdgeInputs(current, ctx);
+      solvable =
+          session.zeroRoundSolvable(current, ZeroRoundMode::kWithEdgeInputs);
     } catch (const Error&) {
       result.reason = StopReason::kEngineLimit;
       return result;
@@ -200,13 +197,12 @@ AutoLowerBound detail::autoLowerBoundImpl(const Problem& start,
     result.rounds = step + 1;
     Problem next;
     try {
-      next = ctx != nullptr ? ctx->speedupStep(current)
-                            : speedupStep(current, options.stepOptions);
+      next = session.speedupStep(current);
     } catch (const Error&) {
       result.reason = StopReason::kEngineLimit;
       return result;
     }
-    if (!mergeWhileHard(next, options.maxLabels, ctx)) {
+    if (!mergeWhileHard(next, options.maxLabels, session)) {
       result.reason = StopReason::kLabelBudget;
       return result;
     }

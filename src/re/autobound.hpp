@@ -23,6 +23,8 @@
 
 namespace relb::re {
 
+class EngineSession;  // re/engine.hpp
+
 enum class StopReason {
   kFixedPoint,        // speedup equivalent to its input (up to renaming)
   kZeroRoundSolvable, // reached a 0-round solvable problem
@@ -60,13 +62,13 @@ struct IterateOptions {
                                // the numThreads fan-out width)
   /// Check for fixed points (needs isomorphism search; alphabets <= 10).
   bool detectFixedPoint = true;
-  /// Optional engine context (see engine.hpp).  When set, speedup steps are
-  /// memoized through the context (stepOptions is ignored in favor of the
-  /// context's options) and fixed-point detection first tries the cheap
-  /// canonical-interning route -- "canonical form already interned" -- before
-  /// falling back to the semantic isomorphism search.  Results are identical
-  /// with and without a context.
-  EngineContext* context = nullptr;
+  /// The engine session the iteration runs through (see engine.hpp); when
+  /// unset, a private session over a fresh core is built from stepOptions.
+  /// Speedup steps and zero-round checks are memoized in the session (whose
+  /// options then replace stepOptions), and fixed-point detection first
+  /// tries the cheap canonical-interning route -- "canonical form already
+  /// interned" -- before falling back to the semantic isomorphism search.
+  EngineSession* context = nullptr;
 };
 
 /// Runs the speedup iteration and reports what happened.
@@ -102,13 +104,14 @@ struct AutoLowerBoundOptions {
   /// exists.
   int maxLabels = 8;
   StepOptions stepOptions;
-  /// Optional engine context: delegates to EngineSession::autoLowerBound,
-  /// which memoizes the whole result (a repeat skips the merge search), and
-  /// on a miss memoizes the speedup steps and the (heavily repeated)
-  /// zero-round solvability checks of the merge search.  stepOptions is
-  /// then ignored in favor of the context's options.  Results are identical
-  /// with and without a context.
-  EngineContext* context = nullptr;
+  /// The engine session to run through: delegates to
+  /// EngineSession::autoLowerBound, which memoizes the whole result (a
+  /// repeat skips the merge search), and on a miss memoizes the speedup
+  /// steps and the (heavily repeated) zero-round solvability checks of the
+  /// merge search; stepOptions is then ignored in favor of the session's
+  /// options.  When unset, the search runs through a private session built
+  /// from stepOptions.  Results are identical either way.
+  EngineSession* context = nullptr;
 };
 
 /// Fully automatic lower-bound search.
@@ -116,12 +119,12 @@ struct AutoLowerBoundOptions {
     const Problem& start, const AutoLowerBoundOptions& options = {});
 
 namespace detail {
-/// The uncached search itself, shared by the free function (ctx == nullptr)
-/// and EngineSession::autoLowerBound on a memo miss (ctx != nullptr: steps
-/// and zero-round checks go through ctx; options.context is ignored).
+/// The search itself, run by EngineSession::autoLowerBound on a memo miss
+/// and by the free function over its private session: steps and zero-round
+/// checks go through `session` (options.context is ignored).
 [[nodiscard]] AutoLowerBound autoLowerBoundImpl(
     const Problem& start, const AutoLowerBoundOptions& options,
-    EngineContext* ctx);
+    EngineSession& session);
 }  // namespace detail
 
 }  // namespace relb::re

@@ -187,22 +187,6 @@ struct EngineSession::ObsHooks {
         storeWrite(r.counter("store.write")) {}
 };
 
-/// The session-owned arena backing the serial Rbar sweep when the caller
-/// left StepOptions::arena unset (shared-core sessions only).  Parallel
-/// lanes and scratch buffers always use re_step.cpp's thread-local arenas.
-struct EngineSession::SessionArenas {
-  util::Arena results;
-};
-
-EngineSession::EngineSession(PassOptions options)
-    : core_(std::make_shared<EngineCore>()),
-      options_(options),
-      registry_(&obs::Registry::global()),
-      tracer_(&obs::Tracer::global()),
-      obs_(std::make_unique<ObsHooks>(*registry_)),
-      pipeline_(
-          std::make_unique<PassManager>(PassManager::speedupPipeline())) {}
-
 EngineSession::EngineSession(std::shared_ptr<EngineCore> core,
                              PassOptions options, obs::SessionScope* scope)
     : core_(core != nullptr ? std::move(core)
@@ -212,10 +196,8 @@ EngineSession::EngineSession(std::shared_ptr<EngineCore> core,
                                  : &obs::Registry::global()),
       tracer_(scope != nullptr ? &scope->tracer() : &obs::Tracer::global()),
       obs_(std::make_unique<ObsHooks>(*registry_)),
-      arenas_(std::make_unique<SessionArenas>()),
-      pipeline_(
-          std::make_unique<PassManager>(PassManager::speedupPipeline())) {
-  if (options_.arena == nullptr) options_.arena = &arenas_->results;
+      arena_(std::make_unique<util::Arena>()) {
+  if (options_.arena == nullptr) options_.arena = arena_.get();
 }
 
 EngineSession::~EngineSession() = default;
@@ -273,9 +255,17 @@ StepResult EngineSession::memoizedStep(int kind, const Problem& p) {
     ++stats_.storeMisses;
     obs_->storeMiss.add();
   }
+  const int n = p.alphabet.size();
   try {
-    entry.result = kind == 0 ? detail::applyRImpl(p, options_, this)
-                             : detail::applyRbarImpl(p, options_, this);
+    if (kind == 0) {
+      entry.result = detail::applyR(
+          p, options_, [&] { return edgeCompatibility(p.edge, n); });
+    } else {
+      entry.result = detail::applyRbar(p, options_, [&] {
+        return rightClosedSets(p.node, n, p.alphabet.all(),
+                               options_.enumerationLimit);
+      });
+    }
   } catch (const Error& e) {
     entry.refusal = e.what();
   }
@@ -302,6 +292,39 @@ StepResult EngineSession::memoizedStep(int kind, const Problem& p) {
 
 Problem EngineSession::speedupStep(const Problem& p) {
   return applyRbar(applyR(p).problem).problem;
+}
+
+SpeedupStepStats EngineSession::speedupStepWithStats(const Problem& p) {
+  SpeedupStepStats out;
+  out.problem = p;
+  const auto run = [&](PassStats& st, const char* name, auto op) {
+    st.name = name;
+    st.labelsIn = out.problem.alphabet.size();
+    st.nodeConfigsIn = out.problem.node.size();
+    st.edgeConfigsIn = out.problem.edge.size();
+    const std::string spanName = "pass." + st.name;  // outlives the span
+    const CacheStats before = stats();
+    const auto t0 = std::chrono::steady_clock::now();
+    {
+      const obs::ScopedSpan span(spanName, *tracer_);
+      out.problem = (this->*op)(out.problem).problem;
+    }
+    const auto t1 = std::chrono::steady_clock::now();
+    const CacheStats after = stats();
+    st.wallMicros =
+        std::chrono::duration_cast<std::chrono::microseconds>(t1 - t0).count();
+    st.fromCache = after.stepHits > before.stepHits &&
+                   after.stepMisses == before.stepMisses;
+    const auto labels = static_cast<std::int64_t>(out.problem.alphabet.size());
+    registry_->gauge("re.labels.last").set(labels);
+    if (tracer_->enabled()) tracer_->counter("re.labels.last", labels);
+    st.labelsOut = out.problem.alphabet.size();
+    st.nodeConfigsOut = out.problem.node.size();
+    st.edgeConfigsOut = out.problem.edge.size();
+  };
+  run(out.passes[0], "ApplyR", &EngineSession::applyR);
+  run(out.passes[1], "ApplyRbar", &EngineSession::applyRbar);
+  return out;
 }
 
 AutoLowerBound EngineSession::autoLowerBound(
@@ -336,7 +359,7 @@ AutoLowerBound EngineSession::autoLowerBound(
       }
     }
   }
-  AutoLowerBound result = detail::autoLowerBoundImpl(start, options, this);
+  AutoLowerBound result = detail::autoLowerBoundImpl(start, options, *this);
   std::lock_guard lock(impl.mutex);
   ++impl.stats.autoboundMisses;
   ++stats_.autoboundMisses;
@@ -560,172 +583,7 @@ void EngineSession::resetStats() {
   stats_ = CacheStats{};
 }
 
-// ---------------------------------------------------------------------------
-// Passes
-// ---------------------------------------------------------------------------
-
-namespace {
-
-class ApplyRPass final : public Pass {
- public:
-  [[nodiscard]] std::string_view name() const override { return "ApplyR"; }
-  [[nodiscard]] PassOutput run(const PassInput& in) override {
-    StepResult r = in.context.applyR(in.problem);
-    PassOutput out;
-    out.problem = std::move(r.problem);
-    out.meaning = std::move(r.meaning);
-    return out;
-  }
-};
-
-class ApplyRbarPass final : public Pass {
- public:
-  [[nodiscard]] std::string_view name() const override { return "ApplyRbar"; }
-  [[nodiscard]] PassOutput run(const PassInput& in) override {
-    StepResult r = in.context.applyRbar(in.problem);
-    PassOutput out;
-    out.problem = std::move(r.problem);
-    out.meaning = std::move(r.meaning);
-    return out;
-  }
-};
-
-class RenamePass final : public Pass {
- public:
-  [[nodiscard]] std::string_view name() const override { return "Rename"; }
-  [[nodiscard]] PassOutput run(const PassInput& in) override {
-    auto interned = in.context.intern(in.problem);
-    PassOutput out;
-    out.problem = std::move(interned.canonical.problem);
-    out.note = interned.alreadyInterned ? "canonical form already interned"
-                                        : "fresh canonical form";
-    return out;
-  }
-};
-
-class RelaxPass final : public Pass {
- public:
-  [[nodiscard]] std::string_view name() const override { return "Relax"; }
-  [[nodiscard]] PassOutput run(const PassInput& in) override {
-    PassOutput out;
-    out.problem = in.problem;
-    const std::size_t nodeBefore = out.problem.node.size();
-    const std::size_t edgeBefore = out.problem.edge.size();
-    out.problem.node.removeDominatedConfigurations();
-    out.problem.edge.removeDominatedConfigurations();
-    out.note = "dropped " +
-               std::to_string((nodeBefore - out.problem.node.size()) +
-                              (edgeBefore - out.problem.edge.size())) +
-               " dominated configuration(s)";
-    return out;
-  }
-};
-
-class ZeroRoundCheckPass final : public Pass {
- public:
-  explicit ZeroRoundCheckPass(ZeroRoundMode mode) : mode_(mode) {}
-  [[nodiscard]] std::string_view name() const override {
-    return "ZeroRoundCheck";
-  }
-  [[nodiscard]] PassOutput run(const PassInput& in) override {
-    PassOutput out;
-    out.problem = in.problem;
-    const bool solvable = in.context.zeroRoundSolvable(in.problem, mode_);
-    out.stop = solvable;
-    out.note = solvable ? "0-round solvable; pipeline stopped"
-                        : "not 0-round solvable";
-    return out;
-  }
-
- private:
-  ZeroRoundMode mode_;
-};
-
-}  // namespace
-
-std::unique_ptr<Pass> makeApplyRPass() {
-  return std::make_unique<ApplyRPass>();
-}
-std::unique_ptr<Pass> makeApplyRbarPass() {
-  return std::make_unique<ApplyRbarPass>();
-}
-std::unique_ptr<Pass> makeRenamePass() {
-  return std::make_unique<RenamePass>();
-}
-std::unique_ptr<Pass> makeRelaxPass() {
-  return std::make_unique<RelaxPass>();
-}
-std::unique_ptr<Pass> makeZeroRoundCheckPass(ZeroRoundMode mode) {
-  return std::make_unique<ZeroRoundCheckPass>(mode);
-}
-
-// ---------------------------------------------------------------------------
-// PassManager
-// ---------------------------------------------------------------------------
-
-PassManager& PassManager::add(std::unique_ptr<Pass> pass) {
-  passes_.push_back(std::move(pass));
-  return *this;
-}
-
-PassManager PassManager::speedupPipeline() {
-  PassManager pm;
-  pm.add(makeApplyRPass());
-  pm.add(makeApplyRbarPass());
-  return pm;
-}
-
-PipelineResult PassManager::run(const Problem& p,
-                                EngineSession& session) const {
-  PipelineResult out;
-  Problem current = p;
-  for (std::size_t i = 0; i < passes_.size(); ++i) {
-    Pass& pass = *passes_[i];
-    PassStats st;
-    st.name = std::string(pass.name());
-    st.labelsIn = current.alphabet.size();
-    st.nodeConfigsIn = current.node.size();
-    st.edgeConfigsIn = current.edge.size();
-    const CacheStats before = session.stats();
-    const std::string spanName = "pass." + st.name;
-    const auto t0 = std::chrono::steady_clock::now();
-    PassOutput po;
-    {
-      const obs::ScopedSpan span(spanName, session.tracer());
-      po = pass.run({current, session, session.options()});
-    }
-    const auto t1 = std::chrono::steady_clock::now();
-    const CacheStats after = session.stats();
-    st.wallMicros =
-        std::chrono::duration_cast<std::chrono::microseconds>(t1 - t0).count();
-    st.fromCache = after.stepHits > before.stepHits &&
-                   after.stepMisses == before.stepMisses;
-    current = std::move(po.problem);
-    {
-      session.registry().gauge("re.labels.last")
-          .set(static_cast<std::int64_t>(current.alphabet.size()));
-      obs::Tracer& tracer = session.tracer();
-      if (tracer.enabled()) {
-        tracer.counter("re.labels.last",
-                       static_cast<std::int64_t>(current.alphabet.size()));
-      }
-    }
-    st.labelsOut = current.alphabet.size();
-    st.nodeConfigsOut = current.node.size();
-    st.edgeConfigsOut = current.edge.size();
-    st.note = std::move(po.note);
-    out.passes.push_back(std::move(st));
-    if (po.stop) {
-      out.stopped = true;
-      out.stoppedAt = i;
-      break;
-    }
-  }
-  out.problem = std::move(current);
-  return out;
-}
-
-std::string PipelineResult::renderStatsTable() const {
+std::string SpeedupStepStats::renderStatsTable() const {
   // Column layout:  pass | wall us | labels in->out | node cfgs | edge cfgs
   //                 | cache | note
   std::vector<std::vector<std::string>> rows;
@@ -739,7 +597,7 @@ std::string PipelineResult::renderStatsTable() const {
                         std::to_string(s.nodeConfigsOut),
                     std::to_string(s.edgeConfigsIn) + "->" +
                         std::to_string(s.edgeConfigsOut),
-                    s.fromCache ? "hit" : "miss", s.note});
+                    s.fromCache ? "hit" : "miss", ""});
   }
   std::vector<std::size_t> width(rows.front().size(), 0);
   for (const auto& row : rows) {
@@ -756,10 +614,6 @@ std::string PipelineResult::renderStatsTable() const {
       }
     }
     out += '\n';
-  }
-  if (stopped) {
-    out += "(pipeline stopped at pass " + std::to_string(stoppedAt) + ": " +
-           passes[stoppedAt].name + ")\n";
   }
   return out;
 }

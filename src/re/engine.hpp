@@ -1,4 +1,4 @@
-// The pass-based engine, split at the sharing seam into EngineCore and
+// The speedup engine, split at the sharing seam into EngineCore and
 // EngineSession.
 //
 // EngineCore is the thread-safe SHARED half: it owns every cache the speedup
@@ -24,12 +24,12 @@
 // bit-identical to cold computes regardless of who warmed the cache.
 //
 // EngineSession is the cheap PER-REQUEST half: its own StepOptions, its own
-// result arena backing the serial Rbar sweep, its own pass manager, and an
-// observability scope (a session-local metric registry and tracer handle,
-// see obs/scope.hpp) so concurrent requests produce attributable counter and
-// span streams.  Creating a session performs a fixed, small amount of work
-// (interning a handful of counter names, two empty arenas) -- it is meant to
-// be done once per request, and session reuse re-uses the arenas.
+// result arena backing the serial Rbar sweep, and an observability scope (a
+// session-local metric registry and tracer handle, see obs/scope.hpp) so
+// concurrent requests produce attributable counter and span streams.
+// Creating a session performs a fixed, small amount of work (interning a
+// handful of counter names, one empty arena) -- it is meant to be done once
+// per request, and session reuse re-uses the arena.
 //
 // Lifetime and sharing rules (docs/architecture.md has the diagram):
 //   * core outlives every session over it (sessions hold a shared_ptr, so
@@ -38,18 +38,12 @@
 //   * one session serves ONE logical client.  The engine's own fan-out may
 //     run a session's work on many pool threads, and certifyChain-style
 //     helpers may probe a session from worker lanes, but two independent
-//     clients must each take their own session (sharing the core).
-//   * the legacy EngineContext alias constructs a standalone session owning
-//     a private core; for backward compatibility it keeps the serial-sweep
-//     arena thread-local, so it remains safe to hammer one EngineContext
-//     from many threads as the pre-split tests do.
+//     clients must each take their own session (sharing the core): the
+//     step entry points reset the session's arena.
 //
-// The speedup step itself is decomposed into composable passes with a
-// uniform run(PassInput) -> PassOutput interface; PassManager chains them
-// and records per-pass statistics (wall time, configurations in/out, labels
-// in/out, cache provenance).  The default pipeline ApplyR -> ApplyRbar is
-// bit-identical to the legacy free functions applyR/applyRbar/speedupStep
-// in re_step.hpp, which remain as thin uncached wrappers.
+// The memoized operators are bit-identical to the free functions
+// applyR/applyRbar/speedupStep in re_step.hpp: both run the same
+// detail:: operators, the session handing them its cached sub-results.
 //
 // Only re::Error is memoized as a refusal: it is what the engine's size
 // guards throw, and nothing else throws it inside the engine (interrupts,
@@ -62,12 +56,12 @@
 // each session's own view -- are updated under the same mutex.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
-#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -82,11 +76,14 @@ class SessionScope;
 class Tracer;
 }  // namespace relb::obs
 
+namespace relb::util {
+class Arena;
+}
+
 namespace relb::re {
 
-/// The pipeline's option block.  StepOptions carries exactly the knobs the
-/// passes need (enumeration guards + fan-out width), so it *is* the pass
-/// option type; the alias is the refactor seam promised in docs.
+/// A session's option block: exactly the step knobs (enumeration guards +
+/// fan-out width), under the name sessions are constructed with.
 using PassOptions = StepOptions;
 
 /// Counters for every cache.  `hits + misses` is the number of lookups;
@@ -203,23 +200,41 @@ class EngineCore {
   std::unique_ptr<Impl> impl_;
 };
 
+/// Per-operator observability record of speedupStepWithStats.
+struct PassStats {
+  std::string name;
+  std::int64_t wallMicros = 0;
+  int labelsIn = 0;
+  int labelsOut = 0;
+  std::size_t nodeConfigsIn = 0;
+  std::size_t nodeConfigsOut = 0;
+  std::size_t edgeConfigsIn = 0;
+  std::size_t edgeConfigsOut = 0;
+  /// True iff the operator was served from the step memo.
+  bool fromCache = false;
+};
+
+struct SpeedupStepStats {
+  Problem problem;
+  std::array<PassStats, 2> passes;  // ApplyR, ApplyRbar
+
+  /// Renders the per-operator table printed by `round_eliminator_cli
+  /// --stats` (its `note` column is always empty).
+  [[nodiscard]] std::string renderStatsTable() const;
+};
+
 /// The per-request session.  All speedup entry points live here; every
 /// lookup and computation is recorded both in the shared core's aggregate
 /// stats and in this session's own attributed stats/counters.
 class EngineSession {
  public:
-  /// Standalone session owning a private EngineCore -- the legacy
-  /// EngineContext behavior.  Counters go to obs::Registry::global(), spans
-  /// to obs::Tracer::global(), and the serial-sweep arena stays thread-local
-  /// (safe to share this object across threads).
-  explicit EngineSession(PassOptions options = {});
-
-  /// Session over a shared core, optionally carrying an observability scope
-  /// (nullptr: global registry/tracer).  Unless `options.arena` is already
-  /// set, the serial Rbar sweep is backed by this session's own result arena
-  /// -- allocation-stable across requests, but it makes the step entry
-  /// points single-client (see the sharing rules above).
-  explicit EngineSession(std::shared_ptr<EngineCore> core,
+  /// Session over `core` (nullptr: a private core of its own), optionally
+  /// carrying an observability scope (nullptr: global registry/tracer).
+  /// Unless `options.arena` is already set, the serial Rbar sweep is backed
+  /// by this session's own result arena -- allocation-stable across
+  /// requests, which makes the step entry points single-client (see the
+  /// sharing rules above).
+  explicit EngineSession(std::shared_ptr<EngineCore> core = nullptr,
                          PassOptions options = {},
                          obs::SessionScope* scope = nullptr);
   ~EngineSession();
@@ -240,8 +255,7 @@ class EngineSession {
   /// The tracer this session's spans are emitted through.
   [[nodiscard]] obs::Tracer& tracer() const { return *tracer_; }
 
-  /// Delegates to the shared core (kept on the session for source
-  /// compatibility with the pre-split EngineContext).
+  /// Delegates to the shared core.
   void attachStore(std::shared_ptr<StepStorage> store);
 
   // -- Memoized speedup operators (bit-identical to the free functions) ----
@@ -251,6 +265,12 @@ class EngineSession {
   [[nodiscard]] StepResult applyR(const Problem& p);
   [[nodiscard]] StepResult applyRbar(const Problem& p);
   [[nodiscard]] Problem speedupStep(const Problem& p);
+
+  /// speedupStep with one PassStats row per operator (ApplyR, ApplyRbar):
+  /// the table `round_eliminator_cli --stats` prints per step.  Each
+  /// operator runs under a `pass.<name>` span and sets the `re.labels.last`
+  /// gauge.
+  [[nodiscard]] SpeedupStepStats speedupStepWithStats(const Problem& p);
 
   // -- Memoized automatic lower bound ----------------------------------------
 
@@ -299,12 +319,6 @@ class EngineSession {
   /// canonical.hpp); callers needing a fallback should catch it.
   [[nodiscard]] InternResult intern(const Problem& p);
 
-  // -- Pass pipeline -------------------------------------------------------
-
-  /// This session's pass manager (defaults to the speedup pipeline
-  /// ApplyR -> ApplyRbar); replace or extend it per request.
-  [[nodiscard]] class PassManager& pipeline() { return *pipeline_; }
-
   // -- Statistics ----------------------------------------------------------
 
   /// This session's attributed cache traffic.
@@ -316,107 +330,17 @@ class EngineSession {
   /// The step memo behind applyR (kind 0) and applyRbar (kind 1).
   [[nodiscard]] StepResult memoizedStep(int kind, const Problem& p);
 
-  struct ObsHooks;       // interned counter references (engine.cpp)
-  struct SessionArenas;  // serial-sweep result arena (engine.cpp)
+  struct ObsHooks;  // interned counter references (engine.cpp)
 
   std::shared_ptr<EngineCore> core_;
   PassOptions options_;
   obs::Registry* registry_;
   obs::Tracer* tracer_;
   std::unique_ptr<ObsHooks> obs_;
-  std::unique_ptr<SessionArenas> arenas_;
-  std::unique_ptr<class PassManager> pipeline_;
+  std::unique_ptr<util::Arena> arena_;  // serial-sweep result arena
   /// Session-attributed stats; guarded by the core's mutex (every update
   /// site already holds it).
   CacheStats stats_;
 };
-
-// ---------------------------------------------------------------------------
-// Pass pipeline
-// ---------------------------------------------------------------------------
-
-struct PassInput {
-  const Problem& problem;
-  EngineSession& context;
-  const PassOptions& options;
-};
-
-struct PassOutput {
-  Problem problem;
-  /// Set by the R / Rbar passes: meaning[newLabel] = set of input labels.
-  std::optional<std::vector<LabelSet>> meaning;
-  /// A pass may stop the pipeline (e.g. ZeroRoundCheck on a solvable
-  /// problem); the manager records the stop and skips the remaining passes.
-  bool stop = false;
-  /// Free-form annotation copied into the pass's stats row.
-  std::string note;
-};
-
-/// Per-pass observability record, filled by PassManager.
-struct PassStats {
-  std::string name;
-  std::int64_t wallMicros = 0;
-  int labelsIn = 0;
-  int labelsOut = 0;
-  std::size_t nodeConfigsIn = 0;
-  std::size_t nodeConfigsOut = 0;
-  std::size_t edgeConfigsIn = 0;
-  std::size_t edgeConfigsOut = 0;
-  /// True iff the pass was served from the step memo.
-  bool fromCache = false;
-  std::string note;
-};
-
-class Pass {
- public:
-  virtual ~Pass() = default;
-  [[nodiscard]] virtual std::string_view name() const = 0;
-  [[nodiscard]] virtual PassOutput run(const PassInput& in) = 0;
-};
-
-struct PipelineResult {
-  Problem problem;
-  std::vector<PassStats> passes;
-  /// True iff some pass requested a stop; `stoppedAt` is its index.
-  bool stopped = false;
-  std::size_t stoppedAt = 0;
-
-  /// Renders the per-pass table printed by `round_eliminator_cli --stats`.
-  [[nodiscard]] std::string renderStatsTable() const;
-};
-
-class PassManager {
- public:
-  PassManager() = default;
-  PassManager(PassManager&&) = default;
-  PassManager& operator=(PassManager&&) = default;
-
-  PassManager& add(std::unique_ptr<Pass> pass);
-  [[nodiscard]] std::size_t size() const { return passes_.size(); }
-
-  /// Runs the pipeline on `p`, using (and warming) the session's caches.
-  [[nodiscard]] PipelineResult run(const Problem& p,
-                                   EngineSession& session) const;
-
-  /// The default speedup pipeline ApplyR -> ApplyRbar: bit-identical to
-  /// re_step.hpp's speedupStep.
-  [[nodiscard]] static PassManager speedupPipeline();
-
- private:
-  std::vector<std::unique_ptr<Pass>> passes_;
-};
-
-// Built-in pass factories.
-[[nodiscard]] std::unique_ptr<Pass> makeApplyRPass();
-[[nodiscard]] std::unique_ptr<Pass> makeApplyRbarPass();
-/// Renames the problem to its canonical form (synthetic label names).
-[[nodiscard]] std::unique_ptr<Pass> makeRenamePass();
-/// Drops configurations dominated by another configuration of the same
-/// constraint (language unchanged).
-[[nodiscard]] std::unique_ptr<Pass> makeRelaxPass();
-/// Annotates zero-round solvability (cached); stops the pipeline when the
-/// problem is solvable in the given model.
-[[nodiscard]] std::unique_ptr<Pass> makeZeroRoundCheckPass(
-    ZeroRoundMode mode = ZeroRoundMode::kAdversarialPorts);
 
 }  // namespace relb::re

@@ -8,7 +8,6 @@
 #include "obs/trace.hpp"
 #include "re/antichain.hpp"
 #include "re/bitkernels.hpp"
-#include "re/engine.hpp"
 #include "re/packed_words.hpp"
 #include "util/arena.hpp"
 #include "util/thread_pool.hpp"
@@ -122,14 +121,11 @@ std::vector<LabelSet> sortedDistinctSets(std::vector<LabelSet> sets) {
 
 }  // namespace
 
-StepResult detail::applyRImpl(const Problem& p, const StepOptions& options,
-                              EngineContext* ctx) {
+StepResult detail::applyR(const Problem& p, const StepOptions& options,
+                          const SubResult& compat) {
   p.validate();
-  const int n = p.alphabet.size();
-  const auto compat = ctx != nullptr ? ctx->edgeCompatibility(p.edge, n)
-                                     : edgeCompatibility(p.edge, n);
-  const auto pairs =
-      detail::maximalEdgePairsFromCompat(compat, n, options.numThreads);
+  const auto pairs = detail::maximalEdgePairsFromCompat(
+      compat(), p.alphabet.size(), options.numThreads);
   if (pairs.empty()) {
     throw Error("applyR: empty edge constraint after maximization");
   }
@@ -171,7 +167,9 @@ StepResult detail::applyRImpl(const Problem& p, const StepOptions& options,
 }
 
 StepResult applyR(const Problem& p, const StepOptions& options) {
-  return detail::applyRImpl(p, options, nullptr);
+  return detail::applyR(p, options, [&] {
+    return edgeCompatibility(p.edge, p.alphabet.size());
+  });
 }
 
 namespace {
@@ -290,8 +288,8 @@ Configuration slotsToConfiguration(const std::uint32_t* slots, Count delta) {
 
 }  // namespace
 
-StepResult detail::applyRbarImpl(const Problem& p, const StepOptions& options,
-                                 EngineContext* ctx) {
+StepResult detail::applyRbar(const Problem& p, const StepOptions& options,
+                             const SubResult& rightClosedSets) {
   p.validate();
   const int n = p.alphabet.size();
   const Count delta = p.delta();
@@ -302,12 +300,7 @@ StepResult detail::applyRbarImpl(const Problem& p, const StepOptions& options,
   // Strength relation w.r.t. the node constraint -> right-closed candidate
   // slot sets (Observation 4 plus the up-closure argument documented in
   // re_step.hpp).
-  const auto rcSets =
-      ctx != nullptr
-          ? ctx->rightClosedSets(p.node, n, p.alphabet.all(),
-                                 options.enumerationLimit)
-          : computeStrength(p.node, n, options.enumerationLimit)
-                .allRightClosedSets(p.alphabet.all());
+  const std::vector<LabelSet> rcSets = rightClosedSets();
 
   if (n > 16 || delta > 15) {
     throw Error("applyRbar: packed-word enumeration needs <= 16 labels and "
@@ -462,7 +455,10 @@ StepResult detail::applyRbarImpl(const Problem& p, const StepOptions& options,
 }
 
 StepResult applyRbar(const Problem& p, const StepOptions& options) {
-  return detail::applyRbarImpl(p, options, nullptr);
+  return detail::applyRbar(p, options, [&] {
+    return computeStrength(p.node, p.alphabet.size(), options.enumerationLimit)
+        .allRightClosedSets(p.alphabet.all());
+  });
 }
 
 Problem speedupStep(const Problem& p, const StepOptions& options) {

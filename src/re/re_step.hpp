@@ -31,6 +31,7 @@
 // only (an antichain prune that helps even at one thread).
 #pragma once
 
+#include <functional>
 #include <vector>
 
 #include "re/diagram.hpp"
@@ -43,12 +44,6 @@ class Arena;
 }
 
 namespace relb::re {
-
-// The cached engine entry points live on EngineSession (re/engine.hpp); the
-// pre-split name EngineContext survives as an alias for source
-// compatibility.
-class EngineSession;
-using EngineContext = EngineSession;
 
 struct StepResult {
   Problem problem;
@@ -69,7 +64,8 @@ struct StepOptions {
   /// buffers (completability memo + candidate accumulator).  The step resets
   /// it on entry, so nothing may live in it across calls.  nullptr (the
   /// default) uses an engine-owned thread-local arena; parallel lanes always
-  /// use their own thread-local arenas.  Never affects results, and is
+  /// use their own thread-local arenas.  Every EngineSession points this at
+  /// its own arena unless the caller set one.  Never affects results, and is
   /// ignored by result caches/stores (like numThreads).
   util::Arena* arena = nullptr;
 };
@@ -93,17 +89,24 @@ struct StepOptions {
 
 namespace detail {
 
-/// Context-aware implementations behind both the free functions (ctx ==
-/// nullptr: compute everything locally) and EngineContext (ctx != nullptr:
-/// sub-results -- edge compatibility, strength diagrams, right-closed
-/// families -- are fetched through the context's caches).  The produced
-/// StepResult is bit-identical either way.
-[[nodiscard]] StepResult applyRImpl(const Problem& p,
-                                    const StepOptions& options,
-                                    EngineContext* ctx);
-[[nodiscard]] StepResult applyRbarImpl(const Problem& p,
-                                       const StepOptions& options,
-                                       EngineContext* ctx);
+/// Supplies the one sub-result an operator caches: the free functions above
+/// compute it directly, EngineSession returns its memoized copy.  The result
+/// is bit-identical either way.
+using SubResult = std::function<std::vector<LabelSet>()>;
+
+/// The operators with their sub-result supplied by the caller.  Each runs its
+/// guards in a fixed order around the sub-result, so a refused step throws
+/// the same message on every path (the step store persists these texts):
+///   R:     p.validate(), then compat() = edgeCompatibility(p.edge, |alphabet|);
+///   Rbar:  p.validate() and the maxRbarDelta guard, then rightClosedSets() =
+///          the non-empty right-closed subsets of p's alphabet under the node
+///          constraint's strength relation, then the packed-word guard
+///          (<= 16 labels, delta <= 15).
+[[nodiscard]] StepResult applyR(const Problem& p, const StepOptions& options,
+                                const SubResult& compat);
+[[nodiscard]] StepResult applyRbar(const Problem& p,
+                                   const StepOptions& options,
+                                   const SubResult& rightClosedSets);
 
 }  // namespace detail
 

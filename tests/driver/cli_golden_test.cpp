@@ -101,6 +101,35 @@ TEST(CliGolden, MalformedParamIsAParseError) {
   EXPECT_EQ(outcome.error, "--param expects NAME=VALUE, got 'delta'");
 }
 
+TEST(CliGolden, NumbersMustBeWholeIntegers) {
+  // Every numeric argument is read in full: a trailing character, a word
+  // or an empty token is a parse error (exit 2), never a silent 0 or prefix.
+  const struct {
+    std::vector<const char*> argv;
+    const char* error;
+  } cases[] = {
+      {{"cli", "M^3; P O^2", "M [P O]; O O", "three"},
+       "bad value for maxSteps"},
+      {{"cli", "M^3; P O^2", "M [P O]; O O", "3", "2x"},
+       "bad value for threads"},
+      {{"cli", "--chain", "abc"}, "bad value for --chain"},
+      {{"cli", "--chain", ""}, "bad value for --chain"},
+      {{"cli", "--chain", "8", "--x0", "1x"}, "bad value for --x0"},
+      {{"cli", "--family", "pi", "--param", "a=oops"},
+       "bad value for --param"},
+      {{"cli", "--family", "pi", "4 "}, "bad value for maxSteps"},
+      {{"cli", "--chain", "99999999999999999999"}, "bad value for --chain"},
+  };
+  for (const auto& c : cases) {
+    const ParseOutcome outcome = parse(c.argv);
+    EXPECT_EQ(outcome.error, c.error) << c.argv.back();
+  }
+  // Negative values still parse; run() decides what they mean.
+  const ParseOutcome negative = parse({"cli", "--chain", "-1", "--x0", "-2"});
+  EXPECT_TRUE(negative.error.empty()) << negative.error;
+  EXPECT_EQ(negative.request.chainX0, -2);
+}
+
 TEST(CliGolden, UnknownFamilyExitsOne) {
   RunRequest req;
   req.mode = RunRequest::Mode::kFamily;

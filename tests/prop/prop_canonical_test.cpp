@@ -61,7 +61,7 @@ TEST(PropCanonical, InternAgreesAcrossPermutations) {
   prop::forAllProblems(
       {.name = "canonical-intern", .gen = {}, .baseSeed = 23000},
       [](const re::Problem& p, std::mt19937& rng) {
-        re::EngineContext ctx;
+        re::EngineSession ctx;
         const auto first = ctx.intern(p);
         const auto second = ctx.intern(randomPermutation(p, rng));
         if (first.alreadyInterned) {

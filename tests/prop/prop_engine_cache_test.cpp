@@ -1,4 +1,4 @@
-// Cache-transparency oracles: an EngineContext must be invisible in the
+// Cache-transparency oracles: an EngineSession must be invisible in the
 // results -- cached (second call) and uncached (free function) computations
 // of the same step are bit-identical, and zero-round verdicts agree between
 // the memoized and the direct analyses.
@@ -38,7 +38,7 @@ TEST(PropEngineCache, ContextAgreesWithFreeFunctionsAndItself) {
   prop::forAllProblems(
       {.name = "engine-cache-step", .gen = {}, .baseSeed = 41000},
       [](const re::Problem& p, std::mt19937&) {
-        re::EngineContext ctx;
+        re::EngineSession ctx;
         const auto direct = tryStep([&] { return re::applyR(p); });
         const auto cold = tryStep([&] { return ctx.applyR(p); });
         const auto warm = tryStep([&] { return ctx.applyR(p); });
@@ -61,7 +61,7 @@ TEST(PropEngineCache, ZeroRoundVerdictsAgreeWithDirectAnalyses) {
   prop::forAllProblems(
       {.name = "engine-cache-zero-round", .gen = {}, .baseSeed = 42000},
       [](const re::Problem& p, std::mt19937&) {
-        re::EngineContext ctx;
+        re::EngineSession ctx;
         struct Row {
           re::ZeroRoundMode mode;
           bool direct;

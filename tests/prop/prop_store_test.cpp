@@ -35,7 +35,7 @@ TEST(PropStore, ColdAndWarmStoreRunsAgreeBitIdentically) {
         // and a repeat would turn the "cold" run into a store hit.
         auto store = std::make_shared<store::DiskStepStore>(
             root / std::to_string(caseIdx++));
-        re::EngineContext cold;
+        re::EngineSession cold;
         cold.attachStore(store);
         const auto written = tryStep([&] { return cold.applyR(p); });
         if (!written) return std::string{};  // R never throws in practice
@@ -43,7 +43,7 @@ TEST(PropStore, ColdAndWarmStoreRunsAgreeBitIdentically) {
           return std::string("cold run wrote nothing to the store");
         }
 
-        re::EngineContext warm;
+        re::EngineSession warm;
         warm.attachStore(store);
         const auto loaded = tryStep([&] { return warm.applyR(p); });
         if (!loaded) {

@@ -240,34 +240,65 @@ std::string refusalOf(EngineSession& session, const Problem& p) {
   return "(no refusal)";
 }
 
+std::string freeRefusalOf(const Problem& p, const PassOptions& options) {
+  try {
+    (void)applyRbar(p, options);
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "(no refusal)";
+}
+
+/// Seventeen labels, all equally strong: R-bar's right-closed sets are
+/// cheap, and the packed-word guard (<= 16 labels) is the one that trips.
+Problem seventeenLabels() {
+  const std::string all = "[A B C D E F G H I J K L M N O P Q]";
+  return Problem::parse(all + "^2", all + "^2");
+}
+
 TEST(StepRefusal, ReplayRethrowsTheIdenticalMessage) {
-  const Problem p = misProblem(3);
+  // One input per R-bar guard, in the order the guards run: the degree
+  // guard, the strength computation's enumeration limit (it runs when the
+  // right-closed sets are fetched) and the packed-word guard.  The free
+  // function, a cold session and its replay must all throw the same text.
   PassOptions tight;
   tight.maxRbarDelta = 2;  // delta 3 trips the R-bar degree guard
-  std::string expected;
-  try {
-    (void)applyRbar(p, tight);
-  } catch (const Error& e) {
-    expected = e.what();
-  }
-  ASSERT_FALSE(expected.empty());
-
+  PassOptions limit;
+  limit.enumerationLimit = 1;  // MIS's node constraint has two words
+  const struct {
+    const char* guard;
+    Problem problem;
+    PassOptions options;
+    const char* text;
+  } cases[] = {
+      {"degree", misProblem(3), tight, "node degree too large"},
+      {"enumeration limit", misProblem(3), limit, "exceeds limit"},
+      {"packed words", seventeenLabels(), {}, "packed-word enumeration"},
+  };
   auto core = std::make_shared<EngineCore>();
-  EngineSession session(core, tight);
-  EXPECT_EQ(refusalOf(session, p), expected);
-  EXPECT_EQ(session.stats().stepMisses, 1u);
-  EXPECT_EQ(session.stats().stepHits, 0u);
-  EXPECT_EQ(refusalOf(session, p), expected);
-  EXPECT_EQ(session.stats().stepMisses, 1u);
-  EXPECT_EQ(session.stats().stepHits, 1u);
+  for (const auto& c : cases) {
+    const std::string expected = freeRefusalOf(c.problem, c.options);
+    EXPECT_NE(expected.find(c.text), std::string::npos)
+        << c.guard << ": " << expected;
+    EngineSession session(core, c.options);
+    EXPECT_EQ(refusalOf(session, c.problem), expected) << c.guard;
+    EXPECT_EQ(session.stats().stepMisses, 1u) << c.guard;
+    EXPECT_EQ(session.stats().stepHits, 0u) << c.guard;
+    EXPECT_EQ(refusalOf(session, c.problem), expected) << c.guard;
+    EXPECT_EQ(session.stats().stepMisses, 1u) << c.guard;
+    EXPECT_EQ(session.stats().stepHits, 1u) << c.guard;
+  }
 
   // The refusal belongs to its guards: a session with the default guards
   // over the same core computes the step instead of replaying it.
+  const Problem p = misProblem(3);
+  EngineSession session(core, tight);
   EngineSession roomy(core);
   const StepResult computed = roomy.applyRbar(p);
   EXPECT_EQ(computed.problem, applyRbar(p).problem);
   EXPECT_EQ(roomy.stats().stepMisses, 1u);
-  EXPECT_EQ(refusalOf(session, p), expected);
+  EXPECT_EQ(refusalOf(session, p), freeRefusalOf(p, tight));
+  EXPECT_EQ(session.stats().stepHits, 1u);
 }
 
 }  // namespace

@@ -1,10 +1,11 @@
 // The EngineCore / EngineSession split (engine.hpp): many sessions sharing
 // one core from many threads produce results bit-identical to a serial
-// single-session run, per-session statistics and scope counters attribute
-// work to the session that asked for it, and chain certificates built
-// through concurrent shared-core sessions serialize to the same bytes as a
-// serial build.  This suite runs under TSan in CI (the concurrency job) --
-// keep every cross-thread interaction data-race-free by construction.
+// single-session run and to the free functions, per-session statistics and
+// scope counters attribute work to the session that asked for it, chain
+// certificates built through concurrent shared-core sessions serialize to
+// the same bytes as a serial build, and default sessions share nothing.
+// This suite runs under TSan in CI (the concurrency job) -- keep every
+// cross-thread interaction data-race-free by construction.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -48,6 +49,15 @@ void expectProblemsBitIdentical(const Problem& a, const Problem& b,
 
 TEST(EngineSession, ConcurrentSessionsMatchSerialBitForBit) {
   const std::vector<Problem> problems = randomTestbed(12);
+  // Full speedup steps through a second session per lane: even lanes fan
+  // their R and R-bar sections out into the shared thread pool (width 0),
+  // odd lanes run the serial R-bar sweep in their session's own arena
+  // (width 1), all racing on the one core.
+  const std::vector<Problem> stepProblems = {
+      misProblem(3), sinklessOrientationProblem(3),
+      core::familyProblem(4, 2, 1)};
+  std::vector<Problem> serialStep;
+  for (const Problem& p : stepProblems) serialStep.push_back(speedupStep(p));
 
   // Serial reference: one standalone session, cold core.
   std::vector<StepResult> serialR;
@@ -66,6 +76,7 @@ TEST(EngineSession, ConcurrentSessionsMatchSerialBitForBit) {
   auto core = std::make_shared<EngineCore>();
   std::vector<std::vector<StepResult>> gotR(kSessions);
   std::vector<std::vector<bool>> gotZero(kSessions);
+  std::vector<std::vector<Problem>> gotStep(kSessions);
   std::vector<std::size_t> lookups(kSessions);
   {
     std::vector<obs::SessionScope> scopes(kSessions);
@@ -79,13 +90,25 @@ TEST(EngineSession, ConcurrentSessionsMatchSerialBitForBit) {
           gotZero[s].push_back(
               session.zeroRoundSolvable(p, ZeroRoundMode::kSymmetricPorts));
         }
+        PassOptions stepOptions;
+        stepOptions.numThreads = s % 2 == 0 ? 0 : 1;
+        EngineSession stepSession(core, stepOptions, &scopes[s]);
+        for (const Problem& p : stepProblems) {
+          gotStep[s].push_back(stepSession.speedupStep(p));
+        }
         const CacheStats stats = session.stats();
-        // Every lookup this session made is attributed to it, whoever
-        // computed the entry.
+        const CacheStats stepStats = stepSession.stats();
+        // Every lookup a session made is attributed to it, whoever
+        // computed the entry: one R lookup per problem, an R and an R-bar
+        // lookup per step.
         EXPECT_EQ(stats.stepHits + stats.stepMisses, problems.size());
+        EXPECT_EQ(stepStats.stepHits + stepStats.stepMisses,
+                  2 * stepProblems.size());
         EXPECT_EQ(stats.zeroRoundHits + stats.zeroRoundMisses,
                   problems.size());
-        // The scope's registry saw the same traffic.
+        const std::size_t stepLookups =
+            problems.size() + 2 * stepProblems.size();
+        // The lane's scope registry saw both sessions' traffic.
         const obs::Registry::Snapshot snap = scopes[s].snapshot();
         std::uint64_t memo = 0, zero = 0;
         for (const auto& [name, value] : snap.counters) {
@@ -97,9 +120,10 @@ TEST(EngineSession, ConcurrentSessionsMatchSerialBitForBit) {
             zero += value;
           }
         }
-        EXPECT_EQ(memo, problems.size());
+        EXPECT_EQ(memo, stepLookups);
         EXPECT_EQ(zero, problems.size());
-        lookups[s] = stats.stepHits + stats.stepMisses;
+        lookups[s] = stats.stepHits + stats.stepMisses + stepStats.stepHits +
+                     stepStats.stepMisses;
       });
     }
     for (std::thread& t : threads) t.join();
@@ -114,6 +138,12 @@ TEST(EngineSession, ConcurrentSessionsMatchSerialBitForBit) {
                                  what);
       EXPECT_EQ(serialR[i].meaning, gotR[s][i].meaning) << what;
       EXPECT_EQ(serialZero[i], gotZero[s][i]) << what;
+    }
+    ASSERT_EQ(gotStep[s].size(), stepProblems.size()) << "session " << s;
+    for (std::size_t i = 0; i < stepProblems.size(); ++i) {
+      expectProblemsBitIdentical(
+          serialStep[i], gotStep[s][i],
+          "session " + std::to_string(s) + " step " + std::to_string(i));
     }
   }
 
@@ -183,12 +213,15 @@ TEST(EngineSession, ConcurrentChainCertificatesMatchSerialBytes) {
   }
 }
 
-TEST(EngineSession, LegacyAliasStillStandsAlone) {
-  // EngineContext must keep meaning "private core, global observability":
-  // two standalone contexts share nothing.
+TEST(EngineSession, DefaultSessionsShareNothing) {
+  // A default-constructed session owns a private core and its own arena.
   const Problem p = core::familyProblem(4, 2, 1);
-  EngineContext a;
-  EngineContext b;
+  EngineSession a;
+  EngineSession b;
+  EXPECT_NE(&a.core(), &b.core());
+  ASSERT_NE(a.options().arena, nullptr);
+  ASSERT_NE(b.options().arena, nullptr);
+  EXPECT_NE(a.options().arena, b.options().arena);
   (void)a.speedupStep(p);
   (void)b.speedupStep(p);
   EXPECT_EQ(a.stats().stepMisses, 2u);

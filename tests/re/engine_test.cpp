@@ -1,6 +1,6 @@
-// The pass-based engine core (engine.hpp): cache hits are bit-identical to
-// cold runs, per-pass statistics are consistent across the pipeline, warm
-// contexts perform zero recomputation for certifyChain / the speedup
+// The engine's memo (engine.hpp): cache hits are bit-identical to cold
+// runs, the per-operator statistics of a speedup step are consistent, warm
+// sessions perform zero recomputation for certifyChain / the speedup
 // iteration, and canonical interning detects renamed duplicates.
 #include <gtest/gtest.h>
 
@@ -13,7 +13,6 @@
 #include "re/problem.hpp"
 #include "re/rename.hpp"
 #include "re/zero_round.hpp"
-#include "util/thread_pool.hpp"
 
 namespace relb::re {
 namespace {
@@ -43,10 +42,10 @@ std::vector<std::pair<std::string, Problem>> speedupTestbed() {
   return out;
 }
 
-TEST(EngineContext, CacheHitIsBitIdenticalToColdRun) {
+TEST(EngineMemo, CacheHitIsBitIdenticalToColdRun) {
   for (const auto& [name, p] : speedupTestbed()) {
     const Problem cold = speedupStep(p);  // uncached free function
-    EngineContext ctx;
+    EngineSession ctx;
     const Problem first = ctx.speedupStep(p);
     const CacheStats afterFirst = ctx.stats();
     EXPECT_EQ(afterFirst.stepHits, 0u) << name;
@@ -60,9 +59,9 @@ TEST(EngineContext, CacheHitIsBitIdenticalToColdRun) {
   }
 }
 
-TEST(EngineContext, ApplyRApplyRbarMatchFreeFunctions) {
+TEST(EngineMemo, ApplyRApplyRbarMatchFreeFunctions) {
   for (const auto& [name, p] : speedupTestbed()) {
-    EngineContext ctx;
+    EngineSession ctx;
     const StepResult coldR = applyR(p);
     const StepResult ctxR = ctx.applyR(p);
     expectProblemsBitIdentical(coldR.problem, ctxR.problem, name + " R");
@@ -75,25 +74,20 @@ TEST(EngineContext, ApplyRApplyRbarMatchFreeFunctions) {
   }
 }
 
-TEST(PassPipeline, MatchesSpeedupStepAndStatsAreConsistent) {
+TEST(StepStats, MatchesSpeedupStepAndStatsAreConsistent) {
   for (const auto& [name, p] : speedupTestbed()) {
-    EngineContext ctx;
-    const PassManager pipeline = PassManager::speedupPipeline();
-    const PipelineResult result = pipeline.run(p, ctx);
+    EngineSession ctx;
+    const SpeedupStepStats result = ctx.speedupStepWithStats(p);
     expectProblemsBitIdentical(speedupStep(p), result.problem, name);
-    ASSERT_EQ(result.passes.size(), 2u) << name;
-    // Boundary consistency: what leaves pass k enters pass k+1.
-    for (std::size_t k = 0; k + 1 < result.passes.size(); ++k) {
-      EXPECT_EQ(result.passes[k].labelsOut, result.passes[k + 1].labelsIn)
-          << name << " pass " << k;
-      EXPECT_EQ(result.passes[k].nodeConfigsOut,
-                result.passes[k + 1].nodeConfigsIn)
-          << name << " pass " << k;
-      EXPECT_EQ(result.passes[k].edgeConfigsOut,
-                result.passes[k + 1].edgeConfigsIn)
-          << name << " pass " << k;
-    }
-    // The first pass sees the input problem; the last emits the result.
+    EXPECT_EQ(result.passes[0].name, "ApplyR") << name;
+    EXPECT_EQ(result.passes[1].name, "ApplyRbar") << name;
+    // Boundary consistency: what leaves R enters R-bar.
+    EXPECT_EQ(result.passes[0].labelsOut, result.passes[1].labelsIn) << name;
+    EXPECT_EQ(result.passes[0].nodeConfigsOut, result.passes[1].nodeConfigsIn)
+        << name;
+    EXPECT_EQ(result.passes[0].edgeConfigsOut, result.passes[1].edgeConfigsIn)
+        << name;
+    // R sees the input problem; R-bar emits the result.
     EXPECT_EQ(result.passes.front().labelsIn, p.alphabet.size()) << name;
     EXPECT_EQ(result.passes.front().nodeConfigsIn, p.node.size()) << name;
     EXPECT_EQ(result.passes.back().labelsOut,
@@ -102,53 +96,55 @@ TEST(PassPipeline, MatchesSpeedupStepAndStatsAreConsistent) {
     EXPECT_EQ(result.passes.back().nodeConfigsOut, result.problem.node.size())
         << name;
     EXPECT_FALSE(result.passes[0].fromCache) << name;
-    // A second pipeline run over the warm context is served from the memo.
-    const PipelineResult warm = pipeline.run(p, ctx);
+    // A second step over the warm session is served from the memo.
+    const SpeedupStepStats warm = ctx.speedupStepWithStats(p);
     expectProblemsBitIdentical(result.problem, warm.problem, name + " warm");
     EXPECT_TRUE(warm.passes[0].fromCache) << name;
     EXPECT_TRUE(warm.passes[1].fromCache) << name;
   }
 }
 
-TEST(PassPipeline, ZeroRoundCheckStopsOnSolvableProblem) {
+TEST(EngineMemo, ZeroRoundCheckFindsSolvableProblem) {
   // Every node may output A everywhere: trivially 0-round solvable.
   const Problem trivial = Problem::parse("A^3", "A A");
-  EngineContext ctx;
-  PassManager pm;
-  pm.add(makeZeroRoundCheckPass(ZeroRoundMode::kAdversarialPorts));
-  pm.add(makeApplyRPass());
-  const PipelineResult result = pm.run(trivial, ctx);
-  EXPECT_TRUE(result.stopped);
-  EXPECT_EQ(result.stoppedAt, 0u);
-  // The stop short-circuits: only the zero-round pass has a stats row.
-  ASSERT_EQ(result.passes.size(), 1u);
-  expectProblemsBitIdentical(trivial, result.problem, "stopped pipeline");
+  const Problem mis = misProblem(3);
+  EngineSession ctx;
+  EXPECT_TRUE(ctx.zeroRoundSolvable(trivial, ZeroRoundMode::kAdversarialPorts));
+  EXPECT_FALSE(ctx.zeroRoundSolvable(mis, ZeroRoundMode::kAdversarialPorts));
+  EXPECT_EQ(ctx.stats().zeroRoundMisses, 2u);
+  EXPECT_EQ(ctx.stats().zeroRoundHits, 0u);
+  // The verdicts agree with the uncached analysis and replay from the memo.
+  EXPECT_TRUE(zeroRoundSolvableAdversarialPorts(trivial));
+  EXPECT_FALSE(zeroRoundSolvableAdversarialPorts(mis));
+  EXPECT_TRUE(ctx.zeroRoundSolvable(trivial, ZeroRoundMode::kAdversarialPorts));
+  EXPECT_FALSE(ctx.zeroRoundSolvable(mis, ZeroRoundMode::kAdversarialPorts));
+  EXPECT_EQ(ctx.stats().zeroRoundMisses, 2u);
+  EXPECT_EQ(ctx.stats().zeroRoundHits, 2u);
 }
 
-TEST(PassPipeline, RenameAndRelaxPreserveEquivalence) {
+TEST(EngineMemo, RelaxAndInternPreserveEquivalence) {
   const Problem mis = misProblem(3);
-  EngineContext ctx;
-  PassManager pm;
-  pm.add(makeApplyRPass());
-  pm.add(makeApplyRbarPass());
-  pm.add(makeRelaxPass());
-  pm.add(makeRenamePass());
-  const PipelineResult result = pm.run(mis, ctx);
-  const Problem plain = speedupStep(mis);
-  // Relax + Rename keep the language: same zero-round verdicts and the
-  // renamed problem is isomorphic to the plain speedup when small enough.
+  EngineSession ctx;
+  const Problem plain = ctx.speedupStep(mis);
+  Problem relaxed = plain;
+  relaxed.node.removeDominatedConfigurations();
+  relaxed.edge.removeDominatedConfigurations();
+  const Problem renamed = ctx.intern(relaxed).canonical.problem;
+  // Relaxing and canonical renaming keep the language: same zero-round
+  // verdicts, and the result is isomorphic to the plain speedup when small
+  // enough to check.
   EXPECT_EQ(zeroRoundSolvableAdversarialPorts(plain),
-            zeroRoundSolvableAdversarialPorts(result.problem));
+            zeroRoundSolvableAdversarialPorts(renamed));
   if (plain.alphabet.size() <= 10 &&
-      plain.alphabet.size() == result.problem.alphabet.size()) {
-    EXPECT_TRUE(equivalentUpToRenaming(plain, result.problem));
+      plain.alphabet.size() == renamed.alphabet.size()) {
+    EXPECT_TRUE(equivalentUpToRenaming(plain, renamed));
   }
 }
 
-TEST(EngineContext, CertifyChainWarmRerunRecomputesNothing) {
+TEST(EngineMemo, CertifyChainWarmRerunRecomputesNothing) {
   const core::Chain chain = core::exactChain(1 << 10, 1);
   ASSERT_GT(chain.steps.size(), 3u);
-  EngineContext ctx;
+  EngineSession ctx;
   const std::string coldVerdict = core::certifyChain(chain, ctx);
   EXPECT_EQ(coldVerdict, core::certifyChain(chain));  // same as context-free
   const CacheStats cold = ctx.stats();
@@ -161,14 +157,14 @@ TEST(EngineContext, CertifyChainWarmRerunRecomputesNothing) {
   EXPECT_EQ(warm.zeroRoundHits, cold.zeroRoundHits + chain.steps.size());
 }
 
-TEST(EngineContext, IterateSpeedupWarmRerunRecomputesNothing) {
+TEST(EngineMemo, IterateSpeedupWarmRerunRecomputesNothing) {
   const Problem mis = misProblem(3);
   IterateOptions options;
   options.maxSteps = 2;
   options.maxLabels = 32;
   const IterationTrace plain = iterateSpeedup(mis, options);
 
-  EngineContext ctx;
+  EngineSession ctx;
   options.context = &ctx;
   const IterationTrace cold = iterateSpeedup(mis, options);
   const CacheStats afterCold = ctx.stats();
@@ -190,13 +186,13 @@ TEST(EngineContext, IterateSpeedupWarmRerunRecomputesNothing) {
   }
 }
 
-TEST(EngineContext, FixedPointDetectionAgreesWithAndWithoutContext) {
+TEST(EngineMemo, FixedPointDetectionAgreesWithAndWithoutContext) {
   for (Count delta = 3; delta <= 5; ++delta) {
     const Problem so = sinklessOrientationProblem(delta);
     IterateOptions options;
     options.maxSteps = 4;
     const IterationTrace plain = iterateSpeedup(so, options);
-    EngineContext ctx;
+    EngineSession ctx;
     options.context = &ctx;
     const IterationTrace withCtx = iterateSpeedup(so, options);
     EXPECT_EQ(plain.reason, withCtx.reason) << delta;
@@ -206,12 +202,12 @@ TEST(EngineContext, FixedPointDetectionAgreesWithAndWithoutContext) {
   }
 }
 
-TEST(EngineContext, AutoLowerBoundAgreesWithAndWithoutContext) {
+TEST(EngineMemo, AutoLowerBoundAgreesWithAndWithoutContext) {
   for (const Problem& p : {misProblem(3), sinklessOrientationProblem(3)}) {
     AutoLowerBoundOptions options;
     options.maxSteps = 3;
     const AutoLowerBound plain = autoLowerBound(p, options);
-    EngineContext ctx;
+    EngineSession ctx;
     options.context = &ctx;
     const AutoLowerBound withCtx = autoLowerBound(p, options);
     EXPECT_EQ(plain.rounds, withCtx.rounds);
@@ -220,8 +216,8 @@ TEST(EngineContext, AutoLowerBoundAgreesWithAndWithoutContext) {
   }
 }
 
-TEST(EngineContext, InternDetectsRenamedDuplicates) {
-  EngineContext ctx;
+TEST(EngineMemo, InternDetectsRenamedDuplicates) {
+  EngineSession ctx;
   const Problem mis = misProblem(3);
   const auto first = ctx.intern(mis);
   EXPECT_FALSE(first.alreadyInterned);
@@ -248,33 +244,9 @@ TEST(EngineContext, InternDetectsRenamedDuplicates) {
   EXPECT_EQ(ctx.stats().internedProblems, 2u);
 }
 
-TEST(EngineContext, SharedAcrossThreadsStaysConsistent) {
-  // One context, eight lanes, every lane hammering the same three problems:
-  // concurrent cold misses may duplicate work, but every returned problem
-  // must equal the serial reference (this test is a ThreadSanitizer target).
-  const std::vector<Problem> problems = {
-      misProblem(3), sinklessOrientationProblem(3),
-      core::familyProblem(4, 2, 1)};
-  std::vector<Problem> reference;
-  for (const Problem& p : problems) reference.push_back(speedupStep(p));
-
-  EngineContext ctx;
-  constexpr std::size_t kTasks = 24;
-  std::vector<Problem> results(kTasks);
-  util::parallel_for(8, kTasks, [&](std::size_t i) {
-    results[i] = ctx.speedupStep(problems[i % problems.size()]);
-  });
-  for (std::size_t i = 0; i < kTasks; ++i) {
-    expectProblemsBitIdentical(reference[i % problems.size()], results[i],
-                               "shared context task " + std::to_string(i));
-  }
-  const CacheStats stats = ctx.stats();
-  EXPECT_EQ(stats.stepHits + stats.stepMisses, 2 * kTasks);
-}
-
-TEST(EngineContext, SharedSubResultsAreCached) {
+TEST(EngineMemo, SharedSubResultsAreCached) {
   const Problem p = core::familyProblem(5, 2, 1);
-  EngineContext ctx;
+  EngineSession ctx;
   const auto compat1 = ctx.edgeCompatibility(p.edge, p.alphabet.size());
   const auto compat2 = ctx.edgeCompatibility(p.edge, p.alphabet.size());
   EXPECT_EQ(compat1, compat2);

@@ -59,7 +59,7 @@ TEST(DiskStepStore, StepResultsPersistAcrossContexts) {
 
   re::StepResult coldR, coldRbar;
   {
-    re::EngineContext ctx;
+    re::EngineSession ctx;
     ctx.attachStore(std::make_shared<DiskStepStore>(dir));
     coldR = ctx.applyR(p);
     coldRbar = ctx.applyRbar(coldR.problem);
@@ -70,7 +70,7 @@ TEST(DiskStepStore, StepResultsPersistAcrossContexts) {
   }
 
   // A brand-new context with the same store recomputes nothing.
-  re::EngineContext warm;
+  re::EngineSession warm;
   auto store = std::make_shared<DiskStepStore>(dir);
   warm.attachStore(store);
   const re::StepResult warmR = warm.applyR(p);
@@ -96,7 +96,7 @@ TEST(DiskStepStore, WarmChainCertificationRecomputesNothing) {
   const core::Chain chain = core::exactChain(32, 1);
   std::string coldBytes, warmBytes;
   {
-    re::EngineContext ctx;
+    re::EngineSession ctx;
     ctx.attachStore(std::make_shared<DiskStepStore>(dir));
     const auto cert = core::buildChainCertificate(chain, &ctx);
     coldBytes = io::certificateToJson(cert).dumpPretty();
@@ -107,7 +107,7 @@ TEST(DiskStepStore, WarmChainCertificationRecomputesNothing) {
     // every step is served by the store (store.hit ticks once per step,
     // store.miss not at all).  Asserted on snapshot deltas, not stdout.
     const auto before = obs::Registry::global().snapshot();
-    re::EngineContext ctx;
+    re::EngineSession ctx;
     ctx.attachStore(std::make_shared<DiskStepStore>(dir));
     const auto cert = core::buildChainCertificate(chain, &ctx);
     warmBytes = io::certificateToJson(cert).dumpPretty();
@@ -132,7 +132,7 @@ TEST(DiskStepStore, TruncatedEntryIsQuarantinedAndRecomputed) {
   const re::Problem p = re::misProblem(3);
   re::StepResult expected;
   {
-    re::EngineContext ctx;
+    re::EngineSession ctx;
     ctx.attachStore(std::make_shared<DiskStepStore>(dir));
     expected = ctx.applyR(p);
   }
@@ -150,7 +150,7 @@ TEST(DiskStepStore, TruncatedEntryIsQuarantinedAndRecomputed) {
   }
 
   auto store = std::make_shared<DiskStepStore>(dir);
-  re::EngineContext ctx;
+  re::EngineSession ctx;
   ctx.attachStore(store);
   const re::StepResult recomputed = ctx.applyR(p);
   EXPECT_EQ(recomputed.problem, expected.problem);
@@ -159,7 +159,7 @@ TEST(DiskStepStore, TruncatedEntryIsQuarantinedAndRecomputed) {
   EXPECT_EQ(ctx.stats().stepMisses, 1u);  // recomputed, not trusted
   EXPECT_FALSE(fs::is_empty(dir / "quarantine"));
   // The recomputation was written back: a third context gets a clean hit.
-  re::EngineContext again;
+  re::EngineSession again;
   again.attachStore(std::make_shared<DiskStepStore>(dir));
   (void)again.applyR(p);
   EXPECT_EQ(again.stats().storeHits, 1u);
@@ -170,7 +170,7 @@ TEST(DiskStepStore, ChecksumMismatchIsQuarantined) {
   const fs::path dir = freshDir("store-corrupt");
   const re::Problem p = re::sinklessOrientationProblem(3);
   {
-    re::EngineContext ctx;
+    re::EngineSession ctx;
     ctx.attachStore(std::make_shared<DiskStepStore>(dir));
     (void)ctx.zeroRoundSolvable(p, re::ZeroRoundMode::kSymmetricPorts);
   }
@@ -190,7 +190,7 @@ TEST(DiskStepStore, ChecksumMismatchIsQuarantined) {
   }
 
   auto store = std::make_shared<DiskStepStore>(dir);
-  re::EngineContext ctx;
+  re::EngineSession ctx;
   ctx.attachStore(store);
   EXPECT_FALSE(ctx.zeroRoundSolvable(p, re::ZeroRoundMode::kSymmetricPorts))
       << "tampered verdict must not be believed";
@@ -201,7 +201,7 @@ TEST(DiskStepStore, DistinctZeroRoundModesDoNotCollide) {
   const fs::path dir = freshDir("store-modes");
   const re::Problem p = re::misProblem(3);
   auto store = std::make_shared<DiskStepStore>(dir);
-  re::EngineContext ctx;
+  re::EngineSession ctx;
   ctx.attachStore(store);
   (void)ctx.zeroRoundSolvable(p, re::ZeroRoundMode::kSymmetricPorts);
   (void)ctx.zeroRoundSolvable(p, re::ZeroRoundMode::kAdversarialPorts);
@@ -231,7 +231,7 @@ TEST(DiskStepStore, RefusalsPersistAcrossContexts) {
   const re::Problem p = re::misProblem(3);
   std::string cold;
   {
-    re::EngineSession session(tightOptions());
+    re::EngineSession session(nullptr, tightOptions());
     session.attachStore(std::make_shared<DiskStepStore>(dir));
     cold = refusalOf(session, p);
     EXPECT_EQ(session.stats().stepMisses, 1u);
@@ -243,7 +243,7 @@ TEST(DiskStepStore, RefusalsPersistAcrossContexts) {
   EXPECT_EQ(files[0].filename().string().substr(16), ".rbarref.json");
 
   auto store = std::make_shared<DiskStepStore>(dir);
-  re::EngineSession warm(tightOptions());
+  re::EngineSession warm(nullptr, tightOptions());
   warm.attachStore(store);
   EXPECT_EQ(refusalOf(warm, p), cold);
   EXPECT_EQ(warm.stats().stepMisses, 0u) << "a stored refusal is a hit";
@@ -266,7 +266,7 @@ TEST(DiskStepStore, CorruptedRefusalIsQuarantinedAndRecomputed) {
   const re::Problem p = re::misProblem(3);
   std::string cold;
   {
-    re::EngineSession session(tightOptions());
+    re::EngineSession session(nullptr, tightOptions());
     session.attachStore(std::make_shared<DiskStepStore>(dir));
     cold = refusalOf(session, p);
   }
@@ -285,7 +285,7 @@ TEST(DiskStepStore, CorruptedRefusalIsQuarantinedAndRecomputed) {
   }
 
   auto store = std::make_shared<DiskStepStore>(dir);
-  re::EngineSession session(tightOptions());
+  re::EngineSession session(nullptr, tightOptions());
   session.attachStore(store);
   EXPECT_EQ(refusalOf(session, p), cold) << "tampered text must not replay";
   EXPECT_EQ(store->stats().quarantined, 1u);

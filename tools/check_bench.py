@@ -11,9 +11,13 @@ serial row slowed down by more than the tolerance.  Used by the
     tools/check_bench.py BENCH_speedup.json /tmp/candidate.json
 
 Key rows are the serial (numThreads = 1) engine rows plus the bit-kernel
-rows -- the quantities the repo promises not to regress.  Parallel rows and
-the tracer-overhead rows are compared informationally only: on shared CI
-runners their noise exceeds any plausible regression signal.
+rows -- the quantities the repo promises not to regress.  The parallel
+(numThreads = 0, one lane per core) rows never fail the gate: on shared CI
+runners their noise exceeds any plausible regression signal.  Their ratios
+are printed for information when both files report the same
+``context.num_cpus``; otherwise one line says they were skipped and why (a
+"/0" row from a 1-CPU host is a serial measurement, not a scaling one).
+Every other row is not compared.
 
 Both files must carry ``context.library_build_type == "release"`` (stamped
 by run_bench.sh): comparing Debug numbers against a Release baseline would
@@ -21,7 +25,9 @@ make every run fail, and the reverse would hide real regressions.
 
 ``--self-test BASELINE`` verifies the gate itself: the baseline must pass
 against an identical copy, and must fail against a synthetic candidate whose
-key rows are 20% slower.  Exit codes: 0 = pass, 1 = regression (or
+key rows are 20% slower.  It also checks that the parallel rows are compared
+when the CPU counts match and skipped, without failing the gate, when they
+differ.  Exit codes: 0 = pass, 1 = regression (or
 self-test failure), 2 = bad input.
 """
 
@@ -98,15 +104,25 @@ def iteration_rows(data):
     return rows
 
 
-def is_key_row(name):
-    if not name.startswith(KEY_PREFIXES):
-        return False
+def thread_arg(name):
+    """The numThreads argument of a threaded row (None for other rows)."""
+    if not name.startswith(THREADED_PREFIXES):
+        return None
     parts = name.split("/")
     while parts[-1] in TIME_SUFFIXES:  # e.g. .../process_time/real_time
         parts = parts[:-1]
-    if name.startswith(THREADED_PREFIXES):
-        return parts[-1] == "1"
-    return True
+    return parts[-1]
+
+
+def is_key_row(name):
+    if not name.startswith(KEY_PREFIXES):
+        return False
+    arg = thread_arg(name)
+    return arg is None or arg == "1"
+
+
+def is_parallel_row(name):
+    return thread_arg(name) == "0"
 
 
 def compare(baseline, candidate, tolerance, verbose=True):
@@ -138,6 +154,75 @@ def compare(baseline, candidate, tolerance, verbose=True):
     return failures
 
 
+def compare_parallel(baseline, candidate, verbose=True):
+    """Prints the informational ratios of the parallel rows when both runs
+    saw the same number of CPUs.  Returns (rows compared, skip reason); the
+    reason is None unless the rows were skipped."""
+    cpus = [data.get("context", {}).get("num_cpus")
+            for data in (baseline, candidate)]
+    if None in cpus:
+        reason = "context.num_cpus is missing"
+    elif cpus[0] != cpus[1]:
+        reason = (f"the baseline ran on {cpus[0]} CPU(s) and the candidate "
+                  f"on {cpus[1]}, so their /0 rows used different lane "
+                  "counts")
+    else:
+        reason = None
+    if reason is not None:
+        if verbose:
+            print(f"parallel rows skipped: {reason}")
+        return 0, reason
+    if verbose:
+        print(f"parallel rows (informational, {cpus[0]} CPU(s) on both):")
+    base_rows = iteration_rows(baseline)
+    cand_rows = iteration_rows(candidate)
+    compared = 0
+    for name, base_row in sorted(base_rows.items()):
+        cand_row = cand_rows.get(name)
+        if not is_parallel_row(name) or cand_row is None:
+            continue
+        base_ns = row_time_ns(base_row)
+        if base_ns <= 0:
+            continue
+        compared += 1
+        if verbose:
+            print(f"  {'info':>10}  {row_time_ns(cand_row) / base_ns:5.2f}x  "
+                  f"{name}")
+    if verbose and compared == 0:
+        print("  (no /0 row is in both files)")
+    return compared, None
+
+
+def self_test_parallel(baseline):
+    """Parallel rows: compared when the CPU counts match, skipped (and never
+    a gate failure, however slow) when they differ."""
+    compared, reason = compare_parallel(baseline, copy.deepcopy(baseline),
+                                        verbose=False)
+    if reason is not None or compared == 0:
+        print("self-test FAILED: identical candidate's parallel rows were "
+              f"not compared ({reason or 'no /0 rows'})")
+        return 1
+    other_host = copy.deepcopy(baseline)
+    other_host.setdefault("context", {})["num_cpus"] = (
+        baseline.get("context", {}).get("num_cpus", 1) + 1)
+    for row in other_host.get("benchmarks", []):
+        if is_parallel_row(row["name"]):
+            for field in ("real_time", "cpu_time"):
+                if field in row:
+                    row[field] = float(row[field]) * 10.0
+    skipped, reason = compare_parallel(baseline, other_host, verbose=False)
+    if reason is None or skipped != 0:
+        print("self-test FAILED: parallel rows from a host with a different "
+              "CPU count were compared")
+        return 1
+    if compare(baseline, other_host, 0.0, verbose=False):
+        print("self-test FAILED: slower parallel rows failed the gate")
+        return 1
+    print(f"self-test passed: {compared} parallel rows compared at equal CPU "
+          "counts, skipped at different ones")
+    return 0
+
+
 def self_test(baseline, tolerance):
     identical = compare(baseline, copy.deepcopy(baseline), tolerance,
                         verbose=False)
@@ -167,7 +252,7 @@ def self_test(baseline, tolerance):
         return 1
     print(f"self-test passed: identical candidate accepted, {scale:.2f}x "
           f"slowdown on {scaled_rows} key rows rejected")
-    return 0
+    return self_test_parallel(baseline)
 
 
 def main():
@@ -201,6 +286,8 @@ def main():
     print(f"comparing {args.candidate} against {args.baseline} "
           f"(tolerance {args.tolerance:.2f}):")
     failures = compare(baseline, candidate, args.tolerance)
+    print()
+    compare_parallel(baseline, candidate)
     if failures:
         print(f"\nFAILED: {len(failures)} key-row regression(s):")
         for f in failures:
