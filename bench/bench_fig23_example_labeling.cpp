@@ -7,7 +7,9 @@
 #include "bench_util.hpp"
 #include "core/conversions.hpp"
 #include "core/family.hpp"
+#include "local/families.hpp"
 #include "local/halfedge.hpp"
+#include "local/upper_bounds.hpp"
 
 namespace {
 
@@ -21,13 +23,13 @@ struct TypeCounts {
   int other = 0;
 };
 
-TypeCounts countTypes(const local::Graph& g,
+TypeCounts countTypes(const local::CsrGraph& g,
                       const local::HalfEdgeLabeling& labeling) {
   TypeCounts counts;
-  for (local::NodeId v = 0; v < g.numNodes(); ++v) {
+  for (local::Vertex v = 0; v < g.numNodes(); ++v) {
     bool hasM = false, hasP = false, hasA = false;
-    for (local::Port p = 0; p < g.degree(v); ++p) {
-      const auto l = labeling.at(v, p);
+    for (std::uint32_t p = 0; p < g.degree(v); ++p) {
+      const auto l = labeling[g.halfEdge(v, p)];
       hasM |= l == core::kM;
       hasP |= l == core::kP;
       hasA |= l == core::kA;
@@ -49,50 +51,39 @@ TypeCounts countTypes(const local::Graph& g,
 // edges (A^2 X^2), odd depth = type-2 nodes (P O^3) pointing through
 // non-owned edges.  Every even node labels its parent edge X so odd nodes
 // can point at a child.
-local::HalfEdgeLabeling ownershipLabeling(const local::Graph& g) {
-  std::vector<int> depth(static_cast<std::size_t>(g.numNodes()), -1);
-  std::vector<local::NodeId> order{0};
+local::HalfEdgeLabeling ownershipLabeling(const local::CsrGraph& g) {
+  std::vector<int> depth(g.numNodes(), -1);
+  std::vector<local::Vertex> order{0};
   depth[0] = 0;
   for (std::size_t i = 0; i < order.size(); ++i) {
-    for (const auto& he : g.neighbors(order[i])) {
-      if (depth[static_cast<std::size_t>(he.neighbor)] < 0) {
-        depth[static_cast<std::size_t>(he.neighbor)] =
-            depth[static_cast<std::size_t>(order[i])] + 1;
-        order.push_back(he.neighbor);
+    for (const local::Vertex w : g.neighbors(order[i])) {
+      if (depth[w] < 0) {
+        depth[w] = depth[order[i]] + 1;
+        order.push_back(w);
       }
     }
   }
-  local::HalfEdgeLabeling out(g);
-  for (local::NodeId v = 0; v < g.numNodes(); ++v) {
-    const int d = depth[static_cast<std::size_t>(v)];
+  local::HalfEdgeLabeling out(g.numHalfEdges());
+  for (local::Vertex v = 0; v < g.numNodes(); ++v) {
+    const int d = depth[v];
+    const auto row = g.neighbors(v);
     if (d % 2 == 0) {
       // Type 3: own two child edges (A), X elsewhere (parent edge first).
       int owned = 0;
-      for (local::Port p = 0; p < g.degree(v); ++p) {
-        const auto he = g.halfEdge(v, p);
-        const bool isParent =
-            depth[static_cast<std::size_t>(he.neighbor)] == d - 1;
-        if (!isParent && owned < 2) {
-          out.set(v, p, core::kA);
-          ++owned;
-        } else {
-          out.set(v, p, core::kX);
-        }
+      for (std::uint32_t p = 0; p < row.size(); ++p) {
+        const bool isParent = depth[row[p]] == d - 1;
+        const bool own = !isParent && owned < 2;
+        out[g.halfEdge(v, p)] = own ? core::kA : core::kX;
+        owned += own ? 1 : 0;
       }
     } else {
       // Type 2: point at one child through its X-labeled side; leaves point
       // nowhere and output all O (boundary nodes, node constraint skipped).
       bool pointed = false;
-      for (local::Port p = 0; p < g.degree(v); ++p) {
-        const auto he = g.halfEdge(v, p);
-        const bool isChild =
-            depth[static_cast<std::size_t>(he.neighbor)] == d + 1;
-        if (isChild && !pointed) {
-          out.set(v, p, core::kP);
-          pointed = true;
-        } else {
-          out.set(v, p, core::kO);
-        }
+      for (std::uint32_t p = 0; p < row.size(); ++p) {
+        const bool point = !pointed && depth[row[p]] == d + 1;
+        out[g.halfEdge(v, p)] = point ? core::kP : core::kO;
+        pointed = pointed || point;
       }
     }
   }
@@ -106,7 +97,10 @@ int main() {
   bench::banner("Figures 2/3: valid labelings of Pi_4(2,2) on a tree");
 
   const int delta = 4;
-  const auto g = local::completeRegularTree(delta, 4);
+  const local::CsrGraph g =
+      local::makeTree(local::Family::kCompleteTree,
+                      local::completeTreeNodes(delta, 4), delta, 0)
+          .graph;
   const auto pi = core::familyProblem(delta, 2, 2);
   std::cout << "tree: n = " << g.numNodes() << ", problem Pi_" << delta
             << "(a=2, x=2)\n\n";
@@ -121,18 +115,10 @@ int main() {
         ownTypes.other, ownCheck.ok());
 
   // Labeling 2 (Figure 3 flavor): dominating-set based, type-1 + type-2.
-  std::vector<bool> inSet(static_cast<std::size_t>(g.numNodes()), false);
-  for (local::NodeId v = 0; v < g.numNodes(); ++v) {
-    bool blocked = false;
-    for (const auto& he : g.neighbors(v)) {
-      if (inSet[static_cast<std::size_t>(he.neighbor)]) blocked = true;
-    }
-    if (!blocked) inSet[static_cast<std::size_t>(v)] = true;
-  }
-  local::EdgeOrientation orientation(static_cast<std::size_t>(g.numEdges()),
-                                     0);
-  const auto dsBase = core::lemma5Labeling(g, inSet, orientation, delta, 0);
-  const auto ds = core::lemma11Relax(g, dsBase, delta, delta, 0, 2, 2);
+  const auto dsBase = core::lemma5Labeling(
+      g, local::greedyMis(g), std::vector<std::uint8_t>(g.numHalfEdges(), 0),
+      0);
+  const auto ds = core::lemma11Relax(g, dsBase, delta, 0, 2, 2);
   const auto dsCheck = local::checkLabeling(g, pi, ds);
   const auto dsTypes = countTypes(g, ds);
   t.row("dominating set (Fig. 3)", dsTypes.type1, dsTypes.type2, dsTypes.type3,

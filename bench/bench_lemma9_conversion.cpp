@@ -5,6 +5,7 @@
 // that motivates the edge-coloring trick.
 #include "bench_util.hpp"
 #include "core/conversions.hpp"
+#include "local/families.hpp"
 #include "local/halfedge.hpp"
 
 int main() {
@@ -26,14 +27,18 @@ int main() {
            {12, 11, 4},
            {3, 3, 1}}) {
     bench::Stopwatch sw;
-    const int depth = delta <= 5 ? 5 : 4;
-    const auto g =
-        local::completeRegularTree(static_cast<int>(delta), depth);
-    const auto plus = core::syntheticPlusLabelingAlternating(g, delta, a, x);
+    const std::uint32_t degree = static_cast<std::uint32_t>(delta);
+    const local::CsrGraph g =
+        local::makeTree(local::Family::kCompleteTree,
+                        local::completeTreeNodes(degree, delta <= 5 ? 5 : 4),
+                        degree, 0)
+            .graph;
+    const auto plus = core::syntheticPlusLabelingAlternating(g, a, x);
     const bool inputOk =
         local::checkLabeling(g, core::familyPlusProblem(delta, a, x), plus)
             .ok();
-    const auto converted = core::lemma9Convert(g, plus, delta, a, x);
+    const auto converted =
+        core::lemma9Convert(g, local::treeEdgeColoring(g), plus, a, x);
     const re::Count aNew = (a - 2 * x - 1) / 2;
     const bool outputOk =
         local::checkLabeling(g, core::familyProblem(delta, aNew, x + 1),

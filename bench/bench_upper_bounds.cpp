@@ -1,56 +1,68 @@
 // T8 -- Section 1.1 upper bounds vs the new lower bound.
 //
-// Measures, on random trees:
-//   * Luby MIS phases vs n (O(log n) randomized);
+// Measures, on random trees (the bounded-tree family):
+//   * Luby MIS rounds vs n (O(log n) randomized);
 //   * the coloring-route MIS and k-outdegree dominating set round counts vs
 //     Delta and vs k (the sweep stage carries the Delta/k shape);
 //   * the certified PN-model lower bound t(Delta, k) alongside, showing the
 //     Omega(log Delta) vs O(poly Delta) gap the paper leaves open.
 #include <algorithm>
 #include <cmath>
-#include <random>
 
-#include "algos/domset.hpp"
-#include "algos/luby.hpp"
 #include "bench_util.hpp"
 #include "core/sequence.hpp"
+#include "local/families.hpp"
+#include "local/kernels.hpp"
+#include "local/upper_bounds.hpp"
 #include "local/verify.hpp"
 
-int main() {
-  using namespace relb;
+namespace {
 
-  bench::banner("Luby MIS phases vs n (random trees, max degree 8)");
+using namespace relb;
+
+local::CsrGraph tree(local::Family family, std::uint64_t n,
+                     std::uint32_t maxDegree, std::uint64_t seed) {
+  return local::makeTree(family, n, maxDegree, seed).graph;
+}
+
+/// Average Luby rounds over five seeds, and whether every run verified.
+std::pair<double, bool> lubyRounds(local::Family family, std::uint64_t n,
+                                   std::uint64_t seedBase) {
+  double rounds = 0;
+  bool valid = true;
+  for (std::uint64_t seed = seedBase; seed < seedBase + 5; ++seed) {
+    const local::CsrGraph g = tree(family, n, 8, seed);
+    const local::MisRun run = local::lubyMis(g, seed, 1);
+    rounds += run.rounds;
+    valid &= local::csrIsMaximalIndependentSet(g, run.state, 1);
+  }
+  return {rounds / 5.0, valid};
+}
+
+}  // namespace
+
+int main() {
+  bool allValid = true;
+
+  bench::banner("Luby MIS rounds vs n (random trees, max degree 8)");
   {
-    bench::Table t({"n", "phases (avg of 5)", "log2(n)", "valid"});
-    for (int n : {100, 400, 1600, 6400, 25600}) {
-      double phases = 0;
-      bool valid = true;
-      for (unsigned seed = 0; seed < 5; ++seed) {
-        std::mt19937 rng(seed * 977 + 13);
-        const auto g = local::randomTree(n, 8, rng);
-        const auto result = algos::lubyMis(g, rng);
-        phases += result.phases;
-        valid &= local::isMaximalIndependentSet(g, result.inSet);
-      }
-      t.row(n, phases / 5.0, std::log2(static_cast<double>(n)), valid);
+    bench::Table t({"n", "rounds (avg of 5)", "log2(n)", "valid"});
+    for (const std::uint64_t n : {100, 400, 1600, 6400, 25600}) {
+      const auto [rounds, valid] =
+          lubyRounds(local::Family::kBoundedDegreeTree, n, 13);
+      allValid &= valid;
+      t.row(n, rounds, std::log2(static_cast<double>(n)), valid);
     }
     t.print();
-    std::cout << "shape: O(log n) phases with a large decay base -- each "
-                 "phase retires ~85-90% of the\nresidual graph on "
-                 "bounded-degree trees, so the logarithm grows by ~1 per "
-                 "~7x nodes (paths below):\n\n";
-    bench::Table tp({"n (path)", "phases (avg of 5)", "log2(n)", "valid"});
-    for (int n : {64, 256, 1024, 4096, 16384, 65536}) {
-      double phases = 0;
-      bool valid = true;
-      for (unsigned seed = 0; seed < 5; ++seed) {
-        std::mt19937 rng(seed * 31 + 5);
-        const auto g = local::pathGraph(n);
-        const auto result = algos::lubyMis(g, rng);
-        phases += result.phases;
-        valid &= local::isMaximalIndependentSet(g, result.inSet);
-      }
-      tp.row(n, phases / 5.0, std::log2(static_cast<double>(n)), valid);
+    std::cout << "shape: O(log n) rounds with a large decay base -- each "
+                 "round retires most of the\nresidual graph on "
+                 "bounded-degree trees, so the logarithm grows slowly "
+                 "(paths below):\n\n";
+    bench::Table tp({"n (path)", "rounds (avg of 5)", "log2(n)", "valid"});
+    for (const std::uint64_t n : {64, 256, 1024, 4096, 16384, 65536}) {
+      const auto [rounds, valid] = lubyRounds(local::Family::kPath, n, 5);
+      allValid &= valid;
+      tp.row(n, rounds, std::log2(static_cast<double>(n)), valid);
     }
     tp.print();
   }
@@ -59,14 +71,16 @@ int main() {
   {
     bench::Table t({"Delta", "coloring rounds", "sweep rounds", "total",
                     "certified LB t(Delta,0)", "valid"});
-    for (int delta : {4, 6, 8, 12, 16, 24}) {
-      std::mt19937 rng(42);
-      const auto g = local::randomTree(4000, delta, rng);
-      const auto result = algos::misFromColoring(g);
+    for (const std::uint32_t delta : {4, 6, 8, 12, 16, 24}) {
+      const local::CsrGraph g =
+          tree(local::Family::kBoundedDegreeTree, 4000, delta, 42);
+      const local::DomSetResult result = local::misFromColoring(g);
+      const bool valid =
+          local::csrIsKDegreeDominatingSet(g, result.inSet, 0, 1);
+      allValid &= valid;
       t.row(delta, result.roundsColoring, result.roundsSweep,
-            result.totalRounds(),
-            core::pnLowerBoundRounds(g.maxDegree(), 0),
-            local::isMaximalIndependentSet(g, result.inSet));
+            result.totalRounds(), core::pnLowerBoundRounds(g.maxDegree(), 0),
+            valid);
     }
     t.print();
     std::cout << "shape: upper bound grows polynomially in Delta (the "
@@ -78,16 +92,17 @@ int main() {
 
   bench::banner("k-outdegree dominating set rounds vs k (Delta = 16, n ~ 4000)");
   {
-    std::mt19937 rng(7);
-    const auto g = local::randomTree(4000, 16, rng);
+    const local::CsrGraph g =
+        tree(local::Family::kBoundedDegreeTree, 4000, 16, 7);
     bench::Table t({"k", "arbdefective rounds", "sweep rounds (#bins)",
                     "|S|", "certified LB t(Delta,k)", "valid"});
-    for (int k : {0, 1, 2, 4, 8, 15}) {
-      const auto result = algos::kOutdegreeDominatingSet(g, k);
-      const bool valid = local::isKOutdegreeDominatingSet(
-          g, result.inSet, result.orientation, k);
+    for (const int k : {0, 1, 2, 4, 8, 15}) {
+      const local::DomSetResult result = local::kOutdegreeDominatingSet(g, k);
+      const bool valid = local::csrIsKOutdegreeDominatingSet(
+          g, result.inSet, result.outgoing, k, 1);
+      allValid &= valid;
       t.row(k, result.roundsDefective, result.roundsSweep,
-            std::count(result.inSet.begin(), result.inSet.end(), true),
+            std::count(result.inSet.begin(), result.inSet.end(), 1),
             core::pnLowerBoundRounds(16, k), valid);
     }
     t.print();
@@ -99,13 +114,15 @@ int main() {
 
   bench::banner("k-degree dominating set sweep rounds vs k (Delta = 24)");
   {
-    std::mt19937 rng(9);
-    const auto g = local::randomTree(4000, 24, rng);
+    const local::CsrGraph g =
+        tree(local::Family::kBoundedDegreeTree, 4000, 24, 9);
     bench::Table t({"k", "defective classes = sweep rounds",
                     "(Delta/k)^2 reference", "valid"});
-    for (int k : {1, 2, 3, 6, 12}) {
-      const auto result = algos::kDegreeDominatingSet(g, k);
-      const bool valid = local::isKDegreeDominatingSet(g, result.inSet, k);
+    for (const int k : {1, 2, 3, 6, 12}) {
+      const local::DomSetResult result = local::kDegreeDominatingSet(g, k);
+      const bool valid =
+          local::csrIsKDegreeDominatingSet(g, result.inSet, k, 1);
+      allValid &= valid;
       const double reference =
           std::pow(static_cast<double>(g.maxDegree()) / k, 2.0);
       t.row(k, result.roundsSweep, reference, valid);
@@ -114,5 +131,8 @@ int main() {
     std::cout << "shape: O((Delta/k)^2) classes (Kuhn'09 defective "
                  "coloring), matching the paper's Section 1.1 discussion.\n";
   }
+
+  std::cout << "\n";
+  bench::verdict(allValid, "every upper-bound output verified");
   return 0;
 }

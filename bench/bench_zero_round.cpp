@@ -15,7 +15,6 @@
 
 #include "bench_util.hpp"
 #include "core/family.hpp"
-#include "local/graph.hpp"
 #include "re/zero_round.hpp"
 
 namespace {

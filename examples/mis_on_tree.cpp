@@ -1,55 +1,78 @@
 // MIS on trees: runs Luby's randomized algorithm and the deterministic
-// coloring-based algorithm on random trees, verifies both, and reports
-// round counts next to the paper's lower bound.
+// coloring-based algorithm on a random tree (the bounded-tree family),
+// verifies both, and reports round counts next to the paper's lower bound.
+// Exits 1 if a verifier rejects an output and 2 on bad arguments.
 //
 //   ./mis_on_tree [n] [maxDegree] [seed]
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <iostream>
-#include <random>
+#include <string_view>
 
-#include "algos/domset.hpp"
-#include "algos/luby.hpp"
 #include "core/sequence.hpp"
+#include "local/families.hpp"
+#include "local/kernels.hpp"
+#include "local/upper_bounds.hpp"
 #include "local/verify.hpp"
+#include "util/parse.hpp"
+#include "util/thread_pool.hpp"
 
 int main(int argc, char** argv) {
   using namespace relb;
-  const int n = argc > 1 ? std::atoi(argv[1]) : 2000;
-  const int maxDegree = argc > 2 ? std::atoi(argv[2]) : 8;
-  const unsigned seed = argc > 3 ? static_cast<unsigned>(std::atoi(argv[3])) : 1;
+  std::uint64_t n = 2000;
+  std::uint32_t maxDegree = 8;
+  std::uint64_t seed = 1;
+  const auto arg = [&](int i, const char* name, auto& dest) {
+    if (argc > i && !util::parseNumber(std::string_view(argv[i]), dest)) {
+      std::cerr << "mis_on_tree: bad value for " << name << "\n";
+      std::exit(2);
+    }
+  };
+  arg(1, "n", n);
+  arg(2, "maxDegree", maxDegree);
+  arg(3, "seed", seed);
 
-  std::mt19937 rng(seed);
-  const local::Graph g = local::randomTree(n, maxDegree, rng);
+  local::TreeInstance tree;
+  try {
+    tree = local::makeTree(local::Family::kBoundedDegreeTree, n, maxDegree,
+                           seed);
+  } catch (const re::Error& e) {
+    std::cerr << "mis_on_tree: " << e.what() << "\n";
+    return 2;
+  }
+  const local::CsrGraph& g = tree.graph;
   std::cout << "random tree: n = " << g.numNodes()
             << ", max degree = " << g.maxDegree() << "\n\n";
+  const int threads = util::kDefaultNumThreads;
 
   // Randomized: Luby.
-  const auto luby = algos::lubyMis(g, rng);
-  std::cout << "Luby MIS:           " << luby.phases << " phases ("
-            << luby.rounds << " rounds), valid = "
-            << (local::isMaximalIndependentSet(g, luby.inSet) ? "yes" : "no")
-            << ", |S| = "
-            << std::count(luby.inSet.begin(), luby.inSet.end(), true) << "\n";
+  const local::MisRun luby = local::lubyMis(g, seed, threads);
+  const bool lubyValid = local::csrIsMaximalIndependentSet(g, luby.state,
+                                                           threads);
+  std::cout << "Luby MIS:           " << luby.rounds
+            << " rounds, valid = " << (lubyValid ? "yes" : "no")
+            << ", |S| = " << luby.misSize << "\n";
 
   // Deterministic: Linial coloring + class sweep (O(Delta^2 + log* n)).
-  const auto det = algos::misFromColoring(g);
+  const local::DomSetResult det = local::misFromColoring(g);
+  const bool detValid = local::csrIsKDegreeDominatingSet(g, det.inSet, 0,
+                                                         threads);
   std::cout << "coloring-sweep MIS: " << det.totalRounds() << " rounds ("
             << det.roundsColoring << " coloring + " << det.roundsSweep
-            << " sweep), valid = "
-            << (local::isMaximalIndependentSet(g, det.inSet) ? "yes" : "no")
-            << ", |S| = "
-            << std::count(det.inSet.begin(), det.inSet.end(), true) << "\n";
+            << " sweep), valid = " << (detValid ? "yes" : "no")
+            << ", |S| = " << std::count(det.inSet.begin(), det.inSet.end(), 1)
+            << "\n";
 
   // Sequential baseline.
-  const auto greedy = algos::greedyMis(g);
+  const auto greedy = local::greedyMis(g);
   std::cout << "greedy (seq.) MIS:  |S| = "
-            << std::count(greedy.begin(), greedy.end(), true) << "\n\n";
+            << std::count(greedy.begin(), greedy.end(), 1) << "\n\n";
 
   // The paper's lower bound at this degree.
   const auto t = core::pnLowerBoundRounds(g.maxDegree(), 0);
   std::cout << "paper lower bound (PN model, k = 0): " << t
             << " rounds  [Omega(log Delta) = Omega("
             << std::log2(static_cast<double>(g.maxDegree())) << ")]\n";
-  return 0;
+  return lubyValid && detValid ? 0 : 1;
 }

@@ -16,7 +16,6 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
-#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -27,6 +26,7 @@
 #include "obs/report.hpp"
 #include "obs/trace.hpp"
 #include "re/types.hpp"
+#include "util/parse.hpp"
 #include "util/thread_pool.hpp"
 
 namespace {
@@ -74,6 +74,13 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    // Numbers are read whole: a trailing character, a sign on an unsigned
+    // flag or an out-of-range value is a bad value.
+    const auto number = [&](auto& dest) {
+      if (!relb::util::parseNumber(value(), dest)) {
+        throw std::invalid_argument(arg);
+      }
+    };
     try {
       if (arg == "--help" || arg == "-h") {
         return usage(std::cout, 0);
@@ -86,13 +93,9 @@ int main(int argc, char** argv) {
         }
         options.family = *family;
       } else if (arg == "--nodes") {
-        options.nodes = std::stoull(value());
+        number(options.nodes);
       } else if (arg == "--max-degree") {
-        const unsigned long long degree = std::stoull(value());
-        if (degree > std::numeric_limits<std::uint32_t>::max()) {
-          throw std::out_of_range("--max-degree");
-        }
-        options.maxDegree = static_cast<std::uint32_t>(degree);
+        number(options.maxDegree);
       } else if (arg == "--algo") {
         const std::string name = value();
         const auto algo = relb::local::algoFromName(name);
@@ -102,9 +105,9 @@ int main(int argc, char** argv) {
         }
         options.algo = *algo;
       } else if (arg == "--seed") {
-        options.seed = std::stoull(value());
+        number(options.seed);
       } else if (arg == "--threads") {
-        options.numThreads = std::stoi(value());
+        number(options.numThreads);
       } else if (arg == "--no-verify") {
         options.verify = false;
       } else if (arg == "--report") {

@@ -1,236 +1,215 @@
 #include "core/conversions.hpp"
 
 #include <algorithm>
-#include <cstdint>
-#include <span>
+
+#include "local/verify.hpp"
+#include "util/thread_pool.hpp"
 
 namespace relb::core {
 
 namespace {
 
-using local::Graph;
+using local::CsrGraph;
 using local::HalfEdgeLabeling;
-using local::NodeId;
-using local::Port;
+using local::Vertex;
 using re::Count;
 using re::Error;
 using re::Label;
 
+// Node v's labels, one per port.
+std::span<Label> labelsAt(HalfEdgeLabeling& labeling, const CsrGraph& g,
+                          Vertex v) {
+  return {labeling.data() + g.halfEdge(v, 0), g.degree(v)};
+}
+std::span<const Label> labelsAt(const HalfEdgeLabeling& labeling,
+                                const CsrGraph& g, Vertex v) {
+  return {labeling.data() + g.halfEdge(v, 0), g.degree(v)};
+}
+
 // Flips labels equal to `from` into `to` until at most `keep` labels `from`
-// remain at node v (scanning ports in increasing order).
-void reduceLabelCount(HalfEdgeLabeling& labeling, const Graph& g, NodeId v,
-                      Label from, Label to, Count keep) {
+// remain (scanning ports in increasing order).
+void reduceLabelCount(std::span<Label> labels, Label from, Label to,
+                      Count keep) {
   Count seen = 0;
-  for (Port p = 0; p < g.degree(v); ++p) {
-    if (labeling.at(v, p) != from) continue;
-    ++seen;
-    if (seen > keep) labeling.set(v, p, to);
+  for (Label& l : labels) {
+    if (l == from && ++seen > keep) l = to;
   }
 }
 
-Count countLabel(const HalfEdgeLabeling& labeling, const Graph& g, NodeId v,
-                 Label l) {
-  Count c = 0;
-  for (Port p = 0; p < g.degree(v); ++p) {
-    if (labeling.at(v, p) == l) ++c;
-  }
-  return c;
+bool hasLabel(std::span<const Label> labels, Label l) {
+  return std::find(labels.begin(), labels.end(), l) != labels.end();
 }
 
-bool hasLabel(const HalfEdgeLabeling& labeling, const Graph& g, NodeId v,
-              Label l) {
-  return countLabel(labeling, g, v, l) > 0;
+void requireLabeling(const CsrGraph& g, const HalfEdgeLabeling& labeling,
+                     const char* who) {
+  if (labeling.size() != g.numHalfEdges()) {
+    throw Error(std::string(who) + ": labeling size does not match half-edges");
+  }
 }
 
 }  // namespace
 
-local::HalfEdgeLabeling lemma5Labeling(const Graph& g,
-                                       const std::vector<bool>& inSet,
-                                       const local::EdgeOrientation& orientation,
-                                       Count delta, Count k) {
-  if (!local::isKOutdegreeDominatingSet(g, inSet, orientation,
-                                        static_cast<int>(k))) {
+HalfEdgeLabeling lemma5Labeling(const CsrGraph& g,
+                                std::span<const std::uint8_t> inSet,
+                                std::span<const std::uint8_t> outgoing,
+                                Count k) {
+  if (!local::csrIsKOutdegreeDominatingSet(g, inSet, outgoing,
+                                           static_cast<int>(k),
+                                           util::kSerialNumThreads)) {
     throw Error("lemma5Labeling: input is not a k-outdegree dominating set");
   }
-  // The one communication round of the lemma, executed on the simulator:
-  // every node announces its set membership; the per-port inbox then drives
-  // a purely local labeling decision.
-  local::SyncNetwork<std::uint8_t> net(g);
-  net.step([&](NodeId v, std::span<const std::uint8_t>,
-               std::span<std::uint8_t> outbox) {
-    for (auto& m : outbox) {
-      m = inSet[static_cast<std::size_t>(v)] ? 1 : 0;
-    }
-  });
-
-  HalfEdgeLabeling out(g);
-  net.step([&](NodeId v, std::span<const std::uint8_t> inbox,
-               std::span<std::uint8_t> outbox) {
-    for (auto& m : outbox) m = 0;
-    if (inSet[static_cast<std::size_t>(v)]) {
+  // The lemma's one round tells every node which neighbors are in S; the
+  // labeling is then a purely local decision.
+  HalfEdgeLabeling out(g.numHalfEdges());
+  for (Vertex v = 0; v < g.numNodes(); ++v) {
+    const auto row = g.neighbors(v);
+    const auto labels = labelsAt(out, g, v);
+    if (inSet[v] != 0) {
       // Dominating-set node: X on edges oriented away from v inside G[S],
       // M elsewhere; then pad with X to reach exactly k labels X.
       Count xCount = 0;
-      for (Port p = 0; p < g.degree(v); ++p) {
-        const auto he = g.halfEdge(v, p);
-        const bool inside = inbox[static_cast<std::size_t>(p)] == 1;
-        const int o = orientation[static_cast<std::size_t>(he.edge)];
-        const auto [e0, e1] = g.endpoints(he.edge);
-        const bool outgoing =
-            inside && ((o == 1 && e0 == v) || (o == -1 && e1 == v));
-        out.set(v, p, outgoing ? kX : kM);
-        if (outgoing) ++xCount;
+      for (std::uint32_t p = 0; p < row.size(); ++p) {
+        const bool away =
+            inSet[row[p]] != 0 && outgoing[g.halfEdge(v, p)] != 0;
+        labels[p] = away ? kX : kM;
+        xCount += away ? 1 : 0;
       }
-      for (Port p = 0; p < g.degree(v) && xCount < k; ++p) {
-        if (out.at(v, p) == kM) {
-          out.set(v, p, kX);
+      for (Label& l : labels) {
+        if (xCount >= k) break;
+        if (l == kM) {
+          l = kX;
           ++xCount;
         }
       }
     } else {
       // Point P at the first dominating neighbor, O elsewhere.
       bool pointed = false;
-      for (Port p = 0; p < g.degree(v); ++p) {
-        if (!pointed && inbox[static_cast<std::size_t>(p)] == 1) {
-          out.set(v, p, kP);
-          pointed = true;
-        } else {
-          out.set(v, p, kO);
-        }
-      }
-      if (!pointed) {
-        throw Error("lemma5Labeling: node not dominated");  // unreachable
+      for (std::uint32_t p = 0; p < row.size(); ++p) {
+        const bool point = !pointed && inSet[row[p]] != 0;
+        labels[p] = point ? kP : kO;
+        pointed = pointed || point;
       }
     }
-  });
-  (void)delta;
+  }
   return out;
 }
 
-local::HalfEdgeLabeling lemma9Convert(const Graph& g,
-                                      const HalfEdgeLabeling& plusLabeling,
-                                      Count delta, Count a, Count x) {
+HalfEdgeLabeling lemma9Convert(const CsrGraph& g,
+                               std::span<const std::uint32_t> edgeColors,
+                               const HalfEdgeLabeling& plusLabeling, Count a,
+                               Count x) {
   if (2 * x + 1 > a) throw Error("lemma9Convert: need 2x + 1 <= a");
-  if (!g.hasEdgeColoring()) throw Error("lemma9Convert: edge coloring required");
+  if (edgeColors.size() != g.numHalfEdges()) {
+    throw Error("lemma9Convert: edge coloring required");
+  }
+  requireLabeling(g, plusLabeling, "lemma9Convert");
   const Count lowColors = (a - 1) / 2;  // paper's colors {1 .. floor((a-1)/2)}
   const Count aNew = (a - 2 * x - 1) / 2;
 
-  HalfEdgeLabeling out(g);
-  for (NodeId v = 0; v < g.numNodes(); ++v) {
-    const bool isCNode = hasLabel(plusLabeling, g, v, kC);
-    const bool isANode = !isCNode && hasLabel(plusLabeling, g, v, kA);
-    if (isCNode) {
+  HalfEdgeLabeling out = plusLabeling;
+  for (Vertex v = 0; v < g.numNodes(); ++v) {
+    const auto in = labelsAt(plusLabeling, g, v);
+    const auto labels = labelsAt(out, g, v);
+    const auto low = [&](std::uint32_t p) {
+      return edgeColors[g.halfEdge(v, p)] < lowColors;
+    };
+    if (hasLabel(in, kC)) {
       // Write A on low-colored edges currently labeled C, X on all others;
       // then trim to exactly aNew labels A.
-      for (Port p = 0; p < g.degree(v); ++p) {
-        const auto he = g.halfEdge(v, p);
-        const bool low = g.edgeColor(he.edge) < lowColors;
-        out.set(v, p, (low && plusLabeling.at(v, p) == kC) ? kA : kX);
+      for (std::uint32_t p = 0; p < labels.size(); ++p) {
+        labels[p] = low(p) && in[p] == kC ? kA : kX;
       }
-      reduceLabelCount(out, g, v, kA, kX, aNew);
-    } else if (isANode) {
+      reduceLabelCount(labels, kA, kX, aNew);
+    } else if (hasLabel(in, kA)) {
       // Drop A from low-colored edges, then trim to exactly aNew labels A.
-      for (Port p = 0; p < g.degree(v); ++p) {
-        const auto he = g.halfEdge(v, p);
-        const bool low = g.edgeColor(he.edge) < lowColors;
-        const Label l = plusLabeling.at(v, p);
-        out.set(v, p, (low && l == kA) ? kX : l);
+      for (std::uint32_t p = 0; p < labels.size(); ++p) {
+        if (low(p) && in[p] == kA) labels[p] = kX;
       }
-      reduceLabelCount(out, g, v, kA, kX, aNew);
-    } else {
-      // M-nodes and P-nodes keep their output unchanged.
-      for (Port p = 0; p < g.degree(v); ++p) {
-        out.set(v, p, plusLabeling.at(v, p));
-      }
+      reduceLabelCount(labels, kA, kX, aNew);
     }
+    // M-nodes and P-nodes keep their output unchanged.
   }
-  (void)delta;
   return out;
 }
 
-local::HalfEdgeLabeling lemma11Relax(const Graph& g,
-                                     const HalfEdgeLabeling& labeling,
-                                     Count delta, Count aFrom, Count xFrom,
-                                     Count aTo, Count xTo) {
+HalfEdgeLabeling lemma11Relax(const CsrGraph& g,
+                              const HalfEdgeLabeling& labeling, Count aFrom,
+                              Count xFrom, Count aTo, Count xTo) {
   if (aTo > aFrom || xTo < xFrom) {
     throw Error("lemma11Relax: need aTo <= aFrom and xTo >= xFrom");
   }
-  HalfEdgeLabeling out(g);
-  for (NodeId v = 0; v < g.numNodes(); ++v) {
-    for (Port p = 0; p < g.degree(v); ++p) {
-      out.set(v, p, labeling.at(v, p));
-    }
-    if (hasLabel(labeling, g, v, kM)) {
+  requireLabeling(g, labeling, "lemma11Relax");
+  HalfEdgeLabeling out = labeling;
+  for (Vertex v = 0; v < g.numNodes(); ++v) {
+    const auto labels = labelsAt(out, g, v);
+    if (hasLabel(labels, kM)) {
       // M^{deg - xFrom} X^{xFrom} -> M^{deg - xTo} X^{xTo}.
-      reduceLabelCount(out, g, v, kM, kX,
-                       std::max<Count>(0, g.degree(v) - xTo));
-    } else if (hasLabel(labeling, g, v, kA)) {
-      reduceLabelCount(out, g, v, kA, kX, aTo);
+      reduceLabelCount(labels, kM, kX,
+                       std::max<Count>(0, Count{g.degree(v)} - xTo));
+    } else if (hasLabel(labels, kA)) {
+      reduceLabelCount(labels, kA, kX, aTo);
     }
   }
-  (void)delta;
-  (void)aFrom;
   return out;
 }
 
-local::HalfEdgeLabeling syntheticPlusLabelingAlternating(const Graph& g,
-                                                         Count delta, Count a,
-                                                         Count x) {
-  if (!g.isTree()) {
-    throw Error("syntheticPlusLabelingAlternating: tree required");
-  }
+HalfEdgeLabeling syntheticPlusLabelingAlternating(const CsrGraph& g, Count a,
+                                                  Count x) {
   if (a < x + 1) throw Error("syntheticPlusLabelingAlternating: need a >= x+1");
-  // BFS depths from node 0.
-  std::vector<int> depth(static_cast<std::size_t>(g.numNodes()), -1);
-  std::vector<NodeId> queue{0};
+  // A tree has n - 1 edges, and a BFS from node 0 reaches every node.
+  const auto notTree = [] {
+    return Error("syntheticPlusLabelingAlternating: tree required");
+  };
+  if (g.numNodes() == 0 ||
+      g.numHalfEdges() != 2 * (std::uint64_t{g.numNodes()} - 1)) {
+    throw notTree();
+  }
+  std::vector<int> depth(g.numNodes(), -1);
+  std::vector<Vertex> queue{0};
   depth[0] = 0;
   for (std::size_t i = 0; i < queue.size(); ++i) {
-    const NodeId v = queue[i];
-    for (const auto& he : g.neighbors(v)) {
-      if (depth[static_cast<std::size_t>(he.neighbor)] < 0) {
-        depth[static_cast<std::size_t>(he.neighbor)] =
-            depth[static_cast<std::size_t>(v)] + 1;
-        queue.push_back(he.neighbor);
+    for (const Vertex w : g.neighbors(queue[i])) {
+      if (depth[w] < 0) {
+        depth[w] = depth[queue[i]] + 1;
+        queue.push_back(w);
       }
     }
   }
-  HalfEdgeLabeling out(g);
-  for (NodeId v = 0; v < g.numNodes(); ++v) {
-    const bool even = depth[static_cast<std::size_t>(v)] % 2 == 0;
-    if (even) {
+  if (queue.size() != g.numNodes()) throw notTree();
+  HalfEdgeLabeling out(g.numHalfEdges());
+  for (Vertex v = 0; v < g.numNodes(); ++v) {
+    const auto labels = labelsAt(out, g, v);
+    if (depth[v] % 2 == 0) {
       // C^{deg - x} X^x.
-      for (Port p = 0; p < g.degree(v); ++p) out.set(v, p, kC);
-      reduceLabelCount(out, g, v, kC, kX,
-                       std::max<Count>(0, g.degree(v) - x));
+      std::fill(labels.begin(), labels.end(), kC);
+      reduceLabelCount(labels, kC, kX,
+                       std::max<Count>(0, Count{g.degree(v)} - x));
     } else {
       // A^{a-x-1} X^{rest}.
-      for (Port p = 0; p < g.degree(v); ++p) {
-        out.set(v, p, p < a - x - 1 ? kA : kX);
+      for (std::uint32_t p = 0; p < labels.size(); ++p) {
+        labels[p] = Count{p} < a - x - 1 ? kA : kX;
       }
     }
   }
-  (void)delta;
   return out;
 }
 
-local::HalfEdgeLabeling plusFromFamilyLabeling(const Graph& g,
-                                               const HalfEdgeLabeling& labeling,
-                                               Count delta, Count a, Count x) {
-  HalfEdgeLabeling out(g);
-  for (NodeId v = 0; v < g.numNodes(); ++v) {
-    for (Port p = 0; p < g.degree(v); ++p) {
-      out.set(v, p, labeling.at(v, p));
-    }
-    if (hasLabel(labeling, g, v, kM)) {
+HalfEdgeLabeling plusFromFamilyLabeling(const CsrGraph& g,
+                                        const HalfEdgeLabeling& labeling,
+                                        Count a, Count x) {
+  requireLabeling(g, labeling, "plusFromFamilyLabeling");
+  HalfEdgeLabeling out = labeling;
+  for (Vertex v = 0; v < g.numNodes(); ++v) {
+    const auto labels = labelsAt(out, g, v);
+    if (hasLabel(labels, kM)) {
       // M^{deg-x} X^x -> M^{deg-x-1} X^{x+1}.
-      reduceLabelCount(out, g, v, kM, kX,
-                       std::max<Count>(0, g.degree(v) - x - 1));
-    } else if (hasLabel(labeling, g, v, kA)) {
+      reduceLabelCount(labels, kM, kX,
+                       std::max<Count>(0, Count{g.degree(v)} - x - 1));
+    } else if (hasLabel(labels, kA)) {
       // A^a X^{deg-a} -> A^{a-x-1} X^{deg-a+x+1}.
-      reduceLabelCount(out, g, v, kA, kX, a - x - 1);
+      reduceLabelCount(labels, kA, kX, a - x - 1);
     }
   }
-  (void)delta;
   return out;
 }
 

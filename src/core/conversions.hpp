@@ -11,52 +11,54 @@
 //
 // All procedures are strictly local: the output half-edge labels of a node
 // depend only on that node's own labels, its edge colors, and (for Lemma 5)
-// one round of neighbor information.  Synthetic Pi+ solution generators are
-// provided so Lemma 9 can be exercised on concrete trees, including the
-// C/A adjacency case that motivates the edge-coloring trick.
+// its neighbors' set membership, learned in the lemma's one round.
+// Labelings, edge colors and orientations are half-edge arrays over a
+// CsrGraph (local/csr.hpp).  Synthetic Pi+ solution generators are provided
+// so Lemma 9 can be exercised on concrete trees, including the C/A adjacency
+// case that motivates the edge-coloring trick.
 #pragma once
 
+#include <cstdint>
+#include <span>
+
 #include "core/family.hpp"
-#include "local/graph.hpp"
 #include "local/halfedge.hpp"
-#include "local/network.hpp"
-#include "local/verify.hpp"
 
 namespace relb::core {
 
-/// Lemma 5.  `inSet`/`orientation` must form a k-outdegree dominating set.
-/// Produces a labeling that solves Pi_Delta(a, k) (checked at full-degree
-/// nodes; `a` only selects the target problem, the A configuration is not
-/// used).  One communication round is simulated internally.
+/// Lemma 5.  `inSet` (one byte per node) and `outgoing` (one byte per
+/// half-edge) must form a k-outdegree dominating set.  Produces a labeling
+/// that solves Pi_Delta(a, k) for every a (checked at full-degree nodes; the
+/// A configuration is not used).
 [[nodiscard]] local::HalfEdgeLabeling lemma5Labeling(
-    const local::Graph& g, const std::vector<bool>& inSet,
-    const local::EdgeOrientation& orientation, re::Count delta, re::Count k);
+    const local::CsrGraph& g, std::span<const std::uint8_t> inSet,
+    std::span<const std::uint8_t> outgoing, re::Count k);
 
-/// Lemma 9.  `plusLabeling` must solve Pi+_Delta(a, x) on `g`, and `g` must
-/// carry a proper edge coloring with at least floor((a-1)/2) colors.
-/// Returns a labeling of Pi_Delta(floor((a-2x-1)/2), x+1).  Zero rounds: the
-/// rewrite of a node's labels uses only local information.
+/// Lemma 9.  `plusLabeling` must solve Pi+_Delta(a, x) on `g`, and
+/// `edgeColors` (one per half-edge) must be a proper edge coloring with at
+/// least floor((a-1)/2) colors.  Returns a labeling of
+/// Pi_Delta(floor((a-2x-1)/2), x+1).  Zero rounds: the rewrite of a node's
+/// labels uses only local information.
 [[nodiscard]] local::HalfEdgeLabeling lemma9Convert(
-    const local::Graph& g, const local::HalfEdgeLabeling& plusLabeling,
-    re::Count delta, re::Count a, re::Count x);
+    const local::CsrGraph& g, std::span<const std::uint32_t> edgeColors,
+    const local::HalfEdgeLabeling& plusLabeling, re::Count a, re::Count x);
 
 /// Lemma 11.  `labeling` must solve Pi_Delta(aFrom, xFrom); returns a
 /// labeling of Pi_Delta(aTo, xTo) for aTo <= aFrom, xTo >= xFrom.
 [[nodiscard]] local::HalfEdgeLabeling lemma11Relax(
-    const local::Graph& g, const local::HalfEdgeLabeling& labeling,
-    re::Count delta, re::Count aFrom, re::Count xFrom, re::Count aTo,
-    re::Count xTo);
+    const local::CsrGraph& g, const local::HalfEdgeLabeling& labeling,
+    re::Count aFrom, re::Count xFrom, re::Count aTo, re::Count xTo);
 
 /// Synthetic Pi+_Delta(a, x) solution that exercises the C label: nodes at
 /// even BFS depth output C^{deg-x'} X^{x'}, odd-depth nodes output
 /// A^{a-x-1} X^{...}.  Requires a tree.
 [[nodiscard]] local::HalfEdgeLabeling syntheticPlusLabelingAlternating(
-    const local::Graph& g, re::Count delta, re::Count a, re::Count x);
+    const local::CsrGraph& g, re::Count a, re::Count x);
 
 /// Embeds a Pi_Delta(a, x) solution into Pi+_Delta(a, x) (M-nodes flip one
 /// extra M to X; A-nodes keep only a-x-1 labels A).  Zero rounds.
 [[nodiscard]] local::HalfEdgeLabeling plusFromFamilyLabeling(
-    const local::Graph& g, const local::HalfEdgeLabeling& labeling,
-    re::Count delta, re::Count a, re::Count x);
+    const local::CsrGraph& g, const local::HalfEdgeLabeling& labeling,
+    re::Count a, re::Count x);
 
 }  // namespace relb::core

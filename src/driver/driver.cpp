@@ -1,13 +1,11 @@
 #include "driver/driver.hpp"
 
-#include <charconv>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <optional>
 #include <sstream>
 #include <string_view>
-#include <system_error>
 #include <vector>
 
 #include "core/sequence.hpp"
@@ -26,21 +24,13 @@
 #include "re/problem.hpp"
 #include "re/zero_round.hpp"
 #include "store/step_store.hpp"
+#include "util/parse.hpp"
 #include "util/shutdown.hpp"
 #include "util/thread_pool.hpp"
 
 namespace relb::driver {
 
 namespace {
-
-// Reads all of `text` as a base-10 integer: an empty token, a leftover
-// character or an out-of-range value is a failure.
-template <typename Int>
-bool parseNumber(std::string_view text, Int& out) {
-  const char* end = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(text.data(), end, out);
-  return ec == std::errc() && ptr == end;
-}
 
 std::string splitLines(std::string spec) {
   for (char& ch : spec) {
@@ -201,7 +191,7 @@ ParseOutcome parseArgs(int argc, const char* const* argv) {
   };
   const auto number = [&](std::string_view text, auto& dest,
                           const std::string& what) {
-    if (parseNumber(text, dest)) return true;
+    if (util::parseNumber(text, dest)) return true;
     outcome.error = "bad value for " + what;
     return false;
   };

@@ -205,4 +205,11 @@ CsrGraph CsrGraph::fromEdges(Vertex numNodes,
                   maxDeg);
 }
 
+std::uint32_t CsrGraph::portOf(Vertex v, Vertex w) const {
+  const auto row = neighbors(v);
+  const auto it = std::find(row.begin(), row.end(), w);
+  if (it == row.end()) throw re::Error("CsrGraph::portOf: nodes not adjacent");
+  return static_cast<std::uint32_t>(it - row.begin());
+}
+
 }  // namespace relb::local

@@ -1,12 +1,15 @@
-// Compact CSR adjacency for the massive-scale LOCAL simulator.
+// Compact CSR adjacency: the one graph type of the LOCAL / port-numbering
+// model code, from the gadget-sized port arguments to the 10^7-10^8-node
+// simulator.
 //
-// The pointer-per-node Graph in local/graph.hpp is the right tool for
-// gadget-sized port-numbering arguments; at 10^7-10^8 nodes its
-// vector-of-vectors layout costs ~50 bytes/half-edge and a cache miss per
-// hop.  CsrGraph stores the same undirected topology as two flat arrays --
-// `offsets` (numNodes + 1 entries) and `neighbors` (one entry per
-// half-edge) -- both uint32_t, allocated in one util::Arena so construction
-// touches malloc a constant number of times and teardown is a single free.
+// CsrGraph stores an undirected topology as two flat arrays -- `offsets`
+// (numNodes + 1 entries) and `neighbors` (one entry per half-edge) -- both
+// uint32_t, allocated in one util::Arena so construction touches malloc a
+// constant number of times and teardown is a single free.
+//
+// Ports: node v's port p is the half-edge to neighbors(v)[p].  Half-edge
+// data (labelings, edge colors, orientations) lives in flat vectors with one
+// slot per half-edge, indexed by halfEdge(v, p) == offsets[v] + p.
 //
 // Memory math (tree on n nodes, so 2(n-1) half-edges):
 //   offsets   4(n+1) bytes
@@ -36,8 +39,7 @@
 
 namespace relb::local {
 
-/// Vertex id in the CSR layout (distinct from the gadget-sized NodeId,
-/// which stays int32_t for the port-numbering code).
+/// Vertex id in the CSR layout.
 using Vertex = std::uint32_t;
 
 inline constexpr Vertex kInvalidVertex = 0xffffffffu;
@@ -76,6 +78,14 @@ class CsrGraph {
     return {neighbors_ + offsets_[v], offsets_[v + 1] - offsets_[v]};
   }
   [[nodiscard]] std::uint32_t maxDegree() const { return maxDegree_; }
+
+  /// Slot of node v's port-p half-edge in a half-edge array.
+  [[nodiscard]] std::uint32_t halfEdge(Vertex v, std::uint32_t port) const {
+    return offsets_[v] + port;
+  }
+  /// Port of node v towards its neighbor w (the first, if the edge
+  /// repeats); throws if they are not adjacent.
+  [[nodiscard]] std::uint32_t portOf(Vertex v, Vertex w) const;
 
   /// Exact bytes of the two CSR arrays (the quantity docs/simulator.md's
   /// memory math predicts; the arena may hold slightly more).

@@ -147,4 +147,31 @@ TreeInstance makeTree(Family family, std::uint64_t nodes,
   return out;
 }
 
+std::uint64_t completeTreeNodes(std::uint32_t delta, std::uint32_t depth) {
+  if (delta < 2) throw re::Error("completeTreeNodes: Delta >= 2 required");
+  constexpr std::uint64_t kMax = ~std::uint64_t{0};
+  std::uint64_t total = 1;
+  std::uint64_t level = 1;
+  for (std::uint32_t d = 1; d <= depth && total < kMax; ++d) {
+    const std::uint64_t fanout = d == 1 ? delta : delta - 1;
+    level = level > kMax / fanout ? kMax : level * fanout;
+    total = total > kMax - level ? kMax : total + level;
+  }
+  return total;
+}
+
+CsrGraph symmetricPortGadget(std::uint32_t delta) {
+  if (delta < 2) throw re::Error("symmetricPortGadget: Delta >= 2 required");
+  // Left nodes 0..delta-1, right nodes delta..2delta-1; edge {left i,
+  // right j} has color (i + j) mod delta.  Listing the edges color-major
+  // gives every node's port c the edge of color c at both endpoints.
+  std::vector<std::pair<Vertex, Vertex>> edges;
+  for (Vertex c = 0; c < delta; ++c) {
+    for (Vertex i = 0; i < delta; ++i) {
+      edges.emplace_back(i, delta + (c + delta - i) % delta);
+    }
+  }
+  return CsrGraph::fromEdges(2 * delta, edges);
+}
+
 }  // namespace relb::local

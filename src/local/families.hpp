@@ -5,9 +5,8 @@
 // maxDegree, seed) tuple names one exact graph on every machine and at
 // every thread width -- the precondition for the kernels' bit-identity
 // contract.  Generation and the CSR build both run on the thread pool.
-// The gadget-sized builders in local/graph.hpp remain the tool for
-// port-numbering arguments (symmetricPortGadget and friends); these
-// builders exist to run the paper's *upper bounds* at 10^7-10^8 nodes.
+// The same generators build the gadget-sized trees of the port-numbering
+// arguments; the non-tree gadget of Lemmas 12/15 comes from fromEdges.
 #pragma once
 
 #include <cstdint>
@@ -62,5 +61,16 @@ struct TreeInstance {
 [[nodiscard]] TreeInstance makeTree(Family family, std::uint64_t nodes,
                                     std::uint32_t maxDegree,
                                     std::uint64_t seed);
+
+/// Node count of the complete Delta-regular tree whose leaves sit at
+/// distance `depth` from the root (the complete-tree family at exactly that
+/// many nodes); saturates at UINT64_MAX, which makeParents rejects.
+[[nodiscard]] std::uint64_t completeTreeNodes(std::uint32_t delta,
+                                              std::uint32_t depth);
+
+/// The symmetric-port gadget of Lemmas 12/15: K_{Delta,Delta} (girth 4),
+/// Delta-regular, where the edge of color i uses port i at *both* endpoints
+/// -- so a node's port number is the edge's color.
+[[nodiscard]] CsrGraph symmetricPortGadget(std::uint32_t delta);
 
 }  // namespace relb::local

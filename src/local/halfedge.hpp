@@ -1,43 +1,27 @@
-// Half-edge labelings and the generic locally-checkable-labeling checker.
+// Half-edge labelings, edge colorings and the generic
+// locally-checkable-labeling checker.
 //
 // A solution of a problem in the round-elimination formalism assigns a label
-// to every (node, incident edge) pair; we store one label per (node, port).
-// The checker verifies the node constraint at every node of full degree and
-// the edge constraint at every edge, reporting all violations.
+// to every (node, incident edge) pair.  Like every half-edge array over a
+// CsrGraph, a labeling has one slot per half-edge, indexed by
+// g.halfEdge(v, port).  The checker verifies the node constraint at every
+// node of full degree and the edge constraint at every edge, reporting all
+// violations.
 #pragma once
 
+#include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
-#include "local/graph.hpp"
+#include "local/csr.hpp"
 #include "re/problem.hpp"
 
 namespace relb::local {
 
-/// Labels on half-edges, indexed by (node, port).
-class HalfEdgeLabeling {
- public:
-  explicit HalfEdgeLabeling(const Graph& g);
-
-  [[nodiscard]] re::Label at(NodeId v, Port p) const {
-    return labels_[static_cast<std::size_t>(v)][static_cast<std::size_t>(p)];
-  }
-  void set(NodeId v, Port p, re::Label l) {
-    labels_[static_cast<std::size_t>(v)][static_cast<std::size_t>(p)] = l;
-  }
-
-  /// Label this node put on the half-edge towards edge `e`.
-  [[nodiscard]] re::Label atEdge(const Graph& g, NodeId v, EdgeId e) const {
-    return at(v, g.portOf(v, e));
-  }
-
-  [[nodiscard]] const std::vector<re::Label>& node(NodeId v) const {
-    return labels_[static_cast<std::size_t>(v)];
-  }
-
- private:
-  std::vector<std::vector<re::Label>> labels_;
-};
+/// Labels on half-edges: labeling[g.halfEdge(v, p)] is the label node v
+/// writes on its port p.
+using HalfEdgeLabeling = std::vector<re::Label>;
 
 struct CheckOptions {
   /// Check the node constraint only at nodes whose degree equals the
@@ -59,9 +43,21 @@ struct CheckResult {
 };
 
 /// Verifies `labeling` against `problem` on `g`.
-[[nodiscard]] CheckResult checkLabeling(const Graph& g,
+[[nodiscard]] CheckResult checkLabeling(const CsrGraph& g,
                                         const re::Problem& problem,
                                         const HalfEdgeLabeling& labeling,
                                         const CheckOptions& options = {});
+
+/// The Delta-edge coloring of a tree in the CsrGraph::fromParents layout
+/// (port 0 of every non-root node is its parent): child i of a node takes
+/// the i-th color that skips the color of the node's parent edge.  One color
+/// per half-edge; both halves of an edge carry the same color.
+[[nodiscard]] std::vector<std::uint32_t> treeEdgeColoring(const CsrGraph& g);
+
+/// True iff `colors` (one per half-edge) gives both halves of every edge the
+/// same color, below `numColors`, and no node two edges of one color.
+[[nodiscard]] bool isProperEdgeColoring(const CsrGraph& g,
+                                        std::span<const std::uint32_t> colors,
+                                        std::uint32_t numColors);
 
 }  // namespace relb::local

@@ -64,7 +64,9 @@ struct MisRun {
                              int numThreads, const RoundHook& hook = {});
 
 struct ColorRun {
-  std::vector<std::uint32_t> colors;  // proper; values in [0, numColors)
+  // Values in [0, numColors); proper, except for the (arb)defective
+  // colorings of upper_bounds.hpp.
+  std::vector<std::uint32_t> colors;
   int rounds = 0;
   std::uint32_t numColors = 0;
 };

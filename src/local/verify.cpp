@@ -9,12 +9,6 @@ namespace relb::local {
 
 namespace {
 
-void requireSize(const Graph& g, const std::vector<bool>& inSet) {
-  if (static_cast<NodeId>(inSet.size()) != g.numNodes()) {
-    throw re::Error("verify: set size does not match node count");
-  }
-}
-
 void requireCsrSize(const CsrGraph& g, std::size_t slots, const char* what) {
   if (slots != g.numNodes()) {
     throw re::Error(std::string("verify: ") + what +
@@ -40,102 +34,69 @@ bool allNodes(const CsrGraph& g, int numThreads, PerNode&& perNode) {
              }) != 0;
 }
 
+/// Max of perNode(v) over all vertices (0 for none); a -1 from any vertex
+/// makes the result -1.
+template <typename PerNode>
+int maxNodes(const CsrGraph& g, int numThreads, PerNode&& perNode) {
+  return util::parallel_reduce<int>(
+      numThreads, g.numNodes(), 0,
+      [&](std::size_t begin, std::size_t end) {
+        int best = 0;
+        for (std::size_t v = begin; v < end; ++v) {
+          const int d = perNode(static_cast<Vertex>(v));
+          if (d < 0) return -1;
+          best = std::max(best, d);
+        }
+        return best;
+      },
+      [](int acc, int part) {
+        return acc < 0 || part < 0 ? -1 : std::max(acc, part);
+      });
+}
+
+/// Number of neighbors w of v with same(w).
+template <typename Same>
+int sameDegree(const CsrGraph& g, Vertex v, Same&& same) {
+  int d = 0;
+  for (const Vertex w : g.neighbors(v)) d += same(w) ? 1 : 0;
+  return d;
+}
+
+/// Number of outgoing half-edges from v to neighbors w with same(w); -1 if
+/// one of those edges is not marked at exactly one end.
+template <typename Same>
+int sameOutdegree(const CsrGraph& g, std::span<const std::uint8_t> outgoing,
+                  Vertex v, Same&& same) {
+  int d = 0;
+  const auto row = g.neighbors(v);
+  for (std::uint32_t p = 0; p < row.size(); ++p) {
+    const Vertex w = row[p];
+    if (!same(w)) continue;
+    const bool out = outgoing[g.halfEdge(v, p)] != 0;
+    if (out == (outgoing[g.halfEdge(w, g.portOf(w, v))] != 0)) return -1;
+    d += out ? 1 : 0;
+  }
+  return d;
+}
+
+void requireHalfEdgeSize(const CsrGraph& g, std::size_t slots) {
+  if (slots != g.numHalfEdges()) {
+    throw re::Error("verify: orientation size does not match half-edge count");
+  }
+}
+
+bool dominates(const CsrGraph& g, std::span<const std::uint8_t> inSet,
+               int numThreads) {
+  requireCsrSize(g, inSet.size(), "inSet");
+  return allNodes(g, numThreads, [&](Vertex v) {
+    const auto row = g.neighbors(v);
+    return inSet[v] != 0 || std::any_of(row.begin(), row.end(), [&](Vertex w) {
+             return inSet[w] != 0;
+           });
+  });
+}
+
 }  // namespace
-
-bool isIndependentSet(const Graph& g, const std::vector<bool>& inSet) {
-  requireSize(g, inSet);
-  for (EdgeId e = 0; e < g.numEdges(); ++e) {
-    const auto [u, v] = g.endpoints(e);
-    if (inSet[static_cast<std::size_t>(u)] &&
-        inSet[static_cast<std::size_t>(v)]) {
-      return false;
-    }
-  }
-  return true;
-}
-
-bool isDominatingSet(const Graph& g, const std::vector<bool>& inSet) {
-  requireSize(g, inSet);
-  for (NodeId v = 0; v < g.numNodes(); ++v) {
-    if (inSet[static_cast<std::size_t>(v)]) continue;
-    bool dominated = false;
-    for (const HalfEdge& he : g.neighbors(v)) {
-      if (inSet[static_cast<std::size_t>(he.neighbor)]) {
-        dominated = true;
-        break;
-      }
-    }
-    if (!dominated) return false;
-  }
-  return true;
-}
-
-bool isMaximalIndependentSet(const Graph& g, const std::vector<bool>& inSet) {
-  return isIndependentSet(g, inSet) && isDominatingSet(g, inSet);
-}
-
-int inducedMaxDegree(const Graph& g, const std::vector<bool>& inSet) {
-  requireSize(g, inSet);
-  int best = 0;
-  for (NodeId v = 0; v < g.numNodes(); ++v) {
-    if (!inSet[static_cast<std::size_t>(v)]) continue;
-    int d = 0;
-    for (const HalfEdge& he : g.neighbors(v)) {
-      if (inSet[static_cast<std::size_t>(he.neighbor)]) ++d;
-    }
-    best = std::max(best, d);
-  }
-  return best;
-}
-
-bool isKDegreeDominatingSet(const Graph& g, const std::vector<bool>& inSet,
-                            int k) {
-  return isDominatingSet(g, inSet) && inducedMaxDegree(g, inSet) <= k;
-}
-
-int inducedMaxOutdegree(const Graph& g, const std::vector<bool>& inSet,
-                        const EdgeOrientation& orientation) {
-  requireSize(g, inSet);
-  if (static_cast<EdgeId>(orientation.size()) != g.numEdges()) {
-    throw re::Error("verify: orientation size does not match edge count");
-  }
-  std::vector<int> outdeg(static_cast<std::size_t>(g.numNodes()), 0);
-  for (EdgeId e = 0; e < g.numEdges(); ++e) {
-    const auto [u, v] = g.endpoints(e);
-    const bool inside = inSet[static_cast<std::size_t>(u)] &&
-                        inSet[static_cast<std::size_t>(v)];
-    if (!inside) continue;
-    const int o = orientation[static_cast<std::size_t>(e)];
-    if (o == 1) {
-      ++outdeg[static_cast<std::size_t>(u)];
-    } else if (o == -1) {
-      ++outdeg[static_cast<std::size_t>(v)];
-    } else {
-      return -1;  // unoriented G[S] edge
-    }
-  }
-  return *std::max_element(outdeg.begin(), outdeg.end());
-}
-
-bool isKOutdegreeDominatingSet(const Graph& g, const std::vector<bool>& inSet,
-                               const EdgeOrientation& orientation, int k) {
-  if (!isDominatingSet(g, inSet)) return false;
-  const int out = inducedMaxOutdegree(g, inSet, orientation);
-  return out >= 0 && out <= k;
-}
-
-EdgeOrientation orientInduced(const Graph& g, const std::vector<bool>& inSet) {
-  requireSize(g, inSet);
-  EdgeOrientation orientation(static_cast<std::size_t>(g.numEdges()), 0);
-  for (EdgeId e = 0; e < g.numEdges(); ++e) {
-    const auto [u, v] = g.endpoints(e);
-    if (inSet[static_cast<std::size_t>(u)] &&
-        inSet[static_cast<std::size_t>(v)]) {
-      orientation[static_cast<std::size_t>(e)] = u < v ? +1 : -1;
-    }
-  }
-  return orientation;
-}
 
 bool csrIsIndependentSet(const CsrGraph& g, std::span<const MisFlag> state,
                          int numThreads) {
@@ -206,6 +167,76 @@ bool csrIsZeroOutdegreeDominatingSet(const CsrGraph& g,
     }
     return false;
   });
+}
+
+int csrInducedMaxDegree(const CsrGraph& g, std::span<const std::uint8_t> inSet,
+                        int numThreads) {
+  requireCsrSize(g, inSet.size(), "inSet");
+  return maxNodes(g, numThreads, [&](Vertex v) {
+    if (inSet[v] == 0) return 0;
+    return sameDegree(g, v, [&](Vertex w) { return inSet[w] != 0; });
+  });
+}
+
+int csrInducedMaxOutdegree(const CsrGraph& g,
+                           std::span<const std::uint8_t> inSet,
+                           std::span<const std::uint8_t> outgoing,
+                           int numThreads) {
+  requireCsrSize(g, inSet.size(), "inSet");
+  requireHalfEdgeSize(g, outgoing.size());
+  return maxNodes(g, numThreads, [&](Vertex v) {
+    if (inSet[v] == 0) return 0;
+    return sameOutdegree(g, outgoing, v,
+                         [&](Vertex w) { return inSet[w] != 0; });
+  });
+}
+
+int csrDefect(const CsrGraph& g, std::span<const std::uint32_t> colors,
+              int numThreads) {
+  requireCsrSize(g, colors.size(), "colors");
+  return maxNodes(g, numThreads, [&](Vertex v) {
+    return sameDegree(g, v, [&](Vertex w) { return colors[w] == colors[v]; });
+  });
+}
+
+int csrArbdefect(const CsrGraph& g, std::span<const std::uint32_t> colors,
+                 std::span<const std::uint8_t> outgoing, int numThreads) {
+  requireCsrSize(g, colors.size(), "colors");
+  requireHalfEdgeSize(g, outgoing.size());
+  return maxNodes(g, numThreads, [&](Vertex v) {
+    return sameOutdegree(g, outgoing, v,
+                         [&](Vertex w) { return colors[w] == colors[v]; });
+  });
+}
+
+bool csrIsKDegreeDominatingSet(const CsrGraph& g,
+                               std::span<const std::uint8_t> inSet, int k,
+                               int numThreads) {
+  return dominates(g, inSet, numThreads) &&
+         csrInducedMaxDegree(g, inSet, numThreads) <= k;
+}
+
+bool csrIsKOutdegreeDominatingSet(const CsrGraph& g,
+                                  std::span<const std::uint8_t> inSet,
+                                  std::span<const std::uint8_t> outgoing,
+                                  int k, int numThreads) {
+  if (!dominates(g, inSet, numThreads)) return false;
+  const int out = csrInducedMaxOutdegree(g, inSet, outgoing, numThreads);
+  return out >= 0 && out <= k;
+}
+
+std::vector<std::uint8_t> orientInduced(const CsrGraph& g,
+                                        std::span<const std::uint8_t> inSet) {
+  requireCsrSize(g, inSet.size(), "inSet");
+  std::vector<std::uint8_t> outgoing(g.numHalfEdges(), 0);
+  for (Vertex v = 0; v < g.numNodes(); ++v) {
+    const auto row = g.neighbors(v);
+    for (std::uint32_t p = 0; p < row.size(); ++p) {
+      outgoing[g.halfEdge(v, p)] =
+          inSet[v] != 0 && inSet[row[p]] != 0 && v < row[p];
+    }
+  }
+  return outgoing;
 }
 
 }  // namespace relb::local

@@ -1,8 +1,18 @@
-// Direct verifiers for the concrete graph problems of the paper:
-// independent sets, dominating sets, MIS, and k-(out)degree dominating sets
-// (Section 1: a k-outdegree dominating set is a dominating set S together
-// with an orientation of G[S] in which every node of S has outdegree at most
-// k; for k = 0 both notions coincide with MIS).
+// Direct verifiers for the concrete graph problems of the paper over the
+// CSR layout: independent sets, dominating sets, MIS, proper and defective
+// colorings, and k-(out)degree dominating sets (Section 1: a k-outdegree
+// dominating set is a dominating set S together with an orientation of G[S]
+// in which every node of S has outdegree at most k; for k = 0 both notions
+// coincide with MIS).
+//
+// Each sweeps the vertex table in parallel -- the verdict is a pure AND (or
+// max) over per-node checks, so it is deterministic at every thread width --
+// and each check reads only the node's own slot and its neighbors' slots,
+// exactly the locality a LOCAL-model checker is allowed (docs/simulator.md).
+//
+// Sets are one byte per node (1 = member).  An orientation is one byte per
+// half-edge (1 = the edge points away from this end, see csr.hpp); a G[S]
+// edge is oriented iff exactly one of its halves is marked.
 #pragma once
 
 #include <cstdint>
@@ -10,60 +20,8 @@
 #include <vector>
 
 #include "local/csr.hpp"
-#include "local/graph.hpp"
 
 namespace relb::local {
-
-/// Orientation of the edges inside G[S]: for each edge id, +1 if oriented
-/// from endpoint 0 to endpoint 1, -1 for the reverse, 0 if the edge is not
-/// inside G[S] (ignored).
-using EdgeOrientation = std::vector<int>;
-
-[[nodiscard]] bool isIndependentSet(const Graph& g,
-                                    const std::vector<bool>& inSet);
-
-[[nodiscard]] bool isDominatingSet(const Graph& g,
-                                   const std::vector<bool>& inSet);
-
-/// Maximal independent set == independent + dominating.
-[[nodiscard]] bool isMaximalIndependentSet(const Graph& g,
-                                           const std::vector<bool>& inSet);
-
-/// Maximum degree of the induced subgraph G[S].
-[[nodiscard]] int inducedMaxDegree(const Graph& g,
-                                   const std::vector<bool>& inSet);
-
-/// k-degree dominating set: dominating and G[S] has max degree <= k.
-[[nodiscard]] bool isKDegreeDominatingSet(const Graph& g,
-                                          const std::vector<bool>& inSet,
-                                          int k);
-
-/// k-outdegree dominating set: dominating, every edge of G[S] oriented, and
-/// every node of S has outdegree <= k.
-[[nodiscard]] bool isKOutdegreeDominatingSet(const Graph& g,
-                                             const std::vector<bool>& inSet,
-                                             const EdgeOrientation& orientation,
-                                             int k);
-
-/// Maximum outdegree within G[S] under the given orientation; -1 if some
-/// G[S] edge is unoriented.
-[[nodiscard]] int inducedMaxOutdegree(const Graph& g,
-                                      const std::vector<bool>& inSet,
-                                      const EdgeOrientation& orientation);
-
-/// Orients every G[S] edge (from the smaller to the larger node id; the
-/// paper's remark after Corollary 2: a k-degree dominating set becomes a
-/// k-outdegree dominating set under *any* orientation).
-[[nodiscard]] EdgeOrientation orientInduced(const Graph& g,
-                                            const std::vector<bool>& inSet);
-
-// ---------------------------------------------------------------------------
-// Per-node-state verifiers over the CSR layout (the massive-scale simulator's
-// outputs; docs/simulator.md).  Each sweeps the vertex table in parallel --
-// the verdict is a pure AND over per-node checks, so it is deterministic at
-// every thread width -- and each check reads only the node's own slot and its
-// neighbors' slots, exactly the locality a LOCAL-model checker is allowed.
-// ---------------------------------------------------------------------------
 
 /// No kIn vertex has a kIn neighbor, and no vertex is kUndecided.
 [[nodiscard]] bool csrIsIndependentSet(const CsrGraph& g,
@@ -93,5 +51,47 @@ using EdgeOrientation = std::vector<int>;
 [[nodiscard]] bool csrIsZeroOutdegreeDominatingSet(
     const CsrGraph& g, std::span<const std::uint8_t> inSet,
     std::span<const Vertex> dominator, int numThreads);
+
+/// Largest number of G[S] neighbors of a member of S (0 for an empty S).
+[[nodiscard]] int csrInducedMaxDegree(const CsrGraph& g,
+                                      std::span<const std::uint8_t> inSet,
+                                      int numThreads);
+
+/// Largest number of outgoing G[S] half-edges at a member of S; -1 if some
+/// G[S] edge is not oriented.
+[[nodiscard]] int csrInducedMaxOutdegree(
+    const CsrGraph& g, std::span<const std::uint8_t> inSet,
+    std::span<const std::uint8_t> outgoing, int numThreads);
+
+/// The defect of a coloring: the largest number of same-colored neighbors.
+[[nodiscard]] int csrDefect(const CsrGraph& g,
+                            std::span<const std::uint32_t> colors,
+                            int numThreads);
+
+/// The arbdefect of a coloring under `outgoing`: the largest number of
+/// outgoing half-edges to same-colored neighbors; -1 if an edge inside a
+/// color class is not oriented.
+[[nodiscard]] int csrArbdefect(const CsrGraph& g,
+                               std::span<const std::uint32_t> colors,
+                               std::span<const std::uint8_t> outgoing,
+                               int numThreads);
+
+/// k-degree dominating set: dominating, and G[S] has max degree <= k.
+/// With k = 0 this is the MIS check.
+[[nodiscard]] bool csrIsKDegreeDominatingSet(const CsrGraph& g,
+                                             std::span<const std::uint8_t> inSet,
+                                             int k, int numThreads);
+
+/// k-outdegree dominating set: dominating, every G[S] edge oriented, and
+/// every member has outdegree <= k.
+[[nodiscard]] bool csrIsKOutdegreeDominatingSet(
+    const CsrGraph& g, std::span<const std::uint8_t> inSet,
+    std::span<const std::uint8_t> outgoing, int k, int numThreads);
+
+/// Orients every G[S] edge from the smaller to the larger node id (the
+/// paper's remark after Corollary 2: a k-degree dominating set becomes a
+/// k-outdegree dominating set under *any* orientation).
+[[nodiscard]] std::vector<std::uint8_t> orientInduced(
+    const CsrGraph& g, std::span<const std::uint8_t> inSet);
 
 }  // namespace relb::local

@@ -9,6 +9,8 @@
 
 #include "core/conversions.hpp"
 #include "core/sequence.hpp"
+#include "local/upper_bounds.hpp"
+#include "support/graphs.hpp"
 
 namespace relb::core {
 namespace {
@@ -17,21 +19,14 @@ class CascadeTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(CascadeTest, FullChainOnConcreteTree) {
   const int delta = GetParam();
-  const auto g = local::completeRegularTree(delta, 2);
-  ASSERT_TRUE(g.edgeColoringIsProper(delta));
+  const auto g = testsupport::completeTree(delta, 2);
+  const auto colors = local::treeEdgeColoring(g);
+  ASSERT_TRUE(local::isProperEdgeColoring(g, colors, delta));
 
   // Greedy MIS -> Lemma 5 -> Pi(delta, 0).
-  std::vector<bool> inSet(static_cast<std::size_t>(g.numNodes()), false);
-  for (local::NodeId v = 0; v < g.numNodes(); ++v) {
-    bool blocked = false;
-    for (const auto& he : g.neighbors(v)) {
-      if (inSet[static_cast<std::size_t>(he.neighbor)]) blocked = true;
-    }
-    if (!blocked) inSet[static_cast<std::size_t>(v)] = true;
-  }
-  local::EdgeOrientation orientation(static_cast<std::size_t>(g.numEdges()),
-                                     0);
-  auto labeling = lemma5Labeling(g, inSet, orientation, delta, 0);
+  auto labeling = lemma5Labeling(
+      g, local::greedyMis(g), std::vector<std::uint8_t>(g.numHalfEdges(), 0),
+      0);
 
   re::Count a = delta;
   re::Count x = 0;
@@ -41,14 +36,14 @@ TEST_P(CascadeTest, FullChainOnConcreteTree) {
   int conversions = 0;
   while (2 * x + 1 <= a && x + 1 <= a && x + 1 <= delta) {
     // Zero-round embed Pi(a, x) -> Pi+(a, x).
-    const auto plus = plusFromFamilyLabeling(g, labeling, delta, a, x);
+    const auto plus = plusFromFamilyLabeling(g, labeling, a, x);
     const auto plusCheck =
         local::checkLabeling(g, familyPlusProblem(delta, a, x), plus);
     ASSERT_TRUE(plusCheck.ok())
         << "step " << conversions << " plus: "
         << (plusCheck.messages.empty() ? "" : plusCheck.messages.front());
     // Zero-round Lemma 9 conversion.
-    labeling = lemma9Convert(g, plus, delta, a, x);
+    labeling = lemma9Convert(g, colors, plus, a, x);
     const FamilyParams next = speedupParams({delta, a, x});
     a = next.a;
     x = next.x;

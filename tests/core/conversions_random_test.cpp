@@ -4,17 +4,17 @@
 // is vacuous.
 #include <gtest/gtest.h>
 
-#include <random>
-
 #include "core/conversions.hpp"
+#include "local/upper_bounds.hpp"
 #include "support/env_seed.hpp"
+#include "support/graphs.hpp"
 
 namespace relb::core {
 namespace {
 
 struct RandomConvCase {
-  int n;
-  int maxDegree;
+  local::Vertex n;
+  std::uint32_t maxDegree;
   re::Count a;
   re::Count x;
   unsigned seed;
@@ -26,20 +26,19 @@ TEST_P(Lemma9RandomTrees, ConvertsOnIrregularTrees) {
   const auto param = GetParam();
   const unsigned seed = testsupport::effectiveSeed(param.seed);
   const testsupport::TraceSeed trace(seed);
-  std::mt19937 rng(seed);
-  const auto g = local::randomTree(param.n, param.maxDegree, rng);
+  const auto g = testsupport::randomTree(param.n, param.maxDegree, seed);
   const re::Count delta = param.maxDegree;
-  ASSERT_TRUE(g.edgeColoringIsProper(param.maxDegree));
+  const auto colors = local::treeEdgeColoring(g);
+  ASSERT_TRUE(local::isProperEdgeColoring(g, colors, param.maxDegree));
 
-  const auto plus = syntheticPlusLabelingAlternating(g, delta, param.a,
-                                                     param.x);
+  const auto plus = syntheticPlusLabelingAlternating(g, param.a, param.x);
   const auto plusCheck =
       local::checkLabeling(g, familyPlusProblem(delta, param.a, param.x),
                            plus);
   ASSERT_TRUE(plusCheck.ok())
       << (plusCheck.messages.empty() ? "" : plusCheck.messages.front());
 
-  const auto converted = lemma9Convert(g, plus, delta, param.a, param.x);
+  const auto converted = lemma9Convert(g, colors, plus, param.a, param.x);
   const re::Count aNew = (param.a - 2 * param.x - 1) / 2;
   const auto check = local::checkLabeling(
       g, familyProblem(delta, aNew, param.x + 1), converted);
@@ -66,14 +65,16 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 TEST(Lemma9Pathological, StarAndBroom) {
-  for (const auto& g : {local::starGraph(9), local::broomGraph(10, 8)}) {
+  for (const local::CsrGraph& g :
+       {testsupport::starGraph(9), testsupport::broomGraph(10, 8)}) {
     const re::Count delta = g.maxDegree();
     const re::Count a = delta - 1, x = 1;
     if (2 * x + 1 > a) continue;
-    const auto plus = syntheticPlusLabelingAlternating(g, delta, a, x);
+    const auto plus = syntheticPlusLabelingAlternating(g, a, x);
     ASSERT_TRUE(
         local::checkLabeling(g, familyPlusProblem(delta, a, x), plus).ok());
-    const auto converted = lemma9Convert(g, plus, delta, a, x);
+    const auto converted =
+        lemma9Convert(g, local::treeEdgeColoring(g), plus, a, x);
     const re::Count aNew = (a - 2 * x - 1) / 2;
     EXPECT_TRUE(
         local::checkLabeling(g, familyProblem(delta, aNew, x + 1), converted)
@@ -84,22 +85,12 @@ TEST(Lemma9Pathological, StarAndBroom) {
 TEST(Lemma5Random, WorksOnIrregularTrees) {
   const unsigned seed = testsupport::effectiveSeed(9);
   const testsupport::TraceSeed trace(seed);
-  std::mt19937 rng(seed);
-  for (int trial = 0; trial < 5; ++trial) {
-    const auto g = local::randomTree(100, 6, rng);
+  for (unsigned trial = 0; trial < 5; ++trial) {
+    const auto g = testsupport::randomTree(100, 6, seed * 5 + trial);
     // Greedy MIS as a 0-outdegree dominating set.
-    std::vector<bool> inSet(static_cast<std::size_t>(g.numNodes()), false);
-    for (local::NodeId v = 0; v < g.numNodes(); ++v) {
-      bool blocked = false;
-      for (const auto& he : g.neighbors(v)) {
-        if (inSet[static_cast<std::size_t>(he.neighbor)]) blocked = true;
-      }
-      if (!blocked) inSet[static_cast<std::size_t>(v)] = true;
-    }
-    local::EdgeOrientation orientation(
-        static_cast<std::size_t>(g.numEdges()), 0);
-    const auto labeling =
-        lemma5Labeling(g, inSet, orientation, g.maxDegree(), 0);
+    const auto labeling = lemma5Labeling(
+        g, local::greedyMis(g),
+        std::vector<std::uint8_t>(g.numHalfEdges(), 0), 0);
     EXPECT_TRUE(
         local::checkLabeling(g, familyProblem(g.maxDegree(), g.maxDegree(), 0),
                              labeling)
@@ -111,25 +102,16 @@ TEST(Lemma11Random, ChainedRelaxations) {
   // Relax in two hops and in one hop; both must validate.
   const unsigned seed = testsupport::effectiveSeed(4);
   const testsupport::TraceSeed trace(seed);
-  std::mt19937 rng(seed);
-  const auto g = local::randomTree(80, 5, rng);
+  const auto g = testsupport::randomTree(80, 5, seed);
   const re::Count delta = 5;
-  std::vector<bool> inSet(static_cast<std::size_t>(g.numNodes()), false);
-  for (local::NodeId v = 0; v < g.numNodes(); ++v) {
-    bool blocked = false;
-    for (const auto& he : g.neighbors(v)) {
-      if (inSet[static_cast<std::size_t>(he.neighbor)]) blocked = true;
-    }
-    if (!blocked) inSet[static_cast<std::size_t>(v)] = true;
-  }
-  local::EdgeOrientation orientation(static_cast<std::size_t>(g.numEdges()),
-                                     0);
-  const auto base = lemma5Labeling(g, inSet, orientation, delta, 0);
-  const auto hop1 = lemma11Relax(g, base, delta, delta, 0, 4, 1);
+  const auto base = lemma5Labeling(
+      g, local::greedyMis(g), std::vector<std::uint8_t>(g.numHalfEdges(), 0),
+      0);
+  const auto hop1 = lemma11Relax(g, base, delta, 0, 4, 1);
   ASSERT_TRUE(local::checkLabeling(g, familyProblem(delta, 4, 1), hop1).ok());
-  const auto hop2 = lemma11Relax(g, hop1, delta, 4, 1, 2, 2);
+  const auto hop2 = lemma11Relax(g, hop1, 4, 1, 2, 2);
   EXPECT_TRUE(local::checkLabeling(g, familyProblem(delta, 2, 2), hop2).ok());
-  const auto direct = lemma11Relax(g, base, delta, delta, 0, 2, 2);
+  const auto direct = lemma11Relax(g, base, delta, 0, 2, 2);
   EXPECT_TRUE(
       local::checkLabeling(g, familyProblem(delta, 2, 2), direct).ok());
 }

@@ -7,36 +7,31 @@
 #include <random>
 
 #include "core/sequence.hpp"
+#include "local/upper_bounds.hpp"
+#include "local/verify.hpp"
+#include "support/graphs.hpp"
 
 namespace relb::core {
 namespace {
 
-using local::Graph;
+using local::CsrGraph;
 using local::HalfEdgeLabeling;
 using re::Count;
+using testsupport::completeTree;
 
 // A greedy k-outdegree dominating set for testing Lemma 5: greedy MIS is a
 // 0-outdegree dominating set, which is also valid for every k >= 0.
-std::pair<std::vector<bool>, local::EdgeOrientation> greedyMisAsDs(
-    const Graph& g) {
-  std::vector<bool> inSet(static_cast<std::size_t>(g.numNodes()), false);
-  for (local::NodeId v = 0; v < g.numNodes(); ++v) {
-    bool blocked = false;
-    for (const auto& he : g.neighbors(v)) {
-      if (inSet[static_cast<std::size_t>(he.neighbor)]) blocked = true;
-    }
-    if (!blocked) inSet[static_cast<std::size_t>(v)] = true;
-  }
-  return {inSet, local::EdgeOrientation(static_cast<std::size_t>(g.numEdges()), 0)};
+std::pair<std::vector<std::uint8_t>, std::vector<std::uint8_t>> greedyMisAsDs(
+    const CsrGraph& g) {
+  return {local::greedyMis(g), std::vector<std::uint8_t>(g.numHalfEdges(), 0)};
 }
 
 TEST(Lemma5, ProducesValidFamilySolutionOnRegularTree) {
-  for (int delta : {3, 4, 5}) {
-    const Graph g = local::completeRegularTree(delta, 3);
-    const auto [inSet, orientation] = greedyMisAsDs(g);
+  for (const std::uint32_t delta : {3u, 4u, 5u}) {
+    const CsrGraph g = completeTree(delta, 3);
+    const auto [inSet, outgoing] = greedyMisAsDs(g);
     for (Count k : {0, 1, 2}) {
-      const auto labeling =
-          lemma5Labeling(g, inSet, orientation, delta, k);
+      const auto labeling = lemma5Labeling(g, inSet, outgoing, k);
       const auto pi = familyProblem(delta, delta, k);
       const auto check = local::checkLabeling(g, pi, labeling);
       EXPECT_TRUE(check.ok())
@@ -47,26 +42,24 @@ TEST(Lemma5, ProducesValidFamilySolutionOnRegularTree) {
 }
 
 TEST(Lemma5, RejectsInvalidDominatingSet) {
-  const Graph g = local::completeRegularTree(3, 2);
-  std::vector<bool> empty(static_cast<std::size_t>(g.numNodes()), false);
-  local::EdgeOrientation orientation(
-      static_cast<std::size_t>(g.numEdges()), 0);
-  EXPECT_THROW(lemma5Labeling(g, empty, orientation, 3, 0), re::Error);
+  const CsrGraph g = completeTree(3, 2);
+  const std::vector<std::uint8_t> empty(g.numNodes(), 0);
+  const std::vector<std::uint8_t> outgoing(g.numHalfEdges(), 0);
+  EXPECT_THROW((void)lemma5Labeling(g, empty, outgoing, 0), re::Error);
 }
 
 TEST(Lemma5, WorksWithNonzeroOutdegrees) {
   // Take ALL nodes into the set and orient edges by BFS layer (towards the
   // root): outdegree <= 1, a valid 1-outdegree dominating set.
-  const Graph g = local::completeRegularTree(3, 3);
-  std::vector<bool> all(static_cast<std::size_t>(g.numNodes()), true);
-  local::EdgeOrientation orientation(
-      static_cast<std::size_t>(g.numEdges()), 0);
-  for (local::EdgeId e = 0; e < g.numEdges(); ++e) {
-    // completeRegularTree adds edges parent -> child; orient child-to-parent.
-    orientation[static_cast<std::size_t>(e)] = -1;
+  const CsrGraph g = completeTree(3, 3);
+  const std::vector<std::uint8_t> all(g.numNodes(), 1);
+  // Orient child-to-parent: port 0 of every non-root node is its parent.
+  std::vector<std::uint8_t> outgoing(g.numHalfEdges(), 0);
+  for (local::Vertex v = 1; v < g.numNodes(); ++v) {
+    outgoing[g.halfEdge(v, 0)] = 1;
   }
-  ASSERT_TRUE(local::isKOutdegreeDominatingSet(g, all, orientation, 1));
-  const auto labeling = lemma5Labeling(g, all, orientation, 3, 1);
+  ASSERT_TRUE(local::csrIsKOutdegreeDominatingSet(g, all, outgoing, 1, 1));
+  const auto labeling = lemma5Labeling(g, all, outgoing, 1);
   const auto check =
       local::checkLabeling(g, familyProblem(3, 3, 1), labeling);
   EXPECT_TRUE(check.ok())
@@ -74,7 +67,7 @@ TEST(Lemma5, WorksWithNonzeroOutdegrees) {
 }
 
 struct ConvParams {
-  int delta;
+  std::uint32_t delta;
   Count a;
   Count x;
 };
@@ -83,16 +76,17 @@ class Lemma9Sweep : public ::testing::TestWithParam<ConvParams> {};
 
 TEST_P(Lemma9Sweep, AlternatingSyntheticSolutionConverts) {
   const auto [delta, a, x] = GetParam();
-  const Graph g = local::completeRegularTree(delta, 4);
-  ASSERT_TRUE(g.edgeColoringIsProper(delta));
-  const auto plus = syntheticPlusLabelingAlternating(g, delta, a, x);
+  const CsrGraph g = completeTree(delta, 4);
+  const auto colors = local::treeEdgeColoring(g);
+  ASSERT_TRUE(local::isProperEdgeColoring(g, colors, delta));
+  const auto plus = syntheticPlusLabelingAlternating(g, a, x);
   // Input must solve Pi+.
   const auto plusCheck =
       local::checkLabeling(g, familyPlusProblem(delta, a, x), plus);
   ASSERT_TRUE(plusCheck.ok())
       << (plusCheck.messages.empty() ? "" : plusCheck.messages.front());
   // The conversion must solve Pi(floor((a-2x-1)/2), x+1).
-  const auto converted = lemma9Convert(g, plus, delta, a, x);
+  const auto converted = lemma9Convert(g, colors, plus, a, x);
   const Count aNew = (a - 2 * x - 1) / 2;
   const auto check =
       local::checkLabeling(g, familyProblem(delta, aNew, x + 1), converted);
@@ -117,16 +111,16 @@ TEST(Lemma9, FullPipelineFromDominatingSet) {
   // k-outdegree DS --Lemma5--> Pi(delta, a, x) --embed--> Pi+(a, x)
   // --Lemma9--> Pi(a', x+1): the complete one-step speedup realized on a
   // concrete tree.
-  const int delta = 6;
-  const Count a = 6, x = 0;
-  const Graph g = local::completeRegularTree(delta, 3);
-  const auto [inSet, orientation] = greedyMisAsDs(g);
-  const auto base = lemma5Labeling(g, inSet, orientation, delta, x);
+  const Count delta = 6, a = 6, x = 0;
+  const CsrGraph g = completeTree(6, 3);
+  const auto [inSet, outgoing] = greedyMisAsDs(g);
+  const auto base = lemma5Labeling(g, inSet, outgoing, x);
   ASSERT_TRUE(local::checkLabeling(g, familyProblem(delta, a, x), base).ok());
-  const auto plus = plusFromFamilyLabeling(g, base, delta, a, x);
+  const auto plus = plusFromFamilyLabeling(g, base, a, x);
   ASSERT_TRUE(
       local::checkLabeling(g, familyPlusProblem(delta, a, x), plus).ok());
-  const auto converted = lemma9Convert(g, plus, delta, a, x);
+  const auto converted =
+      lemma9Convert(g, local::treeEdgeColoring(g), plus, a, x);
   const Count aNew = (a - 2 * x - 1) / 2;
   const auto check =
       local::checkLabeling(g, familyProblem(delta, aNew, x + 1), converted);
@@ -135,30 +129,28 @@ TEST(Lemma9, FullPipelineFromDominatingSet) {
 }
 
 TEST(Lemma9, RequiresEdgeColoring) {
-  Graph g(3);
-  g.addEdge(0, 1);
-  g.addEdge(1, 2);
-  const HalfEdgeLabeling dummy(g);
-  EXPECT_THROW(lemma9Convert(g, dummy, 2, 3, 1), re::Error);
+  const CsrGraph g = testsupport::pathGraph(3);
+  const HalfEdgeLabeling dummy(g.numHalfEdges());
+  EXPECT_THROW((void)lemma9Convert(g, {}, dummy, 3, 1), re::Error);
 }
 
 TEST(Lemma9, RequiresParameterRange) {
-  const Graph g = local::completeRegularTree(3, 2);
-  const HalfEdgeLabeling dummy(g);
-  EXPECT_THROW(lemma9Convert(g, dummy, 3, 2, 1), re::Error);  // 2x+1 > a
+  const CsrGraph g = completeTree(3, 2);
+  const HalfEdgeLabeling dummy(g.numHalfEdges());
+  EXPECT_THROW((void)lemma9Convert(g, local::treeEdgeColoring(g), dummy, 2, 1),
+               re::Error);  // 2x+1 > a
 }
 
 TEST(Lemma11, RelaxationStaysValid) {
-  const int delta = 5;
-  const Graph g = local::completeRegularTree(delta, 3);
-  const auto [inSet, orientation] = greedyMisAsDs(g);
-  const auto base = lemma5Labeling(g, inSet, orientation, delta, 0);
+  const Count delta = 5;
+  const CsrGraph g = completeTree(5, 3);
+  const auto [inSet, outgoing] = greedyMisAsDs(g);
+  const auto base = lemma5Labeling(g, inSet, outgoing, 0);
   ASSERT_TRUE(
       local::checkLabeling(g, familyProblem(delta, delta, 0), base).ok());
   for (Count aTo : {5, 3, 1}) {
     for (Count xTo : {0, 1, 2}) {
-      const auto relaxed =
-          lemma11Relax(g, base, delta, delta, 0, aTo, xTo);
+      const auto relaxed = lemma11Relax(g, base, delta, 0, aTo, xTo);
       const auto check =
           local::checkLabeling(g, familyProblem(delta, aTo, xTo), relaxed);
       EXPECT_TRUE(check.ok()) << "aTo=" << aTo << " xTo=" << xTo;
@@ -167,25 +159,25 @@ TEST(Lemma11, RelaxationStaysValid) {
 }
 
 TEST(Lemma11, RejectsWrongDirection) {
-  const Graph g = local::completeRegularTree(3, 2);
-  const HalfEdgeLabeling dummy(g);
-  EXPECT_THROW(lemma11Relax(g, dummy, 3, 2, 1, 3, 1), re::Error);  // aTo > aFrom
-  EXPECT_THROW(lemma11Relax(g, dummy, 3, 2, 1, 2, 0), re::Error);  // xTo < xFrom
+  const CsrGraph g = completeTree(3, 2);
+  const HalfEdgeLabeling dummy(g.numHalfEdges());
+  EXPECT_THROW((void)lemma11Relax(g, dummy, 2, 1, 3, 1),
+               re::Error);  // aTo > aFrom
+  EXPECT_THROW((void)lemma11Relax(g, dummy, 2, 1, 2, 0),
+               re::Error);  // xTo < xFrom
 }
 
 TEST(Conversions, FailureInjectionCheckerCatchesCorruption) {
   // Corrupt a valid labeling and confirm the checker rejects it -- the
   // verification in the other tests is not vacuous.
-  const int delta = 4;
-  const Graph g = local::completeRegularTree(delta, 3);
-  const auto [inSet, orientation] = greedyMisAsDs(g);
-  auto labeling = lemma5Labeling(g, inSet, orientation, delta, 0);
-  const auto pi = familyProblem(delta, delta, 0);
+  const CsrGraph g = completeTree(4, 3);
+  const auto [inSet, outgoing] = greedyMisAsDs(g);
+  auto labeling = lemma5Labeling(g, inSet, outgoing, 0);
+  const auto pi = familyProblem(4, 4, 0);
   ASSERT_TRUE(local::checkLabeling(g, pi, labeling).ok());
-  // Make both endpoints of edge 0 claim M: MM is forbidden.
-  const auto [u, v] = g.endpoints(0);
-  labeling.set(u, g.portOf(u, 0), kM);
-  labeling.set(v, g.portOf(v, 0), kM);
+  // Make both endpoints of the edge 0-1 claim M: MM is forbidden.
+  labeling[g.halfEdge(0, g.portOf(0, 1))] = kM;
+  labeling[g.halfEdge(1, g.portOf(1, 0))] = kM;
   const auto check = local::checkLabeling(g, pi, labeling);
   EXPECT_FALSE(check.ok());
   EXPECT_GT(check.edgeViolations, 0);

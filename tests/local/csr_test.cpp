@@ -13,20 +13,17 @@
 #endif
 
 #include "local/families.hpp"
-#include "local/graph.hpp"
 #include "re/types.hpp"
 
 namespace relb::local {
 namespace {
 
-/// The legacy pointer-per-node Graph built from the same parent array --
-/// the round-trip oracle for the CSR layout.
-Graph legacyFromParents(const std::vector<Vertex>& parents) {
-  Graph g(static_cast<NodeId>(parents.size()));
-  for (std::size_t v = 1; v < parents.size(); ++v) {
-    g.addEdge(static_cast<NodeId>(parents[v]), static_cast<NodeId>(v));
-  }
-  return g;
+/// The same tree built from its edge list -- the round-trip oracle for the
+/// owner-computes parent build.
+CsrGraph fromParentEdges(const std::vector<Vertex>& parents) {
+  std::vector<std::pair<Vertex, Vertex>> edges;
+  for (Vertex v = 1; v < parents.size(); ++v) edges.emplace_back(parents[v], v);
+  return CsrGraph::fromEdges(static_cast<Vertex>(parents.size()), edges);
 }
 
 std::vector<Vertex> sortedNeighbors(const CsrGraph& g, Vertex v) {
@@ -36,27 +33,16 @@ std::vector<Vertex> sortedNeighbors(const CsrGraph& g, Vertex v) {
   return out;
 }
 
-std::vector<Vertex> sortedLegacyNeighbors(const Graph& g, NodeId v) {
-  std::vector<Vertex> out;
-  for (const HalfEdge& he : g.neighbors(v)) {
-    out.push_back(static_cast<Vertex>(he.neighbor));
-  }
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
-TEST(Csr, FromParentsRoundTripsAgainstLegacyGraph) {
+TEST(Csr, FromParentsRoundTripsAgainstEdgeListBuild) {
   const TreeInstance inst = makeTree(Family::kRandomTree, 500, 0, 42);
-  const Graph legacy = legacyFromParents(inst.parents);
+  const CsrGraph oracle = fromParentEdges(inst.parents);
 
   ASSERT_EQ(inst.graph.numNodes(), 500u);
   EXPECT_EQ(inst.graph.numHalfEdges(), 2u * 499u);
-  EXPECT_EQ(static_cast<int>(inst.graph.maxDegree()), legacy.maxDegree());
+  EXPECT_EQ(inst.graph.maxDegree(), oracle.maxDegree());
   for (Vertex v = 0; v < inst.graph.numNodes(); ++v) {
-    EXPECT_EQ(static_cast<int>(inst.graph.degree(v)),
-              legacy.degree(static_cast<NodeId>(v)));
-    EXPECT_EQ(sortedNeighbors(inst.graph, v),
-              sortedLegacyNeighbors(legacy, static_cast<NodeId>(v)));
+    EXPECT_EQ(inst.graph.degree(v), oracle.degree(v));
+    EXPECT_EQ(sortedNeighbors(inst.graph, v), sortedNeighbors(oracle, v));
   }
 }
 
@@ -116,6 +102,21 @@ TEST(Csr, SingleNodeGraph) {
   EXPECT_EQ(g.numHalfEdges(), 0u);
   EXPECT_EQ(g.maxDegree(), 0u);
   EXPECT_TRUE(g.neighbors(0).empty());
+}
+
+TEST(Csr, BasicAdjacency) {
+  // Path 0-1-2 from an edge list: ports follow edge enumeration order.
+  const std::vector<std::pair<Vertex, Vertex>> edges{{0, 1}, {1, 2}};
+  const CsrGraph g = CsrGraph::fromEdges(3, edges);
+  EXPECT_EQ(g.numNodes(), 3u);
+  EXPECT_EQ(g.numHalfEdges(), 4u);
+  EXPECT_EQ(g.degree(0), 1u);
+  EXPECT_EQ(g.degree(1), 2u);
+  EXPECT_EQ(g.neighbors(0)[0], 1u);
+  EXPECT_EQ(g.portOf(1, 0), 0u);
+  EXPECT_EQ(g.portOf(1, 2), 1u);
+  EXPECT_EQ(g.halfEdge(1, 1), 2u);
+  EXPECT_THROW((void)g.portOf(0, 2), re::Error);
 }
 
 TEST(Csr, RejectsMalformedInput) {

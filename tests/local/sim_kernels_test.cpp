@@ -1,8 +1,8 @@
 // Kernel-vs-oracle tests: every frontier kernel's output is re-checked by
-// BOTH verifier tiers -- the parallel CSR verifiers it ships with and the
-// legacy gadget-sized local::verify checkers, after converting the instance
-// back to the pointer-per-node Graph.  Agreement of two independently
-// written checkers is the oracle.
+// TWO verifier tiers -- the MisFlag/certificate verifiers it ships with and
+// the byte-set k-(out)degree dominating-set verifiers (an MIS is a 0-degree
+// dominating set), or a walk over the parent array.  Agreement of two
+// independently written checkers is the oracle.
 #include "local/kernels.hpp"
 
 #include <gtest/gtest.h>
@@ -12,32 +12,21 @@
 #include <vector>
 
 #include "local/families.hpp"
-#include "local/graph.hpp"
 #include "local/verify.hpp"
 
 namespace relb::local {
 namespace {
 
-Graph legacyFromParents(const std::vector<Vertex>& parents) {
-  Graph g(static_cast<NodeId>(parents.size()));
-  for (std::size_t v = 1; v < parents.size(); ++v) {
-    g.addEdge(static_cast<NodeId>(parents[v]), static_cast<NodeId>(v));
-  }
-  return g;
-}
-
-std::vector<bool> toBoolSet(const std::vector<MisFlag>& state) {
-  std::vector<bool> out(state.size(), false);
+std::vector<std::uint8_t> toByteSet(const std::vector<MisFlag>& state) {
+  std::vector<std::uint8_t> out(state.size(), 0);
   for (std::size_t v = 0; v < state.size(); ++v) {
-    out[v] = state[v] == MisFlag::kIn;
+    out[v] = state[v] == MisFlag::kIn ? 1 : 0;
   }
   return out;
 }
 
-std::vector<bool> toBoolSet(const std::vector<std::uint8_t>& inSet) {
-  std::vector<bool> out(inSet.size(), false);
-  for (std::size_t v = 0; v < inSet.size(); ++v) out[v] = inSet[v] != 0;
-  return out;
+bool isMisByteSet(const CsrGraph& g, const std::vector<MisFlag>& state) {
+  return csrIsKDegreeDominatingSet(g, toByteSet(state), 0, 1);
 }
 
 TEST(SimKernels, LubyMisAcceptedByBothVerifierTiers) {
@@ -47,8 +36,7 @@ TEST(SimKernels, LubyMisAcceptedByBothVerifierTiers) {
       const MisRun run = lubyMis(inst.graph, seed, 1);
       EXPECT_TRUE(csrIsMaximalIndependentSet(inst.graph, run.state, 1))
           << familyName(family) << " seed " << seed;
-      const Graph legacy = legacyFromParents(inst.parents);
-      EXPECT_TRUE(isMaximalIndependentSet(legacy, toBoolSet(run.state)))
+      EXPECT_TRUE(isMisByteSet(inst.graph, run.state))
           << familyName(family) << " seed " << seed;
       EXPECT_GT(run.rounds, 0);
       EXPECT_GT(run.misSize, 0u);
@@ -63,12 +51,9 @@ TEST(SimKernels, ColorReductionYieldsProper3ColoringOnEveryFamily) {
     EXPECT_LE(run.numColors, 3u) << familyName(family);
     EXPECT_TRUE(csrIsProperColoring(inst.graph, run.colors, 3, 1))
         << familyName(family);
-    // Independent oracle: walk the legacy edge list.
-    const Graph legacy = legacyFromParents(inst.parents);
-    for (EdgeId e = 0; e < legacy.numEdges(); ++e) {
-      const auto [u, v] = legacy.endpoints(e);
-      EXPECT_NE(run.colors[static_cast<std::size_t>(u)],
-                run.colors[static_cast<std::size_t>(v)]);
+    // Independent oracle: walk the parent array's edges.
+    for (Vertex v = 1; v < inst.parents.size(); ++v) {
+      EXPECT_NE(run.colors[v], run.colors[inst.parents[v]]);
     }
     EXPECT_GT(run.rounds, 0);
   }
@@ -84,19 +69,16 @@ TEST(SimKernels, DomsetReductionIsAZeroOutdegreeDominatingSet) {
     EXPECT_TRUE(csrIsZeroOutdegreeDominatingSet(inst.graph, run.inSet,
                                                 run.dominator, 1))
         << familyName(family);
-    // Legacy oracle: the set dominates and G[S] admits an orientation of
+    // Second tier: the set dominates and G[S] admits an orientation of
     // outdegree 0 (Section 1.1's reduction target with k = 0).
-    const Graph legacy = legacyFromParents(inst.parents);
-    const std::vector<bool> inSet = toBoolSet(run.inSet);
-    const EdgeOrientation orientation = orientInduced(legacy, inSet);
-    EXPECT_TRUE(isKOutdegreeDominatingSet(legacy, inSet, orientation, 0))
+    EXPECT_TRUE(csrIsKOutdegreeDominatingSet(
+        inst.graph, run.inSet, orientInduced(inst.graph, run.inSet), 0, 1))
         << familyName(family);
   }
 }
 
 TEST(SimKernels, CorruptedMisStateRejectedByBothTiers) {
   const TreeInstance inst = makeTree(Family::kRandomTree, 200, 0, 9);
-  const Graph legacy = legacyFromParents(inst.parents);
   MisRun run = lubyMis(inst.graph, 9, 1);
 
   // Force an edge inside the set: some member's parent or child joins too.
@@ -109,7 +91,7 @@ TEST(SimKernels, CorruptedMisStateRejectedByBothTiers) {
   }
   EXPECT_FALSE(csrIsIndependentSet(inst.graph, adjacent, 1));
   EXPECT_FALSE(csrIsMaximalIndependentSet(inst.graph, adjacent, 1));
-  EXPECT_FALSE(isMaximalIndependentSet(legacy, toBoolSet(adjacent)));
+  EXPECT_FALSE(isMisByteSet(inst.graph, adjacent));
 
   // Drop one member: its (now uncovered) neighborhood breaks maximality.
   std::vector<MisFlag> dropped = run.state;
@@ -120,7 +102,7 @@ TEST(SimKernels, CorruptedMisStateRejectedByBothTiers) {
     }
   }
   EXPECT_FALSE(csrIsMaximalIndependentSet(inst.graph, dropped, 1));
-  EXPECT_FALSE(isMaximalIndependentSet(legacy, toBoolSet(dropped)));
+  EXPECT_FALSE(isMisByteSet(inst.graph, dropped));
 
   // Undecided slots are never a valid final state.
   std::vector<MisFlag> undecided = run.state;

@@ -9,19 +9,33 @@
 #include <random>
 
 #include "core/family.hpp"
+#include "local/families.hpp"
 #include "local/halfedge.hpp"
 #include "local/verify.hpp"
 #include "re/zero_round.hpp"
+#include "support/graphs.hpp"
 
 namespace relb::local {
 namespace {
+
+/// Every node outputs `assignment[p]` on its port p.
+HalfEdgeLabeling samePortLabels(const CsrGraph& g,
+                                const std::vector<re::Label>& assignment) {
+  HalfEdgeLabeling labeling(g.numHalfEdges());
+  for (Vertex v = 0; v < g.numNodes(); ++v) {
+    for (std::uint32_t p = 0; p < g.degree(v); ++p) {
+      labeling[g.halfEdge(v, p)] = assignment[p];
+    }
+  }
+  return labeling;
+}
 
 TEST(ZeroRoundGadget, EveryDeterministicStrategyFailsOnTheFamily) {
   // Delta = 4, Pi_4(2,1): enumerate a sample of pure strategies (word +
   // port assignment) and run each as the common output of all nodes.
   const int delta = 4;
   const auto pi = core::familyProblem(delta, 2, 1);
-  const Graph g = symmetricPortGadget(delta);
+  const CsrGraph g = symmetricPortGadget(delta);
   std::mt19937 rng(11);
   std::uniform_int_distribution<int> labelDist(0, pi.alphabet.size() - 1);
   int validStrategies = 0;
@@ -37,13 +51,9 @@ TEST(ZeroRoundGadget, EveryDeterministicStrategyFailsOnTheFamily) {
     }
     if (!pi.node.containsWord(word)) continue;
     ++testedWords;
-    HalfEdgeLabeling labeling(g);
-    for (NodeId v = 0; v < g.numNodes(); ++v) {
-      for (Port p = 0; p < g.degree(v); ++p) {
-        labeling.set(v, p, assignment[static_cast<std::size_t>(p)]);
-      }
+    if (checkLabeling(g, pi, samePortLabels(g, assignment)).ok()) {
+      ++validStrategies;
     }
-    if (checkLabeling(g, pi, labeling).ok()) ++validStrategies;
   }
   EXPECT_GT(testedWords, 0);
   EXPECT_EQ(validStrategies, 0) << "Lemma 12 violated by some strategy";
@@ -56,8 +66,7 @@ TEST(ZeroRoundGadget, TrivialProblemSucceedsOnTheGadget) {
   const auto pi = core::familyProblem(delta, 0, 1);
   const auto witness = re::zeroRoundSymmetricWitness(pi);
   ASSERT_TRUE(witness.has_value());
-  const Graph g = symmetricPortGadget(delta);
-  HalfEdgeLabeling labeling(g);
+  const CsrGraph g = symmetricPortGadget(delta);
   // Spread the witness word over the ports (any assignment works since all
   // witness labels are self-compatible).
   std::vector<re::Label> assignment;
@@ -67,12 +76,7 @@ TEST(ZeroRoundGadget, TrivialProblemSucceedsOnTheGadget) {
     }
   }
   ASSERT_EQ(assignment.size(), static_cast<std::size_t>(delta));
-  for (NodeId v = 0; v < g.numNodes(); ++v) {
-    for (Port p = 0; p < g.degree(v); ++p) {
-      labeling.set(v, p, assignment[static_cast<std::size_t>(p)]);
-    }
-  }
-  EXPECT_TRUE(checkLabeling(g, pi, labeling).ok());
+  EXPECT_TRUE(checkLabeling(g, pi, samePortLabels(g, assignment)).ok());
 }
 
 TEST(ZeroRoundGadget, RandomizedUniformStrategyFailureRate) {
@@ -81,15 +85,15 @@ TEST(ZeroRoundGadget, RandomizedUniformStrategyFailureRate) {
   // Lemma 15.
   const int delta = 3;
   const auto pi = core::familyProblem(delta, 2, 1);
-  const Graph g = symmetricPortGadget(delta);
+  const CsrGraph g = symmetricPortGadget(delta);
   std::mt19937 rng(5);
   const auto words = pi.node.enumerateWords(pi.alphabet.size());
   std::uniform_int_distribution<std::size_t> wordDist(0, words.size() - 1);
   int failures = 0;
   const int trials = 300;
   for (int trial = 0; trial < trials; ++trial) {
-    HalfEdgeLabeling labeling(g);
-    for (NodeId v = 0; v < g.numNodes(); ++v) {
+    HalfEdgeLabeling labeling(g.numHalfEdges());
+    for (Vertex v = 0; v < g.numNodes(); ++v) {
       const re::Word& w = words[wordDist(rng)];
       std::vector<re::Label> assignment;
       for (std::size_t l = 0; l < w.size(); ++l) {
@@ -98,8 +102,8 @@ TEST(ZeroRoundGadget, RandomizedUniformStrategyFailureRate) {
         }
       }
       std::shuffle(assignment.begin(), assignment.end(), rng);
-      for (Port p = 0; p < g.degree(v); ++p) {
-        labeling.set(v, p, assignment[static_cast<std::size_t>(p)]);
+      for (std::uint32_t p = 0; p < g.degree(v); ++p) {
+        labeling[g.halfEdge(v, p)] = assignment[p];
       }
     }
     if (!checkLabeling(g, pi, labeling).ok()) ++failures;
@@ -114,16 +118,15 @@ TEST(ZeroRoundGadget, RandomizedUniformStrategyFailureRate) {
 TEST(OrientInduced, TurnsKDegreeIntoKOutdegree) {
   // The remark after Corollary 2: orienting arbitrarily converts a k-degree
   // dominating set into a k-outdegree dominating set.
-  std::mt19937 rng(3);
-  const Graph g = randomTree(60, 5, rng);
-  std::vector<bool> all(static_cast<std::size_t>(g.numNodes()), true);
-  const int k = inducedMaxDegree(g, all);
-  ASSERT_TRUE(isKDegreeDominatingSet(g, all, k));
-  const auto orientation = orientInduced(g, all);
-  EXPECT_TRUE(isKOutdegreeDominatingSet(g, all, orientation, k));
+  const CsrGraph g = testsupport::randomTree(60, 5, 3);
+  const std::vector<std::uint8_t> all(g.numNodes(), 1);
+  const int k = csrInducedMaxDegree(g, all, 1);
+  ASSERT_TRUE(csrIsKDegreeDominatingSet(g, all, k, 1));
+  const auto outgoing = orientInduced(g, all);
+  EXPECT_TRUE(csrIsKOutdegreeDominatingSet(g, all, outgoing, k, 1));
   // The outdegree bound can even beat the degree bound, but never exceeds
   // it.
-  EXPECT_LE(inducedMaxOutdegree(g, all, orientation), k);
+  EXPECT_LE(csrInducedMaxOutdegree(g, all, outgoing, 1), k);
 }
 
 }  // namespace

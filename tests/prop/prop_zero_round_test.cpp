@@ -7,7 +7,8 @@
 //     on the symmetric-port gadget of Lemmas 12/15.
 //   * Adversarial ports: a positive verdict comes with a witness word; that
 //     word, dealt out in arbitrary port order, must check out on random
-//     shuffled trees (the model promises success against ANY ports).
+//     trees built from shuffled edge lists (the model promises success
+//     against ANY ports).
 //   * Model hierarchy: adversarial-ports solvability implies solvability in
 //     both easier models (the symmetric family is one adversary choice; the
 //     edge-input model only adds information).
@@ -15,10 +16,11 @@
 
 #include <algorithm>
 
-#include "local/graph.hpp"
+#include "local/families.hpp"
 #include "local/halfedge.hpp"
 #include "prop/prop.hpp"
 #include "re/zero_round.hpp"
+#include "support/graphs.hpp"
 
 namespace relb {
 namespace {
@@ -28,13 +30,14 @@ namespace {
 bool bruteForceSymmetricSolvable(const re::Problem& p) {
   const int delta = static_cast<int>(p.delta());
   const int alphabet = p.alphabet.size();
-  const local::Graph gadget = local::symmetricPortGadget(delta);
+  const local::CsrGraph gadget =
+      local::symmetricPortGadget(static_cast<std::uint32_t>(delta));
   std::vector<re::Label> portLabel(static_cast<std::size_t>(delta), 0);
   const auto run = [&]() {
-    local::HalfEdgeLabeling labeling(gadget);
-    for (local::NodeId v = 0; v < gadget.numNodes(); ++v) {
-      for (local::Port q = 0; q < gadget.degree(v); ++q) {
-        labeling.set(v, q, portLabel[static_cast<std::size_t>(q)]);
+    local::HalfEdgeLabeling labeling(gadget.numHalfEdges());
+    for (local::Vertex v = 0; v < gadget.numNodes(); ++v) {
+      for (std::uint32_t q = 0; q < gadget.degree(v); ++q) {
+        labeling[gadget.halfEdge(v, q)] = portLabel[q];
       }
     }
     return local::checkLabeling(gadget, p, labeling).ok();
@@ -80,14 +83,17 @@ TEST(PropZeroRound, AdversarialWitnessChecksOutOnShuffledTrees) {
             labels.push_back(static_cast<re::Label>(l));
           }
         }
-        auto g = local::randomTree(40, static_cast<int>(p.delta()), rng);
-        g.shufflePorts(rng);
-        local::HalfEdgeLabeling labeling(g);
-        for (local::NodeId v = 0; v < g.numNodes(); ++v) {
+        const local::CsrGraph g = testsupport::shuffledTree(
+            testsupport::familyParents(
+                local::Family::kBoundedDegreeTree, 40,
+                static_cast<std::uint32_t>(p.delta()), rng()),
+            rng);
+        local::HalfEdgeLabeling labeling(g.numHalfEdges());
+        for (local::Vertex v = 0; v < g.numNodes(); ++v) {
           std::vector<re::Label> dealt = labels;
           std::shuffle(dealt.begin(), dealt.end(), rng);
-          for (local::Port q = 0; q < g.degree(v); ++q) {
-            labeling.set(v, q, dealt[static_cast<std::size_t>(q)]);
+          for (std::uint32_t q = 0; q < g.degree(v); ++q) {
+            labeling[g.halfEdge(v, q)] = dealt[q];
           }
         }
         const auto check = local::checkLabeling(g, p, labeling);
