@@ -119,7 +119,7 @@ void BM_VerifyLemma8Exact(benchmark::State& state) {
         core::verifyLemma8Exact(delta, delta, 0));
   }
 }
-BENCHMARK(BM_VerifyLemma8Exact)->Arg(3)->Arg(4)->Arg(5);
+BENCHMARK(BM_VerifyLemma8Exact)->Arg(3)->Arg(4)->Arg(5)->Arg(6);
 
 void BM_CycleSolvable(benchmark::State& state) {
   const auto pi = re::misProblem(2);

@@ -139,6 +139,11 @@ inline bool augment(int i, const std::uint16_t* adj, int* matchOfB,
 /// everything at reset, so the memo must live in a reset-only (non-LIFO)
 /// arena.  Key ~0 is unreachable (its lane sum exceeds any degree <= 15) and
 /// serves as the empty sentinel.
+///
+/// The slot index is the *high* log2(capacity) bits of the Fibonacci
+/// product w * 0x9E3779B97F4A7C15.  Its low bits would depend only on the
+/// low bits of w -- at 4096 slots, only the counts of labels 0..2 -- and
+/// every key agreeing on those labels would pile into one linear-probe run.
 class CompletabilityMemo {
  public:
   explicit CompletabilityMemo(util::Arena& arena) : arena_(&arena) {
@@ -161,6 +166,13 @@ class CompletabilityMemo {
     return value;
   }
 
+  /// How many slots past its home slot the probe for `w` runs (0 when `w`
+  /// sits in its home slot).  Lets tests see the hash spread keys out.
+  [[nodiscard]] std::size_t probeDistance(PackedWord w) const {
+    return (static_cast<std::size_t>(find(w) - table_) - home(w)) &
+           (capacity_ - 1);
+  }
+
  private:
   struct Entry {
     PackedWord key;
@@ -170,9 +182,12 @@ class CompletabilityMemo {
   static constexpr PackedWord kEmpty = ~PackedWord{0};
   static constexpr std::size_t kInitialCapacity = 256;  // power of two
 
+  std::size_t home(PackedWord w) const {
+    return static_cast<std::size_t>((w * 0x9E3779B97F4A7C15ull) >> shift_);
+  }
+
   Entry* find(PackedWord w) const {
-    std::size_t i =
-        static_cast<std::size_t>(w * 0x9E3779B97F4A7C15ull) & (capacity_ - 1);
+    std::size_t i = home(w);
     while (table_[i].key != w && table_[i].key != kEmpty) {
       i = (i + 1) & (capacity_ - 1);
     }
@@ -181,6 +196,7 @@ class CompletabilityMemo {
 
   void allocate(std::size_t capacity) {
     capacity_ = capacity;
+    shift_ = 64 - __builtin_ctzll(capacity);
     size_ = 0;
     table_ = arena_->allocate<Entry>(capacity);
     for (std::size_t i = 0; i < capacity; ++i) table_[i].key = kEmpty;
@@ -201,6 +217,7 @@ class CompletabilityMemo {
   util::Arena* arena_;
   Entry* table_ = nullptr;
   std::size_t capacity_ = 0;
+  int shift_ = 64;  // 64 - log2(capacity_)
   std::size_t size_ = 0;
 };
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <cassert>
-#include <set>
 
 #include "re/packed_words.hpp"
 
@@ -161,38 +160,55 @@ std::string StrengthRelation::toDot(const Alphabet& alphabet,
   return out;
 }
 
+namespace {
+
+// Strength over the packed language: the replaced word is two nibble
+// updates and the membership test is a binary search in a sorted flat
+// array -- no per-word vectors.  (replaced[strong] <= 15 always: the word's
+// nibbles sum to the degree and weak contributes at least 1.)
+template <typename W>
+StrengthRelation packedStrength(const Constraint& constraint,
+                                int alphabetSize, std::size_t limit) {
+  const auto words =
+      kernels::collectPackedWords<W>(constraint, alphabetSize, limit);
+  StrengthRelation rel(alphabetSize);
+  for (int strong = 0; strong < alphabetSize; ++strong) {
+    const W strongOne = W{1} << (4 * strong);
+    for (int weak = 0; weak < alphabetSize; ++weak) {
+      if (strong == weak) continue;
+      const W weakOne = W{1} << (4 * weak);
+      bool holds = true;
+      for (const W w : words) {
+        if (((w >> (4 * weak)) & 0xF) == 0) continue;
+        if (!std::binary_search(words.begin(), words.end(),
+                                w - weakOne + strongOne)) {
+          holds = false;
+          break;
+        }
+      }
+      rel.set(static_cast<Label>(strong), static_cast<Label>(weak), holds);
+    }
+  }
+  return rel;
+}
+
+}  // namespace
+
 StrengthRelation computeStrength(const Constraint& constraint,
                                  int alphabetSize, std::size_t limit) {
-  // Packed fast path: with <= 16 labels and degree <= 15 every word is one
-  // uint64, the replaced word is two nibble updates, and the membership test
-  // is a binary search in a sorted flat array -- no per-word vectors, no
-  // std::set<Word>.  (replaced[strong] <= 15 always: the word's nibbles sum
-  // to the degree and weak contributes at least 1.)
-  if (alphabetSize <= 16 && constraint.degree() <= 15) {
-    const auto words =
-        kernels::collectPackedWords(constraint, alphabetSize, limit);
-    StrengthRelation rel(alphabetSize);
-    for (int strong = 0; strong < alphabetSize; ++strong) {
-      for (int weak = 0; weak < alphabetSize; ++weak) {
-        if (strong == weak) continue;
-        bool holds = true;
-        for (const kernels::PackedWord w : words) {
-          if (((w >> (4 * weak)) & 0xF) == 0) continue;
-          const kernels::PackedWord replaced =
-              w - (kernels::PackedWord{1} << (4 * weak)) +
-              (kernels::PackedWord{1} << (4 * strong));
-          if (!std::binary_search(words.begin(), words.end(), replaced)) {
-            holds = false;
-            break;
-          }
-        }
-        rel.set(static_cast<Label>(strong), static_cast<Label>(weak), holds);
-      }
+  // Degree <= 15 keeps every per-label count in one nibble: up to 16 labels
+  // pack into a uint64, up to 32 into an unsigned __int128.
+  if (constraint.degree() <= 15 && alphabetSize <= kMaxLabels) {
+    if (alphabetSize <= 16) {
+      return packedStrength<kernels::PackedWord>(constraint, alphabetSize,
+                                                 limit);
     }
-    return rel;
+    return packedStrength<kernels::WidePackedWord>(constraint, alphabetSize,
+                                                   limit);
   }
+  // Larger degrees: the same test over explicit words, which
+  // enumerateWords returns sorted and distinct.
   const auto words = constraint.enumerateWords(alphabetSize, limit);
-  const std::set<Word> wordSet(words.begin(), words.end());
   StrengthRelation rel(alphabetSize);
   for (int strong = 0; strong < alphabetSize; ++strong) {
     for (int weak = 0; weak < alphabetSize; ++weak) {
@@ -203,7 +219,7 @@ StrengthRelation computeStrength(const Constraint& constraint,
         Word replaced = w;
         --replaced[static_cast<std::size_t>(weak)];
         ++replaced[static_cast<std::size_t>(strong)];
-        if (!wordSet.contains(replaced)) {
+        if (!std::binary_search(words.begin(), words.end(), replaced)) {
           holds = false;
           break;
         }

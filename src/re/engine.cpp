@@ -418,8 +418,10 @@ StrengthRelation EngineSession::strength(const Constraint& constraint,
       }
     }
   }
-  StrengthRelation relation =
-      computeStrength(constraint, alphabetSize, enumerationLimit);
+  StrengthRelation relation = [&] {
+    const obs::ScopedSpan span("re.strength", *tracer_);
+    return computeStrength(constraint, alphabetSize, enumerationLimit);
+  }();
   std::lock_guard lock(impl.mutex);
   ++impl.stats.strengthMisses;
   ++stats_.strengthMisses;

@@ -26,6 +26,7 @@ struct StepCounters {
   obs::Counter& rbarMaximal;
   obs::Counter& antichainPairs;
   obs::Counter& antichainTests;
+  obs::Counter& antichainPrefiltered;
   obs::Counter& labelsProduced;
 };
 
@@ -34,6 +35,7 @@ StepCounters& stepCounters() {
   static StepCounters c{
       reg.counter("re.rbar.candidates"), reg.counter("re.rbar.maximal"),
       reg.counter("re.antichain.pairs"), reg.counter("re.antichain.tests"),
+      reg.counter("re.antichain.prefiltered"),
       reg.counter("re.labels.produced")};
   return c;
 }
@@ -227,28 +229,44 @@ struct RbarEnumerator {
   }
 
   // One loop iteration of rec: extend `level` by slot set rcSets[i] and
-  // recurse if every resulting partial word is still completable.
+  // recurse if every resulting partial word is still completable.  Each word
+  // is tested as it is generated, so a dead branch (most of them) stops at
+  // its first uncompletable word; duplicates cost one memo hit each.  Only a
+  // viable level is sorted and deduplicated.  `level` is sorted, so the words
+  // level + e_l for one label l form a sorted run; generating run by run
+  // makes the sort a bottom-up merge of |rcSets[i]| runs.
   void descend(std::size_t i, const PackedWord* level, std::size_t levelSize) {
     const util::Arena::Mark levelMark = scratch.mark();
-    PackedWord* next = scratch.allocate<PackedWord>(
-        levelSize * static_cast<std::size_t>(rcSets[i].size()));
-    std::size_t nextSize = 0;
-    for (std::size_t k = 0; k < levelSize; ++k) {
-      const PackedWord w = level[k];
-      forEachLabel(rcSets[i], [&](Label l) {
-        next[nextSize++] = w + (PackedWord{1} << (4 * l));
-      });
+    const std::uint32_t setBits = rcSets[i].bits();
+    const std::size_t total =
+        levelSize * static_cast<std::size_t>(rcSets[i].size());
+    PackedWord* next = scratch.allocate<PackedWord>(total);
+    PackedWord* out = next;
+    for (std::uint32_t m = setBits; m != 0; m &= m - 1) {
+      const PackedWord unit = PackedWord{1} << (4 * __builtin_ctz(m));
+      for (std::size_t k = 0; k < levelSize; ++k) {
+        const PackedWord w = level[k] + unit;
+        if (!canComplete(w)) {
+          scratch.rewind(levelMark);
+          return;
+        }
+        *out++ = w;
+      }
     }
-    std::sort(next, next + nextSize);
-    nextSize =
-        static_cast<std::size_t>(std::unique(next, next + nextSize) - next);
-    const bool viable = std::all_of(
-        next, next + nextSize, [&](PackedWord w) { return canComplete(w); });
-    if (viable) {
-      slots[depth++] = rcSets[i].bits();
-      rec(i, next, nextSize);
-      --depth;
+    PackedWord* spare = scratch.allocate<PackedWord>(total);
+    for (std::size_t run = levelSize; run < total; run *= 2) {
+      for (std::size_t lo = 0; lo < total; lo += 2 * run) {
+        const std::size_t mid = std::min(lo + run, total);
+        const std::size_t hi = std::min(lo + 2 * run, total);
+        std::merge(next + lo, next + mid, next + mid, next + hi, spare + lo);
+      }
+      std::swap(next, spare);
     }
+    const std::size_t nextSize =
+        static_cast<std::size_t>(std::unique(next, next + total) - next);
+    slots[depth++] = setBits;
+    rec(i, next, nextSize);
+    --depth;
     scratch.rewind(levelMark);
   }
 
@@ -378,12 +396,26 @@ StepResult detail::applyRbar(const Problem& p, const StepOptions& options,
   // strict domination is `relaxes-to and not equal`.  A relaxation requires
   // the slot unions to nest, so the all-pairs scan is bucketed by union
   // signature and each candidate compared against superset buckets only.
+  //
+  // A relaxation a -> b also matches every a-slot to a distinct superset
+  // b-slot, so for every label l, #(a-slots containing l) <= #(b-slots
+  // containing l).  These per-label slot counts (each <= delta <= 15, so
+  // they fit the byte lanes of an ExpandedWord) give a SWAR prefilter that
+  // rejects most pairs before the matching runs.
   std::vector<std::uint32_t> signatures(numValid);
+  std::vector<kernels::ExpandedWord> slotCounts(numValid);
   for (std::size_t i = 0; i < numValid; ++i) {
     std::uint32_t u = 0;
+    PackedWord counts = 0;
     const std::uint32_t* rec = candidate(i);
-    for (Count k = 0; k < delta; ++k) u |= rec[k];
+    for (Count k = 0; k < delta; ++k) {
+      u |= rec[k];
+      for (std::uint32_t m = rec[k]; m != 0; m &= m - 1) {
+        counts += PackedWord{1} << (4 * __builtin_ctz(m));
+      }
+    }
     signatures[i] = u;
+    slotCounts[i] = kernels::expandWord(counts);
   }
   const SignatureBuckets buckets(signatures);
   std::vector<char> dominated(numValid, 0);
@@ -391,13 +423,20 @@ StepResult detail::applyRbar(const Problem& p, const StepOptions& options,
     const obs::ScopedSpan span("re.rbar.filter");
     util::parallel_for(options.numThreads, numValid, [&](std::size_t i) {
       std::uint64_t pairsVisited = 0;
+      // Every relaxation test decided, by the prefilter or by the matching;
+      // `prefiltered` counts those the prefilter decided alone.
       std::uint64_t testsRun = 0;
+      std::uint64_t prefiltered = 0;
       const std::uint32_t* mine = candidate(i);
       dominated[i] = buckets.anyInSupersetBucket(
           signatures[i], [&](std::size_t j) {
             if (j == i) return false;
             ++pairsVisited;
             ++testsRun;
+            if (!kernels::packedLeq(slotCounts[i], slotCounts[j])) {
+              ++prefiltered;
+              return false;
+            }
             const std::uint32_t* other = candidate(j);
             if (!kernels::slotsRelaxTo(mine, other,
                                        static_cast<int>(delta))) {
@@ -408,11 +447,16 @@ StepResult detail::applyRbar(const Problem& p, const StepOptions& options,
             // domination is already established.
             if (signatures[j] != signatures[i]) return true;
             ++testsRun;
+            if (!kernels::packedLeq(slotCounts[j], slotCounts[i])) {
+              ++prefiltered;
+              return true;
+            }
             return !kernels::slotsRelaxTo(other, mine,
                                           static_cast<int>(delta));
           });
       stepCounters().antichainPairs.add(pairsVisited);
       stepCounters().antichainTests.add(testsRun);
+      stepCounters().antichainPrefiltered.add(prefiltered);
     });
   }
   std::vector<Configuration> maximal;

@@ -35,7 +35,8 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(Params{2, 2, 0}, Params{3, 2, 0}, Params{3, 3, 0},
                       Params{3, 3, 1}, Params{4, 2, 0}, Params{4, 3, 1},
                       Params{4, 4, 0}, Params{4, 4, 2}, Params{5, 3, 0},
-                      Params{5, 4, 1}, Params{5, 5, 3}),
+                      Params{5, 4, 1}, Params{5, 5, 3}, Params{6, 4, 1},
+                      Params{6, 5, 2}, Params{6, 6, 0}, Params{6, 6, 4}),
     [](const ::testing::TestParamInfo<Params>& info) {
       return "d" + std::to_string(info.param.delta) + "a" +
              std::to_string(info.param.a) + "x" +

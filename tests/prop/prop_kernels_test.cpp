@@ -7,13 +7,16 @@
 //   * packed word collection vs Constraint::enumerateWords (including
 //     agreement on *throwing* under a tight enumeration limit);
 //   * SWAR domination and the open-addressing completability memo vs the
-//     nibble-loop linear scan;
+//     nibble-loop linear scan, including >= 10k keys that agree on their
+//     low labels (the keys a low-bits hash would pile into one probe run);
 //   * bitmask Kuhn matching (kernels::slotsRelaxTo) vs the std::function
 //     version, cross-checked against Configuration::relaxesTo;
 //   * shape-based edge compatibility and self-compatible labels vs the
 //     containsWord probes;
 //   * packed computeStrength and the closure-table right-closed-set sweep
-//     vs the std::set<Word> originals;
+//     vs the std::set<Word> originals, at 64-bit (<= 16 labels) and 128-bit
+//     (17..32 labels, including the 30-label node constraint of the Pi
+//     chain) word widths, and on the enumeration-limit Error message;
 //   * the full applyR / applyRbar operators vs the pre-rewrite pipeline,
 //     at thread widths 1, 2 and 8 and with a caller-provided arena.
 #include <gtest/gtest.h>
@@ -23,6 +26,7 @@
 #include <string>
 #include <vector>
 
+#include "core/family.hpp"
 #include "prop/prop.hpp"
 #include "prop/reference_step.hpp"
 #include "re/bitkernels.hpp"
@@ -44,6 +48,17 @@ std::optional<T> tryOp(Fn&& fn) {
   } catch (const re::Error&) {
     return std::nullopt;
   }
+}
+
+// The Error text of `fn`, or "" if it returns normally.
+template <typename Fn>
+std::string errorOf(Fn&& fn) {
+  try {
+    (void)fn();
+  } catch (const re::Error& e) {
+    return e.what();
+  }
+  return {};
 }
 
 std::string describeSets(const std::vector<re::LabelSet>& sets) {
@@ -86,9 +101,38 @@ TEST(PropKernels, PackedCollectionMatchesEnumerateWords) {
             return "collectPackedWords word-set mismatch at limit " +
                    std::to_string(limit);
           }
+          if (!reference) {
+            const std::string refError =
+                errorOf([&] { return c->enumerateWords(n, limit); });
+            const std::string error = errorOf(
+                [&] { return kernels::collectPackedWords(*c, n, limit); });
+            if (error != refError) {
+              return "collectPackedWords Error '" + error +
+                     "' != enumerateWords '" + refError + "'";
+            }
+          }
         }
         return {};
       });
+}
+
+TEST(PropKernels, PackedCollectionFallbackCountsTheGlobalLimit) {
+  // [A B]^3 has more words than the limit, so it is enumerated through the
+  // deduplicating forEachWord; the word C^3 collected before it pushes the
+  // global distinct count past the limit first, as in enumerateWords.
+  const re::Constraint c(
+      3, {re::Configuration({{re::LabelSet{2}, 3}}),
+          re::Configuration({{re::LabelSet{0, 1}, 3}})});
+  EXPECT_EQ(errorOf([&] { return c.enumerateWords(3, 2); }),
+            "enumerateWords: word count exceeds limit");
+  EXPECT_EQ(errorOf([&] { return kernels::collectPackedWords(c, 3, 2); }),
+            "enumerateWords: word count exceeds limit");
+  EXPECT_EQ(
+      errorOf([&] {
+        return kernels::collectPackedWords<kernels::WidePackedWord>(c, 3, 2);
+      }),
+      "enumerateWords: word count exceeds limit");
+  EXPECT_EQ(kernels::collectPackedWords(c, 3, 5).size(), 5u);
 }
 
 TEST(PropKernels, SwarDominationAndMemoMatchLinearScan) {
@@ -155,6 +199,56 @@ TEST(PropKernels, SwarDominationAndMemoMatchLinearScan) {
         }
         return {};
       });
+}
+
+TEST(PropKernels, MemoSpreadsKeysThatAgreeOnLowLabels) {
+  // 12288 distinct keys with labels 0..2 fixed at counts (1, 0, 2) and the
+  // key index spread over the nibbles of labels 3..15.  The memo starts at
+  // 256 slots, so these keys pass through several grow() rehashes.
+  constexpr PackedWord kLow = 0x201;
+  std::vector<PackedWord> keys;
+  for (PackedWord i = 0; i < 12288; ++i) keys.push_back(kLow | (i << 12));
+  std::mt19937 rng(4242);
+  std::vector<ExpandedWord> table;
+  for (int t = 0; t < 64; ++t) {
+    PackedWord w = kLow;
+    for (int l = 3; l < 16; ++l) {
+      w |= static_cast<PackedWord>(rng() % 4) << (4 * l);
+    }
+    table.push_back(kernels::expandWord(w));
+  }
+  util::Arena arena;
+  kernels::CompletabilityMemo memo(arena);
+  std::size_t computeCalls = 0;
+  const auto verdictOf = [&](PackedWord key) {
+    return memo.getOrCompute(key, [&] {
+      ++computeCalls;
+      return kernels::dominatedBySome(kernels::expandWord(key), table.data(),
+                                      table.size());
+    });
+  };
+  std::size_t dominated = 0;
+  for (const PackedWord key : keys) {
+    const bool reference = kernels::dominatedBySome(
+        kernels::expandWord(key), table.data(), table.size());
+    dominated += reference ? 1 : 0;
+    ASSERT_EQ(verdictOf(key), reference) << "first query, key " << key;
+  }
+  EXPECT_EQ(computeCalls, keys.size());
+  EXPECT_GT(dominated, 0u);
+  EXPECT_LT(dominated, keys.size());
+  std::size_t totalDistance = 0;
+  for (const PackedWord key : keys) {
+    const bool reference = kernels::dominatedBySome(
+        kernels::expandWord(key), table.data(), table.size());
+    ASSERT_EQ(verdictOf(key), reference) << "second query, key " << key;
+    totalDistance += memo.probeDistance(key);
+  }
+  EXPECT_EQ(computeCalls, keys.size()) << "a second query recomputed";
+  // Linear probing at <= 70% load keeps the mean distance near one slot; a
+  // hash that ignored the high labels would put every key in one run
+  // (thousands of slots on average).
+  EXPECT_LT(totalDistance, 4 * keys.size());
 }
 
 TEST(PropKernels, BitmaskMatchingMatchesReferenceAndRelaxesTo) {
@@ -248,6 +342,67 @@ TEST(PropKernels, PackedStrengthMatchesEnumerationReference) {
         }
         return {};
       });
+}
+
+// computeStrength vs the reference on `c`: the same relation, or the same
+// Error message.
+std::string compareStrength(const re::Constraint& c, int n,
+                            std::size_t limit) {
+  std::optional<re::StrengthRelation> reference, actual;
+  const std::string refError = errorOf(
+      [&] { return reference = refimpl::computeStrength(c, n, limit); });
+  const std::string error =
+      errorOf([&] { return actual = re::computeStrength(c, n, limit); });
+  if (error != refError) {
+    return "computeStrength Error '" + error + "' != reference '" + refError +
+           "' at limit " + std::to_string(limit);
+  }
+  if (reference && !(*actual == *reference)) {
+    return "computeStrength relation mismatch at limit " +
+           std::to_string(limit);
+  }
+  return {};
+}
+
+TEST(PropKernels, WidePackedStrengthMatchesEnumerationReference) {
+  // 17..32 labels: the unsigned __int128 word width.
+  prop::forAllProblems(
+      {.name = "kernels-strength-wide",
+       .gen = {.minAlphabet = 17, .maxAlphabet = 32, .maxDelta = 4},
+       .baseSeed = 65500},
+      [](const re::Problem& p, std::mt19937& rng) -> std::string {
+        const int n = p.alphabet.size();
+        // A tight limit half the time, so the throw path is exercised too.
+        const std::size_t limit =
+            (rng() % 2 == 0) ? 100'000 : 1 + rng() % 8;
+        for (const re::Constraint* c : {&p.node, &p.edge}) {
+          const std::string failure = compareStrength(*c, n, limit);
+          if (!failure.empty()) return failure;
+        }
+        return {};
+      });
+}
+
+TEST(PropKernels, WidePackedStrengthOnThePiChainsThirtyLabelConstraint) {
+  // Pi_4(2, 0) -> R -> Rbar -> R yields the 30-label problem whose Rbar
+  // the derivation of the pi family refuses: its strength relation is
+  // computed, and its right-closed-set sweep then refuses the universe.
+  const re::Problem pi = core::familyProblem(4, 2, 0);
+  const re::Problem q =
+      re::applyR(re::applyRbar(re::applyR(pi).problem).problem).problem;
+  ASSERT_EQ(q.alphabet.size(), 30);
+  ASSERT_EQ(q.node.degree(), 4);
+  const std::size_t words =
+      kernels::collectPackedWords<kernels::WidePackedWord>(q.node, 30,
+                                                           2'000'000)
+          .size();
+  EXPECT_EQ(compareStrength(q.node, 30, words), "");
+  EXPECT_EQ(compareStrength(q.node, 30, words - 1), "");
+  EXPECT_EQ(errorOf([&] { return re::computeStrength(q.node, 30, words - 1); }),
+            "enumerateWords: word count exceeds limit");
+  const re::StrengthRelation rel = re::computeStrength(q.node, 30);
+  EXPECT_EQ(errorOf([&] { return rel.allRightClosedSets(q.alphabet.all()); }),
+            "allRightClosedSets: universe too large");
 }
 
 TEST(PropKernels, ApplyRMatchesPreRewritePipeline) {

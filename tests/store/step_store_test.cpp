@@ -8,9 +8,11 @@
 #include <filesystem>
 #include <fstream>
 
+#include "core/family.hpp"
 #include "core/sequence.hpp"
 #include "io/certificate.hpp"
 #include "obs/metrics.hpp"
+#include "re/canonical.hpp"
 #include "re/problem.hpp"
 #include "re/re_step.hpp"
 
@@ -292,6 +294,28 @@ TEST(DiskStepStore, CorruptedRefusalIsQuarantinedAndRecomputed) {
   EXPECT_EQ(session.stats().stepMisses, 1u);  // recomputed, not trusted
   EXPECT_EQ(session.stats().storeWrites, 1u);
   EXPECT_FALSE(fs::is_empty(dir / "quarantine"));
+}
+
+TEST(DiskStepStore, PiChainRefusesTheThirtyLabelRbarStep) {
+  // The pi family's derivation: Pi_4(2, 0) -> R -> Rbar -> R reaches 30
+  // labels.  Their strength relation is computed (128-bit packed words),
+  // and the right-closed-set sweep then refuses the universe; the refusal
+  // is what the store keeps for that step.
+  const fs::path dir = freshDir("store-pi-refusal");
+  auto store = std::make_shared<DiskStepStore>(dir);
+  re::EngineSession session;
+  session.attachStore(store);
+  const re::Problem q = session
+                            .applyR(session.applyRbar(
+                                session.applyR(core::familyProblem(4, 2, 0))
+                                    .problem)
+                                .problem)
+                            .problem;
+  ASSERT_EQ(q.alphabet.size(), 30);
+  EXPECT_EQ(refusalOf(session, q), "allRightClosedSets: universe too large");
+  EXPECT_EQ(store->loadStepRefusal(1, q, re::structuralHash(q),
+                                   re::StepOptions{}),
+            "allRightClosedSets: universe too large");
 }
 
 }  // namespace

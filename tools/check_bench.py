@@ -19,13 +19,20 @@ are printed for information when both files report the same
 "/0" row from a 1-CPU host is a serial measurement, not a scaling one).
 Every other row is not compared.
 
+A key row also fails when one of its exact work counters
+(``rbar_candidates``, ``rbar_maximal``, ``antichain_tests``; attached by
+``CounterScope`` in bench/bench_perf_engine.cpp) differs from the baseline's.
+They count work, not time, so equal values show the candidate did the same
+work, and a speedup that skips work cannot pass as a faster kernel.
+
 Both files must carry ``context.library_build_type == "release"`` (stamped
 by run_bench.sh): comparing Debug numbers against a Release baseline would
 make every run fail, and the reverse would hide real regressions.
 
 ``--self-test BASELINE`` verifies the gate itself: the baseline must pass
 against an identical copy, and must fail against a synthetic candidate whose
-key rows are 20% slower.  It also checks that the parallel rows are compared
+key rows are 20% slower, and against one where a single key row's work
+counter is off by one.  It also checks that the parallel rows are compared
 when the CPU counts match and skipped, without failing the gate, when they
 differ.  Exit codes: 0 = pass, 1 = regression (or
 self-test failure), 2 = bad input.
@@ -60,6 +67,10 @@ THREADED_PREFIXES = (
     "BM_CertifyChain/",
     "BM_LubyMisRound/",
 )
+
+# Exact per-iteration work counts of the gated rows; a key row whose counter
+# differs from the baseline's fails the gate.
+WORK_COUNTERS = ("rbar_candidates", "rbar_maximal", "antichain_tests")
 
 TIME_SUFFIXES = ("real_time", "process_time")
 
@@ -149,6 +160,14 @@ def compare(baseline, candidate, tolerance, verbose=True):
             failures.append(
                 f"{name}: {base_ns:.0f} ns -> {cand_ns:.0f} ns "
                 f"({ratio:.2f}x, tolerance {1.0 + tolerance:.2f}x)")
+        for counter in WORK_COUNTERS:
+            if counter not in base_row:
+                continue
+            if cand_row.get(counter) != base_row[counter]:
+                verdict = "WORK DIFF"
+                failures.append(
+                    f"{name}: {counter} {base_row[counter]} -> "
+                    f"{cand_row.get(counter)} (work counters must match)")
         if verbose:
             print(f"  {verdict:>10}  {ratio:5.2f}x  {name}")
     return failures
@@ -252,7 +271,31 @@ def self_test(baseline, tolerance):
         return 1
     print(f"self-test passed: identical candidate accepted, {scale:.2f}x "
           f"slowdown on {scaled_rows} key rows rejected")
-    return self_test_parallel(baseline)
+    return self_test_work(baseline, tolerance) or self_test_parallel(baseline)
+
+
+def self_test_work(baseline, tolerance):
+    """A candidate as fast as the baseline whose work counter differs on a
+    single key row must fail the gate."""
+    for index, row in enumerate(baseline.get("benchmarks", [])):
+        if row.get("run_type", "iteration") != "iteration":
+            continue
+        if not is_key_row(row["name"]):
+            continue
+        counter = next((c for c in WORK_COUNTERS if c in row), None)
+        if counter is None:
+            continue
+        changed = copy.deepcopy(baseline)
+        changed["benchmarks"][index][counter] = row[counter] + 1
+        if not compare(baseline, changed, tolerance, verbose=False):
+            print(f"self-test FAILED: {counter} off by one on {row['name']} "
+                  "was accepted")
+            return 1
+        print(f"self-test passed: {counter} off by one on {row['name']} "
+              "rejected")
+        return 0
+    print("self-test FAILED: baseline has no key row with a work counter")
+    return 1
 
 
 def main():
