@@ -29,6 +29,8 @@
 #include "io/serialize.hpp"
 #include "core/lemma8.hpp"
 #include "core/sequence.hpp"
+#include "family/builtin.hpp"
+#include "family/derive.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "re/bitkernels.hpp"
@@ -365,6 +367,40 @@ void BM_CertifyChainCached(benchmark::State& state) {
 }
 BENCHMARK(BM_CertifyChainCached)
     ->ArgsProduct({{1 << 10, 1 << 20}, {1, 0}})
+    ->UseRealTime();
+
+// Cold automatic lower bound of a built-in family at its default parameters
+// and the family deriver's budgets: a fresh session (private core, no store)
+// per iteration, so every speedup step, merge candidate and zero-round check
+// is computed -- the `re.autobound` layer of a cold `round_eliminator_cli
+// --family` run.  The session's steps are serial; the zero-round checks'
+// edge-pair sweep runs at the default width, as it does in the CLI, so the
+// row measures wall time like the other engine rows.
+void BM_AutoBoundCold(benchmark::State& state, const char* familyName) {
+  const auto def = family::findBuiltin(familyName);
+  if (!def) {
+    state.SkipWithError("unknown built-in family");
+    return;
+  }
+  const auto problem = family::instantiateWithDefaults(*def);
+  const family::DeriveOptions derive;
+  re::AutoLowerBoundOptions options;
+  options.maxSteps = derive.maxSteps;
+  options.maxLabels = derive.autoboundMaxLabels;
+  re::PassOptions serial;
+  serial.numThreads = 1;
+  const CounterScope counters(state);
+  for (auto _ : state) {
+    re::EngineSession session(nullptr, serial);
+    options.context = &session;
+    benchmark::DoNotOptimize(re::autoLowerBound(problem, options));
+  }
+}
+BENCHMARK_CAPTURE(BM_AutoBoundCold, two_ruling_set, "two_ruling_set")
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
+BENCHMARK_CAPTURE(BM_AutoBoundCold, pi, "pi")
+    ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
 // ---------------------------------------------------------------------------

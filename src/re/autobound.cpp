@@ -50,7 +50,10 @@ bool mergeWhileHard(Problem& p, int maxLabels, EngineSession& session) {
     const int n = p.alphabet.size();
     for (Label a = 0; a < n && !merged; ++a) {
       for (Label b = a + 1; b < n && !merged; ++b) {
-        Problem candidate = mergeTwoLabels(p, a, b);
+        Problem candidate = [&] {
+          const obs::ScopedSpan s("re.autobound.candidate", session.tracer());
+          return mergeTwoLabels(p, a, b);
+        }();
         // A candidate whose hardness the engine cannot certify (guard
         // trips) is simply not merged -- the invariant needs a *proof* that
         // the merged problem stays hard.

@@ -2,11 +2,8 @@
 
 #include <algorithm>
 #include <array>
-#include <cassert>
 #include <functional>
-#include <map>
 #include <numeric>
-#include <set>
 
 #include "re/flow.hpp"
 
@@ -156,21 +153,23 @@ bool Configuration::relaxesTo(const Configuration& other) const {
 
 bool Configuration::containsAllWordsOf(const Configuration& other) const {
   if (degree_ != other.degree_) return false;
-  if (!other.support().subsetOf(support())) return false;
-  // Sufficient groupwise criterion: embed other's groups into mine with set
-  // inclusion (this is exactly other.relaxesTo(*this)).
-  if (other.relaxesTo(*this)) return true;
-  // Exact fallback: enumerate other's words.  The alphabet size is taken as
-  // the largest label mentioned plus one.
-  const int alphabetSize = [&] {
-    LabelSet all = support() | other.support();
-    return all.empty() ? 1 : all.toVector().back() + 1;
-  }();
-  bool all = true;
-  other.forEachWord(alphabetSize, [&](const Word& w) {
-    if (all && !matchesWord(w)) all = false;
+  if (!other.support().subsetOf(support())) return false;  // fast reject
+  // Hall's condition (see the header) over the distinct unions of my sets.
+  std::vector<LabelSet> unions{LabelSet{}};
+  for (const Group& g : groups_) {
+    const std::size_t n = unions.size();
+    for (std::size_t i = 0; i < n; ++i) unions.push_back(unions[i] | g.set);
+    std::sort(unions.begin(), unions.end());
+    unions.erase(std::unique(unions.begin(), unions.end()), unions.end());
+  }
+  const auto slotsInside = [](const Configuration& c, LabelSet u) {
+    Count n = 0;
+    for (const Group& g : c.groups_) n += g.set.subsetOf(u) ? g.count : 0;
+    return n;
+  };
+  return std::all_of(unions.begin(), unions.end(), [&](LabelSet u) {
+    return slotsInside(*this, u) <= slotsInside(other, u);
   });
-  return all;
 }
 
 void Configuration::forEachWord(int alphabetSize,

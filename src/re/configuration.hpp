@@ -74,10 +74,11 @@ class Configuration {
   /// match (otherwise trivially false).
   [[nodiscard]] bool intersects(const Configuration& other) const;
 
-  /// True iff *every* word denoted by `other` is denoted by this
-  /// configuration.  (Single-configuration language inclusion; used by tests
-  /// and simplification heuristics.)  Decided exactly via a greedy
-  /// group-matching criterion validated against enumeration in the tests.
+  /// True iff *every* word denoted by `other` is denoted by this one; exact
+  /// for any exponents.  Hall: degrees match and S_this(U) <= S_other(U) for
+  /// every union U of this one's group sets, S_C(U) = C's slots with set ⊆ U.
+  /// Proof: a word is denoted iff it puts >= S_this(U) labels into each such
+  /// U (Hall), and the fewest any word of `other` puts into U is S_other(U).
   [[nodiscard]] bool containsAllWordsOf(const Configuration& other) const;
 
   /// Definition 7 (condensed form): true iff `other` is a relaxation of this

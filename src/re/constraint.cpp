@@ -80,20 +80,16 @@ std::vector<Word> Constraint::enumerateWords(int alphabetSize,
 }
 
 void Constraint::removeDominatedConfigurations() {
+  const auto& cs = configurations_;
   std::vector<Configuration> kept;
-  for (std::size_t i = 0; i < configurations_.size(); ++i) {
+  for (std::size_t i = 0; i < cs.size(); ++i) {
+    // Ties (mutual containment) keep the earlier configuration.
     bool dominated = false;
-    for (std::size_t j = 0; j < configurations_.size() && !dominated; ++j) {
-      if (i == j) continue;
-      // Break ties (mutual containment) by keeping the earlier one.
-      const bool tie = configurations_[j].containsAllWordsOf(
-          configurations_[i]);
-      if (tie && (j < i || !configurations_[i].containsAllWordsOf(
-                               configurations_[j]))) {
-        dominated = true;
-      }
+    for (std::size_t j = 0; j < cs.size() && !dominated; ++j) {
+      dominated = j != i && cs[j].containsAllWordsOf(cs[i]) &&
+                  (j < i || !cs[i].containsAllWordsOf(cs[j]));
     }
-    if (!dominated) kept.push_back(configurations_[i]);
+    if (!dominated) kept.push_back(cs[i]);
   }
   configurations_ = std::move(kept);
 }

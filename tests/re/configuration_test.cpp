@@ -158,6 +158,22 @@ TEST(Configuration, ContainsAllWordsOfExactFallback) {
   EXPECT_FALSE(inner.containsAllWordsOf(outer));
 }
 
+TEST(Configuration, ContainsAllWordsOfHugeExponents) {
+  // The same shape as above at N = 2^40 slots per group: far beyond any
+  // enumeration, decided by Hall's condition alone.
+  constexpr Count kN = Count{1} << 40;
+  const auto inner = cfg({{LabelSet{1}, kN}, {LabelSet{0, 2}, kN}});
+  const auto outer = cfg({{LabelSet{0, 1}, kN}, {LabelSet{1, 2}, kN}});
+  EXPECT_FALSE(inner.relaxesTo(outer));
+  EXPECT_TRUE(outer.containsAllWordsOf(inner));
+  EXPECT_FALSE(inner.containsAllWordsOf(outer));
+  // One slot fewer on the shared label breaks inclusion: B^(N-1) A [AC]^N
+  // has a word with N+1 A's, but [AB]^N [BC]^N holds at most N.
+  const auto shifted =
+      cfg({{LabelSet{1}, kN - 1}, {LabelSet{0}, 1}, {LabelSet{0, 2}, kN}});
+  EXPECT_FALSE(outer.containsAllWordsOf(shifted));
+}
+
 TEST(Configuration, ForEachWordDeduplicates) {
   // [AB][AB]: words AA, AB, BB -> exactly 3 distinct words.
   const auto c = cfg({{LabelSet{0, 1}, 2}});

@@ -37,6 +37,26 @@ TEST(MergeLabels, MergedMisBecomesEasy) {
   EXPECT_TRUE(zeroRoundSolvableWithEdgeInputs(merged));
 }
 
+TEST(MergeLabels, HugeExponentsNeedNoEnumeration) {
+  // Merging D into C turns B^N [AD]^N into B^N [AC]^N, whose words all lie
+  // in [AB]^N [BC]^N although no groupwise embedding exists.  The dominated
+  // configuration must be dropped at N = 2^40 without enumerating words.
+  constexpr Count kN = Count{1} << 40;
+  Problem p;
+  p.alphabet = Alphabet({"A", "B", "C", "D"});
+  p.node = Constraint(
+      2 * kN, {Configuration({{LabelSet{0, 1}, kN}, {LabelSet{1, 2}, kN}}),
+               Configuration({{LabelSet{1}, kN}, {LabelSet{0, 3}, kN}})});
+  p.edge = Constraint(2, {Configuration({{LabelSet{0, 1, 2, 3}, 2}})});
+  p.validate();
+  Problem merged;
+  ASSERT_NO_THROW(merged = mergeTwoLabels(p, 2, 3));
+  ASSERT_EQ(merged.alphabet.size(), 3);
+  ASSERT_EQ(merged.node.size(), 1u);
+  EXPECT_EQ(merged.node.configurations()[0],
+            Configuration({{LabelSet{0, 1}, kN}, {LabelSet{1, 2}, kN}}));
+}
+
 TEST(MergeLabels, Validation) {
   const auto mis = misProblem(3);
   EXPECT_THROW(mergeTwoLabels(mis, 0, 0), Error);

@@ -55,6 +55,7 @@ KEY_PREFIXES = (
     "BM_SubsetSweep/",
     "BM_CsrBuild/",
     "BM_LubyMisRound/",
+    "BM_AutoBoundCold/",
 )
 
 # Benchmarks where the last argument is StepOptions::numThreads; only their
