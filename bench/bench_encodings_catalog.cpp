@@ -6,6 +6,7 @@
 #include "bench_util.hpp"
 #include "re/autobound.hpp"
 #include "re/encodings.hpp"
+#include "re/engine.hpp"
 #include "re/zero_round.hpp"
 
 namespace {
@@ -66,7 +67,8 @@ int main() {
     re::IterateOptions options;
     options.maxSteps = 4;
     options.maxLabels = 14;
-    const auto trace = re::iterateSpeedup(entry.problem, options);
+    re::EngineSession session;
+    const auto trace = re::iterateSpeedup(session, entry.problem, options);
     t.row(entry.name, entry.problem.alphabet.size(),
           re::zeroRoundSolvableAdversarialPorts(entry.problem),
           reasonName(trace.reason), entry.expectation);
@@ -89,7 +91,7 @@ int main() {
     options.maxLabels = 8;
     re::AutoLowerBound lb;
     try {
-      lb = re::autoLowerBound(entry.problem, options);
+      lb = re::EngineSession().autoLowerBound(entry.problem, options);
     } catch (const re::Error&) {
       ta.row(entry.name, "-", "-", "engine guard");
       continue;

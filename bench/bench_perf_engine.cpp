@@ -387,13 +387,12 @@ void BM_AutoBoundCold(benchmark::State& state, const char* familyName) {
   re::AutoLowerBoundOptions options;
   options.maxSteps = derive.maxSteps;
   options.maxLabels = derive.autoboundMaxLabels;
-  re::PassOptions serial;
+  re::StepOptions serial;
   serial.numThreads = 1;
   const CounterScope counters(state);
   for (auto _ : state) {
     re::EngineSession session(nullptr, serial);
-    options.context = &session;
-    benchmark::DoNotOptimize(re::autoLowerBound(problem, options));
+    benchmark::DoNotOptimize(session.autoLowerBound(problem, options));
   }
 }
 BENCHMARK_CAPTURE(BM_AutoBoundCold, two_ruling_set, "two_ruling_set")

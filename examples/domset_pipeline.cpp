@@ -6,7 +6,7 @@
 //                 Lemma 9 + the chain machinery bound the achievable speed.
 //
 // Exits 1 if a verifier rejects an output and 2 on bad arguments (including
-// a tree too large for 32-bit node ids).
+// k outside [0, delta] and a tree too large for 32-bit node ids).
 //
 //   ./domset_pipeline [delta] [depth] [k]
 #include <algorithm>
@@ -42,6 +42,9 @@ int main(int argc, char** argv) {
   local::TreeInstance tree;
   try {
     if (k < 0) throw re::Error("k must be >= 0");
+    if (static_cast<std::uint32_t>(k) > delta) {
+      throw re::Error("k must be <= delta");
+    }
     tree = local::makeTree(local::Family::kCompleteTree,
                            local::completeTreeNodes(delta, depth), delta, 0);
   } catch (const re::Error& e) {

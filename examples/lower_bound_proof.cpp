@@ -8,22 +8,43 @@
 //   5. Theorem 1 -- lift t to the LOCAL model bounds.
 //
 //   ./lower_bound_proof [delta] [k]
+//
+// Exits 1 if a check fails and 2 on bad arguments (a non-number, delta < 1,
+// or k outside [0, delta]).
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <memory>
+#include <string_view>
 
 #include "core/bounds.hpp"
 #include "core/lemma8.hpp"
 #include "core/sequence.hpp"
 #include "core/transcript.hpp"
 #include "re/engine.hpp"
+#include "util/parse.hpp"
 
 int main(int argc, char** argv) {
   using namespace relb;
-  const re::Count delta = argc > 1 ? std::atoll(argv[1]) : (1 << 16);
-  const re::Count k = argc > 2 ? std::atoll(argv[2]) : 1;
+  re::Count delta = 1 << 16;
+  re::Count k = 1;
+  const auto arg = [&](int i, const char* name, re::Count& dest) {
+    if (argc > i && !util::parseNumber(std::string_view(argv[i]), dest)) {
+      std::cerr << "lower_bound_proof: bad value for " << name << "\n";
+      std::exit(2);
+    }
+  };
+  arg(1, "delta", delta);
+  arg(2, "k", k);
+  core::Chain chain;
+  try {
+    if (delta < 1) throw re::Error("delta must be >= 1");
+    chain = core::exactChain(delta, k);
+  } catch (const re::Error& e) {
+    std::cerr << "lower_bound_proof: " << e.what() << "\n";
+    return 2;
+  }
 
   std::cout << "Machine-checked lower bound for " << k
             << "-outdegree dominating sets on " << delta
@@ -33,7 +54,6 @@ int main(int argc, char** argv) {
   // engine session so the per-step 0-round verdicts are memoized and any
   // later chain work against the same core reuses them.
   re::EngineSession engine(std::make_shared<re::EngineCore>());
-  const core::Chain chain = core::exactChain(delta, k);
   const std::string cert = core::certifyChain(chain, engine);
   if (!cert.empty()) {
     std::cerr << "chain certification FAILED: " << cert << "\n";

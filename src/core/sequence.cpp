@@ -1,6 +1,7 @@
 #include "core/sequence.hpp"
 
 #include <exception>
+#include <string>
 
 #include "obs/trace.hpp"
 #include "re/engine.hpp"
@@ -96,6 +97,10 @@ Chain paperChain(Count delta, Count x0) {
 }
 
 Chain exactChain(Count delta, Count x0) {
+  if (x0 < 0 || x0 > delta) {
+    throw re::Error("exactChain: x0 = " + std::to_string(x0) +
+                    " outside [0, delta = " + std::to_string(delta) + "]");
+  }
   Chain chain;
   chain.delta = delta;
   Count a = delta;
@@ -134,13 +139,9 @@ std::string certifyChain(const Chain& chain, re::EngineSession& session,
 }
 
 io::Certificate buildChainCertificate(const Chain& chain,
-                                      re::EngineSession* session,
+                                      re::EngineSession& session,
                                       int numThreads) {
-  if (session == nullptr) {
-    re::EngineSession own;
-    return buildChainCertificate(chain, &own, numThreads);
-  }
-  const std::string violation = certifyChain(chain, *session, numThreads);
+  const std::string violation = certifyChain(chain, session, numThreads);
   if (!violation.empty()) {
     throw re::Error("buildChainCertificate: chain does not certify: " +
                     violation);
@@ -159,11 +160,20 @@ io::Certificate buildChainCertificate(const Chain& chain,
     out.problem = familyProblem(chain.delta, step.a, step.x);
     // certifyChain established non-solvability for every step; the verdicts
     // below are therefore all false, served from the session's cache.
-    out.zeroRoundSolvable = session->zeroRoundSolvable(
+    out.zeroRoundSolvable = session.zeroRoundSolvable(
         out.problem, re::ZeroRoundMode::kSymmetricPorts);
     cert.steps.push_back(std::move(out));
   }
   return cert;
+}
+
+io::Certificate buildChainCertificate(const Chain& chain,
+                                      re::EngineSession* session,
+                                      int numThreads) {
+  if (session == nullptr) {
+    throw re::Error("buildChainCertificate: no session");
+  }
+  return buildChainCertificate(chain, *session, numThreads);
 }
 
 Count pnLowerBoundRounds(Count delta, Count k) {

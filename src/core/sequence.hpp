@@ -48,6 +48,8 @@ struct Chain {
 /// x_{i+1} = x_i + 1, continued while the Corollary 10 preconditions
 /// (2x + 1 <= a and x + 2 <= a) hold.  Longer than the paper's rounded
 /// schedule; same per-step justification, minus the Lemma 11 rounding.
+/// Throws re::Error unless 0 <= x0 <= delta (Pi_Delta(Delta, x0) is only
+/// defined there).
 [[nodiscard]] Chain exactChain(re::Count delta, re::Count x0);
 
 /// Certifies a chain: every consecutive pair must be a valid Corollary 10 +
@@ -71,14 +73,20 @@ struct Chain {
 /// Builds the durable "family-chain" certificate for `chain`: per step the
 /// parameters, the fully expanded problem, and the zero-round verdict,
 /// memoized in `session` (a warm session or attached store performs zero
-/// recomputation; nullptr: a private session).  The certificate is
-/// deterministic -- the same chain always serializes to the same bytes --
-/// and io::verifyCertificate re-checks every claim without the engine.
-/// Throws re::Error if the chain does not certify (the certificate would be
-/// rejected anyway; the error carries certifyChain's violation text).
+/// recomputation).  The certificate is deterministic -- the same chain
+/// always serializes to the same bytes -- and io::verifyCertificate
+/// re-checks every claim without the engine.  Throws re::Error if the chain
+/// does not certify (the certificate would be rejected anyway; the error
+/// carries certifyChain's violation text).
 [[nodiscard]] io::Certificate buildChainCertificate(
-    const Chain& chain, re::EngineSession* session = nullptr,
+    const Chain& chain, re::EngineSession& session,
     int numThreads = util::kDefaultNumThreads);
+
+/// The same through a session pointer, which must not be null: the form the
+/// benchmark harness (perfbench/harness) builds against.
+[[nodiscard]] io::Certificate buildChainCertificate(const Chain& chain,
+                                                    re::EngineSession* session,
+                                                    int numThreads);
 
 /// Lemma 12 for the family: Pi_Delta(a, x) is 0-round solvable on the
 /// symmetric-port family iff a == 0 or x == delta (i.e. some configuration

@@ -358,10 +358,10 @@ RunResult run(const RunRequest& request, std::shared_ptr<re::EngineCore> core) {
   const int numThreads = request.numThreads;
   session.threads = util::resolveThreadCount(numThreads);
 
-  re::PassOptions passOptions;
-  passOptions.numThreads = numThreads;
+  re::StepOptions stepOptions;
+  stepOptions.numThreads = numThreads;
   if (core == nullptr) core = std::make_shared<re::EngineCore>();
-  re::EngineSession ctx(core, passOptions, request.scope);
+  re::EngineSession ctx(core, stepOptions, request.scope);
   if (stepStore != nullptr) ctx.attachStore(stepStore);
   sessionStatsFrom = &ctx;
 
@@ -389,7 +389,7 @@ RunResult run(const RunRequest& request, std::shared_ptr<re::EngineCore> core) {
       io::Certificate cert;
       {
         const obs::ScopedSpan phase("phase.chain.certify");
-        cert = core::buildChainCertificate(chain, &ctx, numThreads);
+        cert = core::buildChainCertificate(chain, ctx, numThreads);
       }
       out << "chain certified: >= " << cert.claimedRounds()
           << " rounds (deterministic PN model)\n";
@@ -557,9 +557,7 @@ RunResult run(const RunRequest& request, std::shared_ptr<re::EngineCore> core) {
       re::IterateOptions options;
       options.maxSteps = maxSteps;
       options.maxLabels = 16;
-      options.stepOptions.numThreads = numThreads;
-      options.context = &ctx;
-      const auto trace = re::iterateSpeedup(p, options);
+      const auto trace = re::iterateSpeedup(ctx, p, options);
       out << trace.describe() << "\n\n";
       if (trace.last.alphabet.size() <= 16) {
         out << "last problem reached:\n" << trace.last.render();
@@ -591,9 +589,7 @@ RunResult run(const RunRequest& request, std::shared_ptr<re::EngineCore> core) {
       re::AutoLowerBoundOptions lbOptions;
       lbOptions.maxSteps = maxSteps;
       lbOptions.maxLabels = 10;
-      lbOptions.stepOptions.numThreads = numThreads;
-      lbOptions.context = &ctx;
-      const auto lb = re::autoLowerBound(p, lbOptions);
+      const auto lb = ctx.autoLowerBound(p, lbOptions);
       out << "\nautomatic lower bound: >= " << lb.rounds
           << " rounds (deterministic PN, high girth)\n";
     } catch (const re::Error& e) {

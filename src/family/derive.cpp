@@ -67,8 +67,7 @@ FamilyDerivation deriveFamilyBound(const FamilyDef& def, const Env& overrides,
   re::AutoLowerBoundOptions lbOptions;
   lbOptions.maxSteps = options.maxSteps;
   lbOptions.maxLabels = options.autoboundMaxLabels;
-  lbOptions.context = &session;
-  out.bound = re::autoLowerBound(out.problem, lbOptions);
+  out.bound = session.autoLowerBound(out.problem, lbOptions);
 
   out.certificate = buildTraceCertificate(out.problem, session,
                                           options.maxSteps,

@@ -107,15 +107,8 @@ std::string IterationTrace::describe() const {
   return out;
 }
 
-IterationTrace iterateSpeedup(const Problem& start,
+IterationTrace iterateSpeedup(EngineSession& session, const Problem& start,
                               const IterateOptions& options) {
-  if (options.context == nullptr) {
-    EngineSession own(nullptr, options.stepOptions);
-    IterateOptions withOwn = options;
-    withOwn.context = &own;
-    return iterateSpeedup(start, withOwn);
-  }
-  EngineSession& session = *options.context;
   IterationTrace trace;
   trace.last = start;
   trace.steps.push_back(describeProblem(start));
@@ -164,18 +157,10 @@ IterationTrace iterateSpeedup(const Problem& start,
   return trace;
 }
 
-AutoLowerBound autoLowerBound(const Problem& start,
-                              const AutoLowerBoundOptions& options) {
-  if (options.context == nullptr) {
-    EngineSession own(nullptr, options.stepOptions);
-    return detail::autoLowerBoundImpl(start, options, own);
-  }
-  return options.context->autoLowerBound(start, options);
-}
-
-AutoLowerBound detail::autoLowerBoundImpl(const Problem& start,
-                                          const AutoLowerBoundOptions& options,
-                                          EngineSession& session) {
+// The search behind EngineSession::autoLowerBound, run on a memo miss: its
+// speedup steps and zero-round checks go through this session's memos.
+AutoLowerBound EngineSession::searchLowerBound(
+    const Problem& start, const AutoLowerBoundOptions& options) {
   AutoLowerBound result;
   Problem current = start;
   result.labelsPerStep.push_back(current.alphabet.size());
@@ -186,8 +171,7 @@ AutoLowerBound detail::autoLowerBoundImpl(const Problem& start,
     // chain with whatever was certified so far instead of throwing.
     bool solvable = false;
     try {
-      solvable =
-          session.zeroRoundSolvable(current, ZeroRoundMode::kWithEdgeInputs);
+      solvable = zeroRoundSolvable(current, ZeroRoundMode::kWithEdgeInputs);
     } catch (const Error&) {
       result.reason = StopReason::kEngineLimit;
       return result;
@@ -200,12 +184,12 @@ AutoLowerBound detail::autoLowerBoundImpl(const Problem& start,
     result.rounds = step + 1;
     Problem next;
     try {
-      next = session.speedupStep(current);
+      next = speedupStep(current);
     } catch (const Error&) {
       result.reason = StopReason::kEngineLimit;
       return result;
     }
-    if (!mergeWhileHard(next, options.maxLabels, session)) {
+    if (!mergeWhileHard(next, options.maxLabels, *this)) {
       result.reason = StopReason::kLabelBudget;
       return result;
     }
@@ -214,6 +198,29 @@ AutoLowerBound detail::autoLowerBoundImpl(const Problem& start,
   }
   result.reason = StopReason::kStepLimit;
   return result;
+}
+
+namespace {
+
+EngineSession& contextOf(EngineSession* context, const char* entry) {
+  if (context == nullptr) {
+    throw Error(std::string(entry) + ": options.context must name a session");
+  }
+  return *context;
+}
+
+}  // namespace
+
+IterationTrace iterateSpeedup(const Problem& start,
+                              const IterateOptions& options) {
+  return iterateSpeedup(contextOf(options.context, "iterateSpeedup"), start,
+                        options);
+}
+
+AutoLowerBound autoLowerBound(const Problem& start,
+                              const AutoLowerBoundOptions& options) {
+  return contextOf(options.context, "autoLowerBound")
+      .autoLowerBound(start, options);
 }
 
 }  // namespace relb::re

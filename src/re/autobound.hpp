@@ -58,21 +58,22 @@ struct IterationTrace {
 struct IterateOptions {
   int maxSteps = 8;
   int maxLabels = 12;          // refuse to continue past this alphabet size
-  StepOptions stepOptions;     // forwarded to applyR / applyRbar (including
-                               // the numThreads fan-out width)
   /// Check for fixed points (needs isomorphism search; alphabets <= 10).
   bool detectFixedPoint = true;
-  /// The engine session the iteration runs through (see engine.hpp); when
-  /// unset, a private session over a fresh core is built from stepOptions.
-  /// Speedup steps and zero-round checks are memoized in the session (whose
-  /// options then replace stepOptions), and fixed-point detection first
-  /// tries the cheap canonical-interning route -- "canonical form already
-  /// interned" -- before falling back to the semantic isomorphism search.
+
+  // Read only by the option-block entry point at the end of this header.
+  StepOptions stepOptions;
   EngineSession* context = nullptr;
 };
 
-/// Runs the speedup iteration and reports what happened.
-[[nodiscard]] IterationTrace iterateSpeedup(const Problem& start,
+/// Runs the speedup iteration through `session` and reports what happened.
+/// Speedup steps and zero-round checks are memoized in the session (its
+/// options set the guards and the fan-out width), and fixed-point detection
+/// first tries the cheap canonical-interning route -- "canonical form
+/// already interned" -- before falling back to the semantic isomorphism
+/// search.
+[[nodiscard]] IterationTrace iterateSpeedup(EngineSession& session,
+                                            const Problem& start,
                                             const IterateOptions& options = {});
 
 // ---------------------------------------------------------------------------
@@ -97,34 +98,32 @@ struct AutoLowerBound {
   StopReason reason = StopReason::kStepLimit;
 };
 
+/// The knobs of EngineSession::autoLowerBound (engine.hpp), the search's
+/// entry point, which memoizes the whole result.
 struct AutoLowerBoundOptions {
   int maxSteps = 6;
   /// After each speedup, merge label pairs (keeping the problem hard) until
   /// at most this many labels remain; stop if no hardness-preserving merge
   /// exists.
   int maxLabels = 8;
+
+  // Read only by the option-block entry point at the end of this header.
   StepOptions stepOptions;
-  /// The engine session to run through: delegates to
-  /// EngineSession::autoLowerBound, which memoizes the whole result (a
-  /// repeat skips the merge search), and on a miss memoizes the speedup
-  /// steps and the (heavily repeated) zero-round solvability checks of the
-  /// merge search; stepOptions is then ignored in favor of the session's
-  /// options.  When unset, the search runs through a private session built
-  /// from stepOptions.  Results are identical either way.
   EngineSession* context = nullptr;
 };
 
-/// Fully automatic lower-bound search.
-[[nodiscard]] AutoLowerBound autoLowerBound(
-    const Problem& start, const AutoLowerBoundOptions& options = {});
+// ---------------------------------------------------------------------------
+// Option-block entry points.  The benchmark harness (perfbench/harness)
+// builds against these; everything in-tree calls the session entry points.
+// They run through `options.context`, which must name a session (re::Error
+// otherwise), and ignore `options.stepOptions`: the session's options
+// govern.
+// ---------------------------------------------------------------------------
 
-namespace detail {
-/// The search itself, run by EngineSession::autoLowerBound on a memo miss
-/// and by the free function over its private session: steps and zero-round
-/// checks go through `session` (options.context is ignored).
-[[nodiscard]] AutoLowerBound autoLowerBoundImpl(
-    const Problem& start, const AutoLowerBoundOptions& options,
-    EngineSession& session);
-}  // namespace detail
+[[nodiscard]] IterationTrace iterateSpeedup(const Problem& start,
+                                            const IterateOptions& options);
+
+[[nodiscard]] AutoLowerBound autoLowerBound(
+    const Problem& start, const AutoLowerBoundOptions& options);
 
 }  // namespace relb::re

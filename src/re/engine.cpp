@@ -2,13 +2,16 @@
 
 #include <algorithm>
 #include <chrono>
+#include <mutex>
+#include <tuple>
+#include <type_traits>
+#include <unordered_map>
 #include <utility>
 
 #include "obs/metrics.hpp"
 #include "obs/scope.hpp"
 #include "obs/trace.hpp"
 #include "re/zero_round.hpp"
-#include "util/arena.hpp"
 
 namespace relb::re {
 
@@ -20,6 +23,66 @@ std::uint64_t mixKey(std::uint64_t h, std::uint64_t v) {
   v = (v ^ (v >> 27)) * 0x94d049bb133111ebULL;
   return h ^ (v ^ (v >> 31));
 }
+
+/// One memo table.  Buckets are keyed by a 64-bit structural hash and
+/// every entry carries its full key -- a tuple of every input the value
+/// depends on, scalars first so a mismatch is found cheaply -- so a hash
+/// collision degrades to a miss-like scan, never to a wrong answer.
+template <typename K, typename V>
+struct MemoTable {
+  using Key = K;
+  using Value = V;
+  struct Entry {
+    Key key;
+    Value value;
+  };
+  std::unordered_map<std::uint64_t, std::vector<Entry>> buckets;
+};
+
+/// A memoized step: the result, or the refusal an engine guard threw.
+struct StepOutcome {
+  std::optional<StepResult> result;  // unset: the step was refused
+  std::string refusal;               // the guard's re::Error message
+
+  /// The result, or the refusal rethrown verbatim.
+  [[nodiscard]] StepResult replay() && {
+    if (!result) throw Error(refusal);
+    return std::move(*result);
+  }
+};
+
+/// kind (0 = R, 1 = Rbar), maxRbarDelta, enumerationLimit, input.
+using StepTable =
+    MemoTable<std::tuple<int, Count, std::size_t, Problem>, StepOutcome>;
+
+/// An entry answers a lookup (`probe`: the key's fields, by reference) iff
+/// its key equals the probe ...
+template <typename Entry, typename Probe>
+bool answers(const Entry& entry, const Probe& probe) {
+  return entry.key == probe;
+}
+
+/// ... except that R results hold under any guards; R-bar results and
+/// every refusal only under the guards they were computed with.
+template <typename Probe>
+bool answers(const StepTable::Entry& entry, const Probe& probe) {
+  const auto& [kind, maxRbarDelta, enumerationLimit, input] = entry.key;
+  return kind == std::get<0>(probe) && input == std::get<3>(probe) &&
+         ((kind == 0 && entry.value.result) ||
+          (maxRbarDelta == std::get<1>(probe) &&
+           enumerationLimit == std::get<2>(probe)));
+}
+
+/// Read-through and write-through of the attached store for one memoized
+/// value: `load(storage)` returns std::optional<Value>, `save(storage,
+/// value)` persists a computed one.
+template <typename Load, typename Save>
+struct ThroughStore {
+  Load load;
+  Save save;
+};
+template <typename Load, typename Save>
+ThroughStore(Load, Save) -> ThroughStore<Load, Save>;
 
 }  // namespace
 
@@ -49,76 +112,22 @@ std::string CacheStats::describe() const {
 // ---------------------------------------------------------------------------
 
 struct EngineCore::Impl {
-  // Every cache follows the same discipline: buckets keyed by a 64-bit
-  // structural hash, entries carrying the full key for exact comparison (a
-  // hash collision degrades to a miss-like scan, never to a wrong answer).
-  struct StepEntry {
-    int kind;  // 0 = R, 1 = Rbar
-    Problem input;
-    Count maxRbarDelta;
-    std::size_t enumerationLimit;
-    std::optional<StepResult> result;  // unset: the step was refused
-    std::string refusal;               // the guard's re::Error message
-
-    /// R results hold under any options; R-bar results and every refusal
-    /// only under the guards they were computed with.
-    [[nodiscard]] bool answers(int k, const Problem& p,
-                               const StepOptions& o) const {
-      return kind == k && input == p &&
-             ((kind == 0 && result) ||
-              (maxRbarDelta == o.maxRbarDelta &&
-               enumerationLimit == o.enumerationLimit));
-    }
-    /// The memoized outcome: the result, or the refusal rethrown verbatim.
-    [[nodiscard]] StepResult replay() const {
-      if (!result) throw Error(refusal);
-      return *result;
-    }
-  };
-  struct AutoboundEntry {
-    Problem start;
-    int maxSteps;
-    int maxLabels;
-    Count maxRbarDelta;
-    std::size_t enumerationLimit;
-    AutoLowerBound result;
-  };
-  struct EdgeCompatEntry {
-    Constraint edge;
-    int alphabetSize;
-    std::vector<LabelSet> compat;
-  };
-  struct StrengthEntry {
-    Constraint constraint;
-    int alphabetSize;
-    std::size_t limit;
-    StrengthRelation relation{0};
-  };
-  struct RightClosedEntry {
-    Constraint constraint;
-    int alphabetSize;
-    LabelSet universe;
-    std::size_t limit;
-    std::vector<LabelSet> sets;
-  };
-  struct ZeroRoundEntry {
-    Problem input;
-    ZeroRoundMode mode;
-    bool solvable;
-  };
-  struct CanonicalEntry {
-    Problem input;
-    CanonicalForm form;
-  };
-
   mutable std::mutex mutex;
-  std::unordered_map<std::uint64_t, std::vector<StepEntry>> steps;
-  std::unordered_map<std::uint64_t, std::vector<AutoboundEntry>> autobounds;
-  std::unordered_map<std::uint64_t, std::vector<EdgeCompatEntry>> edgeCompat;
-  std::unordered_map<std::uint64_t, std::vector<StrengthEntry>> strengths;
-  std::unordered_map<std::uint64_t, std::vector<RightClosedEntry>> rightClosed;
-  std::unordered_map<std::uint64_t, std::vector<ZeroRoundEntry>> zeroRound;
-  std::unordered_map<std::uint64_t, std::vector<CanonicalEntry>> canonicals;
+  StepTable steps;
+  /// maxSteps, maxLabels, maxRbarDelta, enumerationLimit, start.
+  MemoTable<std::tuple<int, int, Count, std::size_t, Problem>, AutoLowerBound>
+      autobounds;
+  /// alphabetSize, edge.
+  MemoTable<std::tuple<int, Constraint>, std::vector<LabelSet>> edgeCompat;
+  /// alphabetSize, enumerationLimit, constraint.
+  MemoTable<std::tuple<int, std::size_t, Constraint>, StrengthRelation>
+      strengths;
+  /// alphabetSize, universe, enumerationLimit, constraint.
+  MemoTable<std::tuple<int, LabelSet, std::size_t, Constraint>,
+            std::vector<LabelSet>>
+      rightClosed;
+  MemoTable<std::tuple<ZeroRoundMode, Problem>, bool> zeroRound;
+  MemoTable<std::tuple<Problem>, CanonicalForm> canonicals;
   std::unordered_map<std::uint64_t, std::vector<Problem>> interned;
   /// Aggregate across every session over this core.
   CacheStats stats;
@@ -155,50 +164,131 @@ void EngineCore::resetStats() {
 // EngineSession
 // ---------------------------------------------------------------------------
 
-/// Counter references mirrored into the session's registry (the per-session
-/// CacheStats stay the source of truth for `--stats`; the registry is what
-/// run reports and counter-based tests read).  Interned once per session,
-/// ticked with relaxed atomic adds.  For scope-less sessions the registry is
-/// the global one, so names collide deliberately: globals aggregate.
-struct EngineSession::ObsHooks {
-  obs::Counter& memoHit;
-  obs::Counter& memoMiss;
-  obs::Counter& zeroRoundHit;
-  obs::Counter& zeroRoundMiss;
-  obs::Counter& canonicalHit;
-  obs::Counter& canonicalMiss;
-  obs::Counter& autoboundHit;
-  obs::Counter& autoboundMiss;
-  obs::Counter& storeHit;
-  obs::Counter& storeMiss;
-  obs::Counter& storeWrite;
-
-  explicit ObsHooks(obs::Registry& r)
-      : memoHit(r.counter("engine.memo.hit")),
-        memoMiss(r.counter("engine.memo.miss")),
-        zeroRoundHit(r.counter("engine.zero_round.hit")),
-        zeroRoundMiss(r.counter("engine.zero_round.miss")),
-        canonicalHit(r.counter("engine.canonical.hit")),
-        canonicalMiss(r.counter("engine.canonical.miss")),
-        autoboundHit(r.counter("engine.autobound.hit")),
-        autoboundMiss(r.counter("engine.autobound.miss")),
-        storeHit(r.counter("store.hit")),
-        storeMiss(r.counter("store.miss")),
-        storeWrite(r.counter("store.write")) {}
+/// One counter: a CacheStats member, mirrored into a registry counter where
+/// the cache has one (the per-session CacheStats stay the source of truth
+/// for `--stats`; the registry is what run reports and counter-based tests
+/// read).
+struct EngineSession::Tick {
+  std::size_t CacheStats::*field;
+  obs::Counter* mirror;
 };
 
+struct EngineSession::Traffic {
+  Tick hit;
+  Tick miss;
+};
+
+/// Every cache's ticks.  The registry counters are interned once per session
+/// and ticked with relaxed atomic adds; for scope-less sessions the registry
+/// is the global one, so names collide deliberately: globals aggregate.
+/// Edge compatibility, strength and right-closed sets have no registry
+/// counters.
+struct EngineSession::ObsHooks {
+  Traffic step;
+  Traffic zeroRound;
+  Traffic canonical;
+  Traffic autobound;
+  Traffic store;
+  Tick storeWrite;
+  Traffic edgeCompat{{&CacheStats::edgeCompatHits, nullptr},
+                     {&CacheStats::edgeCompatMisses, nullptr}};
+  Traffic strength{{&CacheStats::strengthHits, nullptr},
+                   {&CacheStats::strengthMisses, nullptr}};
+  Traffic rightClosed{{&CacheStats::rightClosedHits, nullptr},
+                      {&CacheStats::rightClosedMisses, nullptr}};
+  Tick interned{&CacheStats::internedProblems, nullptr};
+
+  explicit ObsHooks(obs::Registry& r)
+      : step{{&CacheStats::stepHits, &r.counter("engine.memo.hit")},
+             {&CacheStats::stepMisses, &r.counter("engine.memo.miss")}},
+        zeroRound{
+            {&CacheStats::zeroRoundHits, &r.counter("engine.zero_round.hit")},
+            {&CacheStats::zeroRoundMisses,
+             &r.counter("engine.zero_round.miss")}},
+        canonical{
+            {&CacheStats::canonicalHits, &r.counter("engine.canonical.hit")},
+            {&CacheStats::canonicalMisses,
+             &r.counter("engine.canonical.miss")}},
+        autobound{
+            {&CacheStats::autoboundHits, &r.counter("engine.autobound.hit")},
+            {&CacheStats::autoboundMisses,
+             &r.counter("engine.autobound.miss")}},
+        store{{&CacheStats::storeHits, &r.counter("store.hit")},
+              {&CacheStats::storeMisses, &r.counter("store.miss")}},
+        storeWrite{&CacheStats::storeWrites, &r.counter("store.write")} {}
+};
+
+void EngineSession::count(const Tick& tick) {
+  ++(core_->impl_->stats.*tick.field);
+  ++(stats_.*tick.field);
+  if (tick.mirror != nullptr) tick.mirror->add();
+}
+
+/// A lookup counts a hit or, once the value is computed, a miss.  With a
+/// store attached (`through` is a ThroughStore), a miss first reads the
+/// store -- a store hit fills the memo and counts a store hit, not a miss --
+/// and a computed value is written through.  A computation that throws
+/// propagates with nothing inserted and no miss counted.
+template <typename Table, typename Probe, typename Compute, typename Through>
+typename Table::Value EngineSession::memo(Table& table, std::uint64_t hash,
+                                          const Traffic& traffic,
+                                          const Probe& probe,
+                                          const Compute& compute,
+                                          const Through& through) {
+  using Value = typename Table::Value;
+  constexpr bool kDurable = !std::is_same_v<Through, InMemory>;
+  EngineCore::Impl& impl = *core_->impl_;
+  std::shared_ptr<StepStorage> storage;
+  {
+    std::lock_guard lock(impl.mutex);
+    if (const auto it = table.buckets.find(hash);
+        it != table.buckets.end()) {
+      for (const auto& entry : it->second) {
+        if (answers(entry, probe)) {
+          count(traffic.hit);
+          return entry.value;
+        }
+      }
+    }
+    if constexpr (kDurable) storage = impl.storage;
+  }
+  const auto insert = [&](const Tick& tick, const Value& value) {
+    typename Table::Entry entry{typename Table::Key(probe), value};
+    std::lock_guard lock(impl.mutex);
+    count(tick);
+    table.buckets[hash].push_back(std::move(entry));
+  };
+  if constexpr (kDurable) {
+    if (storage != nullptr) {
+      if (std::optional<Value> loaded = through.load(*storage)) {
+        insert(obs_->store.hit, *loaded);
+        return *std::move(loaded);
+      }
+      std::lock_guard lock(impl.mutex);
+      count(obs_->store.miss);
+    }
+  }
+  Value value = compute();
+  insert(traffic.miss, value);
+  if constexpr (kDurable) {
+    if (storage != nullptr) {
+      through.save(*storage, value);
+      std::lock_guard lock(impl.mutex);
+      count(obs_->storeWrite);
+    }
+  }
+  return value;
+}
+
 EngineSession::EngineSession(std::shared_ptr<EngineCore> core,
-                             PassOptions options, obs::SessionScope* scope)
+                             StepOptions options, obs::SessionScope* scope)
     : core_(core != nullptr ? std::move(core)
                             : std::make_shared<EngineCore>()),
       options_(options),
       registry_(scope != nullptr ? &scope->registry()
                                  : &obs::Registry::global()),
       tracer_(scope != nullptr ? &scope->tracer() : &obs::Tracer::global()),
-      obs_(std::make_unique<ObsHooks>(*registry_)),
-      arena_(std::make_unique<util::Arena>()) {
-  if (options_.arena == nullptr) options_.arena = arena_.get();
-}
+      obs_(std::make_unique<ObsHooks>(*registry_)) {}
 
 EngineSession::~EngineSession() = default;
 
@@ -217,77 +307,48 @@ StepResult EngineSession::applyRbar(const Problem& p) {
 StepResult EngineSession::memoizedStep(int kind, const Problem& p) {
   const obs::ScopedSpan span(kind == 0 ? "engine.applyR" : "engine.applyRbar",
                              *tracer_);
-  EngineCore::Impl& impl = *core_->impl_;
   const std::uint64_t hash = structuralHash(p);
-  const std::uint64_t key = mixKey(static_cast<std::uint64_t>(kind), hash);
-  std::shared_ptr<StepStorage> storage;
-  {
-    std::lock_guard lock(impl.mutex);
-    const auto it = impl.steps.find(key);
-    if (it != impl.steps.end()) {
-      for (const auto& e : it->second) {
-        if (e.answers(kind, p, options_)) {
-          ++impl.stats.stepHits;
-          ++stats_.stepHits;
-          obs_->memoHit.add();
-          return e.replay();
-        }
+  const auto compute = [&] {
+    StepOutcome out;
+    const int n = p.alphabet.size();
+    try {
+      if (kind == 0) {
+        out.result = detail::applyR(
+            p, options_, [&] { return edgeCompatibility(p.edge, n); });
+      } else {
+        out.result = detail::applyRbar(p, options_, [&] {
+          return rightClosedSets(p.node, n, p.alphabet.all(),
+                                 options_.enumerationLimit);
+        });
       }
+    } catch (const Error& e) {
+      out.refusal = e.what();
     }
-    storage = impl.storage;
-  }
-  EngineCore::Impl::StepEntry entry{kind, p, options_.maxRbarDelta,
-                                    options_.enumerationLimit, {}, {}};
-  if (storage != nullptr) {
-    std::optional<std::string> refusal =
-        storage->loadStepRefusal(kind, p, hash, options_);
-    if (!refusal) entry.result = storage->loadStep(kind, p, hash, options_);
-    std::lock_guard lock(impl.mutex);
-    if (refusal || entry.result) {
-      if (refusal) entry.refusal = std::move(*refusal);
-      ++impl.stats.storeHits;
-      ++stats_.storeHits;
-      obs_->storeHit.add();
-      impl.steps[key].push_back(entry);
-      return entry.replay();
-    }
-    ++impl.stats.storeMisses;
-    ++stats_.storeMisses;
-    obs_->storeMiss.add();
-  }
-  const int n = p.alphabet.size();
-  try {
-    if (kind == 0) {
-      entry.result = detail::applyR(
-          p, options_, [&] { return edgeCompatibility(p.edge, n); });
-    } else {
-      entry.result = detail::applyRbar(p, options_, [&] {
-        return rightClosedSets(p.node, n, p.alphabet.all(),
-                               options_.enumerationLimit);
-      });
-    }
-  } catch (const Error& e) {
-    entry.refusal = e.what();
-  }
-  {
-    std::lock_guard lock(impl.mutex);
-    ++impl.stats.stepMisses;
-    ++stats_.stepMisses;
-    obs_->memoMiss.add();
-    impl.steps[key].push_back(entry);
-  }
-  if (storage != nullptr) {
-    if (entry.result) {
-      storage->storeStep(kind, p, hash, options_, *entry.result);
-    } else {
-      storage->storeStepRefusal(kind, p, hash, options_, entry.refusal);
-    }
-    std::lock_guard lock(impl.mutex);
-    ++impl.stats.storeWrites;
-    ++stats_.storeWrites;
-    obs_->storeWrite.add();
-  }
-  return entry.replay();
+    return out;
+  };
+  const ThroughStore store{
+      [&](StepStorage& s) -> std::optional<StepOutcome> {
+        if (auto refusal = s.loadStepRefusal(kind, p, hash, options_)) {
+          return StepOutcome{std::nullopt, std::move(*refusal)};
+        }
+        if (auto result = s.loadStep(kind, p, hash, options_)) {
+          return StepOutcome{std::move(result), {}};
+        }
+        return std::nullopt;
+      },
+      [&](StepStorage& s, const StepOutcome& out) {
+        if (out.result) {
+          s.storeStep(kind, p, hash, options_, *out.result);
+        } else {
+          s.storeStepRefusal(kind, p, hash, options_, out.refusal);
+        }
+      }};
+  return memo(core_->impl_->steps,
+              mixKey(static_cast<std::uint64_t>(kind), hash), obs_->step,
+              std::forward_as_tuple(kind, options_.maxRbarDelta,
+                                    options_.enumerationLimit, p),
+              compute, store)
+      .replay();
 }
 
 Problem EngineSession::speedupStep(const Problem& p) {
@@ -330,237 +391,96 @@ SpeedupStepStats EngineSession::speedupStepWithStats(const Problem& p) {
 AutoLowerBound EngineSession::autoLowerBound(
     const Problem& start, const AutoLowerBoundOptions& options) {
   const obs::ScopedSpan span("engine.autobound", *tracer_);
-  EngineCore::Impl& impl = *core_->impl_;
-  const auto matches = [&](const EngineCore::Impl::AutoboundEntry& e) {
-    return e.maxSteps == options.maxSteps &&
-           e.maxLabels == options.maxLabels &&
-           e.maxRbarDelta == options_.maxRbarDelta &&
-           e.enumerationLimit == options_.enumerationLimit && e.start == start;
-  };
-  std::uint64_t key = structuralHash(start);
+  std::uint64_t hash = structuralHash(start);
   for (const std::uint64_t field :
        {static_cast<std::uint64_t>(options.maxSteps),
         static_cast<std::uint64_t>(options.maxLabels),
         static_cast<std::uint64_t>(options_.maxRbarDelta),
         static_cast<std::uint64_t>(options_.enumerationLimit)}) {
-    key = mixKey(key, field);
+    hash = mixKey(hash, field);
   }
-  {
-    std::lock_guard lock(impl.mutex);
-    const auto it = impl.autobounds.find(key);
-    if (it != impl.autobounds.end()) {
-      for (const auto& e : it->second) {
-        if (matches(e)) {
-          ++impl.stats.autoboundHits;
-          ++stats_.autoboundHits;
-          obs_->autoboundHit.add();
-          return e.result;
-        }
-      }
-    }
-  }
-  AutoLowerBound result = detail::autoLowerBoundImpl(start, options, *this);
-  std::lock_guard lock(impl.mutex);
-  ++impl.stats.autoboundMisses;
-  ++stats_.autoboundMisses;
-  obs_->autoboundMiss.add();
-  impl.autobounds[key].push_back({start, options.maxSteps, options.maxLabels,
-                                  options_.maxRbarDelta,
-                                  options_.enumerationLimit, result});
-  return result;
+  return memo(core_->impl_->autobounds, hash, obs_->autobound,
+              std::forward_as_tuple(options.maxSteps, options.maxLabels,
+                                    options_.maxRbarDelta,
+                                    options_.enumerationLimit, start),
+              [&] { return searchLowerBound(start, options); });
 }
 
 std::vector<LabelSet> EngineSession::edgeCompatibility(const Constraint& edge,
                                                        int alphabetSize) {
-  EngineCore::Impl& impl = *core_->impl_;
-  const std::uint64_t key =
-      mixKey(structuralHash(edge), static_cast<std::uint64_t>(alphabetSize));
-  {
-    std::lock_guard lock(impl.mutex);
-    const auto it = impl.edgeCompat.find(key);
-    if (it != impl.edgeCompat.end()) {
-      for (const auto& e : it->second) {
-        if (e.alphabetSize == alphabetSize && e.edge == edge) {
-          ++impl.stats.edgeCompatHits;
-          ++stats_.edgeCompatHits;
-          return e.compat;
-        }
-      }
-    }
-  }
-  std::vector<LabelSet> compat = re::edgeCompatibility(edge, alphabetSize);
-  std::lock_guard lock(impl.mutex);
-  ++impl.stats.edgeCompatMisses;
-  ++stats_.edgeCompatMisses;
-  impl.edgeCompat[key].push_back({edge, alphabetSize, compat});
-  return compat;
+  return memo(
+      core_->impl_->edgeCompat,
+      mixKey(structuralHash(edge), static_cast<std::uint64_t>(alphabetSize)),
+      obs_->edgeCompat, std::forward_as_tuple(alphabetSize, edge),
+      [&] { return re::edgeCompatibility(edge, alphabetSize); });
 }
 
 StrengthRelation EngineSession::strength(const Constraint& constraint,
                                          int alphabetSize,
                                          std::size_t enumerationLimit) {
-  EngineCore::Impl& impl = *core_->impl_;
-  const std::uint64_t key = mixKey(
-      mixKey(structuralHash(constraint),
-             static_cast<std::uint64_t>(alphabetSize)),
-      enumerationLimit);
-  {
-    std::lock_guard lock(impl.mutex);
-    const auto it = impl.strengths.find(key);
-    if (it != impl.strengths.end()) {
-      for (const auto& e : it->second) {
-        if (e.alphabetSize == alphabetSize && e.limit == enumerationLimit &&
-            e.constraint == constraint) {
-          ++impl.stats.strengthHits;
-          ++stats_.strengthHits;
-          return e.relation;
-        }
-      }
-    }
-  }
-  StrengthRelation relation = [&] {
-    const obs::ScopedSpan span("re.strength", *tracer_);
-    return computeStrength(constraint, alphabetSize, enumerationLimit);
-  }();
-  std::lock_guard lock(impl.mutex);
-  ++impl.stats.strengthMisses;
-  ++stats_.strengthMisses;
-  impl.strengths[key].push_back(
-      {constraint, alphabetSize, enumerationLimit, relation});
-  return relation;
+  return memo(core_->impl_->strengths,
+              mixKey(mixKey(structuralHash(constraint),
+                            static_cast<std::uint64_t>(alphabetSize)),
+                     enumerationLimit),
+              obs_->strength,
+              std::forward_as_tuple(alphabetSize, enumerationLimit, constraint),
+              [&] {
+                const obs::ScopedSpan span("re.strength", *tracer_);
+                return computeStrength(constraint, alphabetSize,
+                                       enumerationLimit);
+              });
 }
 
 std::vector<LabelSet> EngineSession::rightClosedSets(
     const Constraint& constraint, int alphabetSize, LabelSet universe,
     std::size_t enumerationLimit) {
-  EngineCore::Impl& impl = *core_->impl_;
-  const std::uint64_t key = mixKey(
-      mixKey(mixKey(structuralHash(constraint),
-                    static_cast<std::uint64_t>(alphabetSize)),
-             universe.bits()),
-      enumerationLimit);
-  {
-    std::lock_guard lock(impl.mutex);
-    const auto it = impl.rightClosed.find(key);
-    if (it != impl.rightClosed.end()) {
-      for (const auto& e : it->second) {
-        if (e.alphabetSize == alphabetSize && e.universe == universe &&
-            e.limit == enumerationLimit && e.constraint == constraint) {
-          ++impl.stats.rightClosedHits;
-          ++stats_.rightClosedHits;
-          return e.sets;
-        }
-      }
-    }
-  }
-  std::vector<LabelSet> sets =
-      strength(constraint, alphabetSize, enumerationLimit)
-          .allRightClosedSets(universe);
-  std::lock_guard lock(impl.mutex);
-  ++impl.stats.rightClosedMisses;
-  ++stats_.rightClosedMisses;
-  impl.rightClosed[key].push_back(
-      {constraint, alphabetSize, universe, enumerationLimit, sets});
-  return sets;
+  return memo(core_->impl_->rightClosed,
+              mixKey(mixKey(mixKey(structuralHash(constraint),
+                                   static_cast<std::uint64_t>(alphabetSize)),
+                            universe.bits()),
+                     enumerationLimit),
+              obs_->rightClosed,
+              std::forward_as_tuple(alphabetSize, universe, enumerationLimit,
+                                    constraint),
+              [&] {
+                return strength(constraint, alphabetSize, enumerationLimit)
+                    .allRightClosedSets(universe);
+              });
 }
 
 bool EngineSession::zeroRoundSolvable(const Problem& p, ZeroRoundMode mode) {
   const obs::ScopedSpan span("engine.zeroRound", *tracer_);
-  EngineCore::Impl& impl = *core_->impl_;
   const std::uint64_t hash = structuralHash(p);
-  const std::uint64_t key =
-      mixKey(static_cast<std::uint64_t>(mode) + 7, hash);
-  std::shared_ptr<StepStorage> storage;
-  {
-    std::lock_guard lock(impl.mutex);
-    const auto it = impl.zeroRound.find(key);
-    if (it != impl.zeroRound.end()) {
-      for (const auto& e : it->second) {
-        if (e.mode == mode && e.input == p) {
-          ++impl.stats.zeroRoundHits;
-          ++stats_.zeroRoundHits;
-          obs_->zeroRoundHit.add();
-          return e.solvable;
+  return memo(
+      core_->impl_->zeroRound,
+      mixKey(static_cast<std::uint64_t>(mode) + 7, hash), obs_->zeroRound,
+      std::forward_as_tuple(mode, p),
+      [&] {
+        switch (mode) {
+          case ZeroRoundMode::kSymmetricPorts:
+            return zeroRoundSolvableSymmetricPorts(p);
+          case ZeroRoundMode::kAdversarialPorts:
+            return zeroRoundSolvableAdversarialPorts(p);
+          case ZeroRoundMode::kWithEdgeInputs:
+            return zeroRoundSolvableWithEdgeInputs(p);
         }
-      }
-    }
-    storage = impl.storage;
-  }
-  if (storage != nullptr) {
-    if (const auto loaded = storage->loadZeroRound(mode, p, hash)) {
-      std::lock_guard lock(impl.mutex);
-      ++impl.stats.storeHits;
-      ++stats_.storeHits;
-      obs_->storeHit.add();
-      impl.zeroRound[key].push_back({p, mode, *loaded});
-      return *loaded;
-    }
-    std::lock_guard lock(impl.mutex);
-    ++impl.stats.storeMisses;
-    ++stats_.storeMisses;
-    obs_->storeMiss.add();
-  }
-  bool solvable = false;
-  switch (mode) {
-    case ZeroRoundMode::kSymmetricPorts:
-      solvable = zeroRoundSolvableSymmetricPorts(p);
-      break;
-    case ZeroRoundMode::kAdversarialPorts:
-      solvable = zeroRoundSolvableAdversarialPorts(p);
-      break;
-    case ZeroRoundMode::kWithEdgeInputs:
-      solvable = zeroRoundSolvableWithEdgeInputs(p);
-      break;
-  }
-  {
-    std::lock_guard lock(impl.mutex);
-    ++impl.stats.zeroRoundMisses;
-    ++stats_.zeroRoundMisses;
-    obs_->zeroRoundMiss.add();
-    impl.zeroRound[key].push_back({p, mode, solvable});
-  }
-  if (storage != nullptr) {
-    storage->storeZeroRound(mode, p, hash, solvable);
-    std::lock_guard lock(impl.mutex);
-    ++impl.stats.storeWrites;
-    ++stats_.storeWrites;
-    obs_->storeWrite.add();
-  }
-  return solvable;
+        return false;
+      },
+      ThroughStore{
+          [&](StepStorage& s) { return s.loadZeroRound(mode, p, hash); },
+          [&](StepStorage& s, bool solvable) {
+            s.storeZeroRound(mode, p, hash, solvable);
+          }});
 }
 
 EngineSession::InternResult EngineSession::intern(const Problem& p) {
   const obs::ScopedSpan span("engine.intern", *tracer_);
-  EngineCore::Impl& impl = *core_->impl_;
-  const std::uint64_t exactKey = structuralHash(p);
-  std::optional<CanonicalForm> form;
-  {
-    std::lock_guard lock(impl.mutex);
-    const auto it = impl.canonicals.find(exactKey);
-    if (it != impl.canonicals.end()) {
-      for (const auto& e : it->second) {
-        if (e.input == p) {
-          ++impl.stats.canonicalHits;
-          ++stats_.canonicalHits;
-          obs_->canonicalHit.add();
-          form = e.form;
-          break;
-        }
-      }
-    }
-  }
-  if (!form) {
-    form = canonicalize(p);
-    std::lock_guard lock(impl.mutex);
-    ++impl.stats.canonicalMisses;
-    ++stats_.canonicalMisses;
-    obs_->canonicalMiss.add();
-    impl.canonicals[exactKey].push_back({p, *form});
-  }
-
   InternResult result;
-  result.hash = form->hash;
-  result.canonical = std::move(*form);
+  result.canonical =
+      memo(core_->impl_->canonicals, structuralHash(p), obs_->canonical,
+           std::forward_as_tuple(p), [&] { return canonicalize(p); });
+  result.hash = result.canonical.hash;
+  EngineCore::Impl& impl = *core_->impl_;
   std::lock_guard lock(impl.mutex);
   auto& orbit = impl.interned[result.hash];
   result.alreadyInterned =
@@ -569,8 +489,7 @@ EngineSession::InternResult EngineSession::intern(const Problem& p) {
       });
   if (!result.alreadyInterned) {
     orbit.push_back(result.canonical.problem);
-    ++impl.stats.internedProblems;
-    ++stats_.internedProblems;
+    count(obs_->interned);
   }
   return result;
 }

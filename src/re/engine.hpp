@@ -23,23 +23,25 @@
 // Any number of sessions, on any threads, may share one core; results are
 // bit-identical to cold computes regardless of who warmed the cache.
 //
-// EngineSession is the cheap PER-REQUEST half: its own StepOptions, its own
-// result arena backing the serial Rbar sweep, and an observability scope (a
-// session-local metric registry and tracer handle, see obs/scope.hpp) so
-// concurrent requests produce attributable counter and span streams.
-// Creating a session performs a fixed, small amount of work (interning a
-// handful of counter names, one empty arena) -- it is meant to be done once
-// per request, and session reuse re-uses the arena.
+// EngineSession is the cheap PER-REQUEST half and the only way into a
+// search (iterateSpeedup, autoLowerBound, buildChainCertificate all take
+// one): its own StepOptions and an observability scope (a session-local
+// metric registry and tracer handle, see obs/scope.hpp) so concurrent
+// requests produce attributable counter and span streams.  Creating a
+// session performs a fixed, small amount of work (interning a handful of
+// counter names) -- it is meant to be done once per request.  The serial
+// Rbar sweep runs in the calling thread's own result arena (re_step.cpp),
+// exactly as the free operators do.
 //
 // Lifetime and sharing rules (docs/architecture.md has the diagram):
 //   * core outlives every session over it (sessions hold a shared_ptr, so
 //     this is automatic);
 //   * an attached obs::SessionScope must outlive the session;
-//   * one session serves ONE logical client.  The engine's own fan-out may
-//     run a session's work on many pool threads, and certifyChain-style
-//     helpers may probe a session from worker lanes, but two independent
-//     clients must each take their own session (sharing the core): the
-//     step entry points reset the session's arena.
+//   * one session serves ONE logical client: its stats are that client's
+//     attributed traffic.  The engine's own fan-out may run a session's
+//     work on many pool threads, and certifyChain-style helpers probe a
+//     session from worker lanes, but two independent clients each take
+//     their own session (sharing the core).
 //
 // The memoized operators are bit-identical to the free functions
 // applyR/applyRbar/speedupStep in re_step.hpp: both run the same
@@ -49,20 +51,19 @@
 // guards throw, and nothing else throws it inside the engine (interrupts,
 // deadlines and shutdown are checked by callers between engine calls).
 //
-// Thread-safety: core lookups and insertions are mutex-protected; a
-// computation happens outside the lock, so two sessions missing the same key
-// concurrently may both compute it (the first insert wins and the results
-// are identical anyway).  Statistics counters -- the core-wide aggregate and
-// each session's own view -- are updated under the same mutex.
+// Thread-safety: every cache follows one memo discipline (engine.cpp): a
+// full-key lookup under the core mutex, the computation outside it -- two
+// sessions missing the same key concurrently may both compute it (the first
+// insert wins and the results are identical anyway) -- then insert and
+// count under it.  Statistics counters -- the core-wide aggregate and each
+// session's own view -- are updated under the same mutex.
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "re/autobound.hpp"
@@ -76,14 +77,10 @@ class SessionScope;
 class Tracer;
 }  // namespace relb::obs
 
-namespace relb::util {
-class Arena;
-}
-
 namespace relb::re {
 
-/// A session's option block: exactly the step knobs (enumeration guards +
-/// fan-out width), under the name sessions are constructed with.
+/// Former name of StepOptions.  The benchmark harness (perfbench/harness)
+/// still builds against it; in-tree code says StepOptions.
 using PassOptions = StepOptions;
 
 /// Counters for every cache.  `hits + misses` is the number of lookups;
@@ -131,7 +128,7 @@ enum class ZeroRoundMode {
 ///     collision must degrade to a miss, never to a wrong answer).
 ///   * loadStep must only report a hit when the result is valid for
 ///     `options` (for Rbar: equal maxRbarDelta and enumerationLimit;
-///     numThreads and arena never affect results and must be ignored).
+///     numThreads never affects results and must be ignored).
 ///   * All methods may be called concurrently from engine worker threads.
 ///   * loadStepRefusal follows the same rules, but a refusal is only valid
 ///     for equal maxRbarDelta and enumerationLimit for BOTH kinds.  The
@@ -170,8 +167,8 @@ class StepStorage {
                               std::uint64_t hash, bool solvable) = 0;
 };
 
-/// The shared, thread-safe cache core.  Holds no per-request state: options,
-/// arenas, and observability attribution all live in EngineSession.
+/// The shared, thread-safe cache core.  Holds no per-request state: options
+/// and observability attribution live in EngineSession.
 class EngineCore {
  public:
   EngineCore();
@@ -230,19 +227,15 @@ class EngineSession {
  public:
   /// Session over `core` (nullptr: a private core of its own), optionally
   /// carrying an observability scope (nullptr: global registry/tracer).
-  /// Unless `options.arena` is already set, the serial Rbar sweep is backed
-  /// by this session's own result arena -- allocation-stable across
-  /// requests, which makes the step entry points single-client (see the
-  /// sharing rules above).
   explicit EngineSession(std::shared_ptr<EngineCore> core = nullptr,
-                         PassOptions options = {},
+                         StepOptions options = {},
                          obs::SessionScope* scope = nullptr);
   ~EngineSession();
 
   EngineSession(const EngineSession&) = delete;
   EngineSession& operator=(const EngineSession&) = delete;
 
-  [[nodiscard]] const PassOptions& options() const { return options_; }
+  [[nodiscard]] const StepOptions& options() const { return options_; }
 
   [[nodiscard]] EngineCore& core() { return *core_; }
   [[nodiscard]] const std::shared_ptr<EngineCore>& coreHandle() const {
@@ -274,12 +267,13 @@ class EngineSession {
 
   // -- Memoized automatic lower bound ----------------------------------------
 
-  /// re::autoLowerBound through this session, memoized as a whole: keyed by
-  /// `start`, options.maxSteps and options.maxLabels, and this session's
-  /// maxRbarDelta and enumerationLimit (options.stepOptions and
-  /// options.context are ignored; numThreads never affects results).
+  /// The automatic lower-bound search (autobound.hpp), memoized as a whole:
+  /// keyed by `start`, options.maxSteps and options.maxLabels, and this
+  /// session's maxRbarDelta and enumerationLimit (numThreads never affects
+  /// results).  On a miss the search's speedup steps and (heavily repeated)
+  /// zero-round checks go through this session's memos too.
   [[nodiscard]] AutoLowerBound autoLowerBound(
-      const Problem& start, const AutoLowerBoundOptions& options);
+      const Problem& start, const AutoLowerBoundOptions& options = {});
 
   // -- Cached sub-results --------------------------------------------------
 
@@ -327,17 +321,40 @@ class EngineSession {
   void resetStats();
 
  private:
+  struct Tick;      // one counter and its registry mirror (engine.cpp)
+  struct Traffic;   // one cache's hit and miss ticks (engine.cpp)
+  struct ObsHooks;  // every cache's ticks, interned per session (engine.cpp)
+
   /// The step memo behind applyR (kind 0) and applyRbar (kind 1).
   [[nodiscard]] StepResult memoizedStep(int kind, const Problem& p);
 
-  struct ObsHooks;  // interned counter references (engine.cpp)
+  /// The search behind autoLowerBound, run on a memo miss (autobound.cpp).
+  [[nodiscard]] AutoLowerBound searchLowerBound(
+      const Problem& start, const AutoLowerBoundOptions& options);
+
+  /// The caches the attached store does not back.
+  struct InMemory {};
+
+  /// The memo discipline every cache goes through (engine.cpp): `probe`
+  /// holds the full key's fields by reference, `through` is the store's
+  /// read-through/write-through for the caches it backs.
+  template <typename Table, typename Probe, typename Compute,
+            typename Through = InMemory>
+  [[nodiscard]] typename Table::Value memo(Table& table, std::uint64_t hash,
+                                           const Traffic& traffic,
+                                           const Probe& probe,
+                                           const Compute& compute,
+                                           const Through& through = {});
+
+  /// Ticks one counter in the core aggregate, this session's view and its
+  /// registry mirror, if any.  The caller holds the core mutex.
+  void count(const Tick& tick);
 
   std::shared_ptr<EngineCore> core_;
-  PassOptions options_;
+  StepOptions options_;
   obs::Registry* registry_;
   obs::Tracer* tracer_;
   std::unique_ptr<ObsHooks> obs_;
-  std::unique_ptr<util::Arena> arena_;  // serial-sweep result arena
   /// Session-attributed stats; guarded by the core's mutex (every update
   /// site already holds it).
   CacheStats stats_;

@@ -347,13 +347,11 @@ StepResult detail::applyRbar(const Problem& p, const StepOptions& options,
     const obs::ScopedSpan span("re.rbar.enumerate");
     if (width <= 1) {
       StepArenas& arenas = stepArenas();
-      util::Arena& results =
-          options.arena != nullptr ? *options.arena : arenas.results;
       arenas.scratch.reset();
-      results.reset();
+      arenas.results.reset();
       RbarEnumerator enumerator(rcSets, nodeWords.data(),
                                 nodeWordsExpanded.data(), nodeWords.size(),
-                                delta, arenas.scratch, results);
+                                delta, arenas.scratch, arenas.results);
       const PackedWord root = 0;
       enumerator.rec(0, &root, 1);
       validFlat.assign(enumerator.valid.begin(), enumerator.valid.end());

@@ -39,10 +39,6 @@
 #include "re/problem.hpp"
 #include "util/thread_pool.hpp"
 
-namespace relb::util {
-class Arena;
-}
-
 namespace relb::re {
 
 struct StepResult {
@@ -60,14 +56,6 @@ struct StepOptions {
   /// 0 = one thread per hardware core, 1 = fully serial, k >= 2 = exactly k
   /// lanes.  Results are bit-identical for every value.
   int numThreads = util::kDefaultNumThreads;
-  /// Optional caller-owned arena backing the serial Rbar sweep's result
-  /// buffers (completability memo + candidate accumulator).  The step resets
-  /// it on entry, so nothing may live in it across calls.  nullptr (the
-  /// default) uses an engine-owned thread-local arena; parallel lanes always
-  /// use their own thread-local arenas.  Every EngineSession points this at
-  /// its own arena unless the caller set one.  Never affects results, and is
-  /// ignored by result caches/stores (like numThreads).
-  util::Arena* arena = nullptr;
 };
 
 /// Computes Pi' = R(Pi).  Exact for arbitrary Delta.

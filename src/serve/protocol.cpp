@@ -1,5 +1,7 @@
 #include "serve/protocol.hpp"
 
+#include <utility>
+
 #include "re/types.hpp"
 
 namespace relb::serve {
@@ -196,6 +198,19 @@ Request requestFromJson(const Json& j) {
   return request;
 }
 
+std::int64_t SessionStats::totalHits() const {
+  return static_cast<std::int64_t>(stepHits + edgeCompatHits + strengthHits +
+                                   rightClosedHits + zeroRoundHits +
+                                   canonicalHits + autoboundHits);
+}
+
+std::int64_t SessionStats::totalMisses() const {
+  return static_cast<std::int64_t>(stepMisses + edgeCompatMisses +
+                                   strengthMisses + rightClosedMisses +
+                                   zeroRoundMisses + canonicalMisses +
+                                   autoboundMisses);
+}
+
 std::string SessionStats::describeLine() const {
   return std::to_string(totalHits()) + " hits / " +
          std::to_string(totalMisses()) + " misses / " +
@@ -216,25 +231,34 @@ std::string_view statusString(StatusCode code) {
 
 namespace {
 
+/// The wire members of the cache counters, in wire order; encode and
+/// decode both walk this table.
+constexpr std::pair<const char*, std::size_t re::CacheStats::*>
+    kCacheMembers[] = {
+        {"step_hits", &re::CacheStats::stepHits},
+        {"step_misses", &re::CacheStats::stepMisses},
+        {"edge_compat_hits", &re::CacheStats::edgeCompatHits},
+        {"edge_compat_misses", &re::CacheStats::edgeCompatMisses},
+        {"strength_hits", &re::CacheStats::strengthHits},
+        {"strength_misses", &re::CacheStats::strengthMisses},
+        {"right_closed_hits", &re::CacheStats::rightClosedHits},
+        {"right_closed_misses", &re::CacheStats::rightClosedMisses},
+        {"zero_round_hits", &re::CacheStats::zeroRoundHits},
+        {"zero_round_misses", &re::CacheStats::zeroRoundMisses},
+        {"canonical_hits", &re::CacheStats::canonicalHits},
+        {"canonical_misses", &re::CacheStats::canonicalMisses},
+        {"autobound_hits", &re::CacheStats::autoboundHits},
+        {"autobound_misses", &re::CacheStats::autoboundMisses},
+        {"store_hits", &re::CacheStats::storeHits},
+        {"store_misses", &re::CacheStats::storeMisses},
+        {"store_writes", &re::CacheStats::storeWrites},
+};
+
 Json statsToJson(const SessionStats& stats) {
   Json j = Json::object();
-  j.set("step_hits", stats.stepHits);
-  j.set("step_misses", stats.stepMisses);
-  j.set("edge_compat_hits", stats.edgeCompatHits);
-  j.set("edge_compat_misses", stats.edgeCompatMisses);
-  j.set("strength_hits", stats.strengthHits);
-  j.set("strength_misses", stats.strengthMisses);
-  j.set("right_closed_hits", stats.rightClosedHits);
-  j.set("right_closed_misses", stats.rightClosedMisses);
-  j.set("zero_round_hits", stats.zeroRoundHits);
-  j.set("zero_round_misses", stats.zeroRoundMisses);
-  j.set("canonical_hits", stats.canonicalHits);
-  j.set("canonical_misses", stats.canonicalMisses);
-  j.set("autobound_hits", stats.autoboundHits);
-  j.set("autobound_misses", stats.autoboundMisses);
-  j.set("store_hits", stats.storeHits);
-  j.set("store_misses", stats.storeMisses);
-  j.set("store_writes", stats.storeWrites);
+  for (const auto& [name, field] : kCacheMembers) {
+    j.set(name, static_cast<std::int64_t>(stats.*field));
+  }
   j.set("queue_micros", stats.queueMicros);
   j.set("run_micros", stats.runMicros);
   return j;
@@ -242,23 +266,9 @@ Json statsToJson(const SessionStats& stats) {
 
 SessionStats statsFromJson(const Json& j) {
   SessionStats stats;
-  stats.stepHits = intOr(j, "step_hits", 0);
-  stats.stepMisses = intOr(j, "step_misses", 0);
-  stats.edgeCompatHits = intOr(j, "edge_compat_hits", 0);
-  stats.edgeCompatMisses = intOr(j, "edge_compat_misses", 0);
-  stats.strengthHits = intOr(j, "strength_hits", 0);
-  stats.strengthMisses = intOr(j, "strength_misses", 0);
-  stats.rightClosedHits = intOr(j, "right_closed_hits", 0);
-  stats.rightClosedMisses = intOr(j, "right_closed_misses", 0);
-  stats.zeroRoundHits = intOr(j, "zero_round_hits", 0);
-  stats.zeroRoundMisses = intOr(j, "zero_round_misses", 0);
-  stats.canonicalHits = intOr(j, "canonical_hits", 0);
-  stats.canonicalMisses = intOr(j, "canonical_misses", 0);
-  stats.autoboundHits = intOr(j, "autobound_hits", 0);
-  stats.autoboundMisses = intOr(j, "autobound_misses", 0);
-  stats.storeHits = intOr(j, "store_hits", 0);
-  stats.storeMisses = intOr(j, "store_misses", 0);
-  stats.storeWrites = intOr(j, "store_writes", 0);
+  for (const auto& [name, field] : kCacheMembers) {
+    stats.*field = static_cast<std::size_t>(intOr(j, name, 0));
+  }
   stats.queueMicros = intOr(j, "queue_micros", 0);
   stats.runMicros = intOr(j, "run_micros", 0);
   return stats;

@@ -46,6 +46,7 @@
 #include <string_view>
 
 #include "io/json.hpp"
+#include "re/engine.hpp"
 
 namespace relb::serve {
 
@@ -119,31 +120,17 @@ struct Request {
 /// re::Error with a message safe to echo into an error response.
 [[nodiscard]] Request requestFromJson(const io::Json& j);
 
-/// Per-session cache traffic attributed to one request, plus queue/run wall
-/// times.  The sum of *Misses fields is the number of computations the
-/// request actually paid for: a warm duplicate shows totalMisses() == 0 and
-/// storeWrites == 0.
-struct SessionStats {
-  std::int64_t stepHits = 0, stepMisses = 0;
-  std::int64_t edgeCompatHits = 0, edgeCompatMisses = 0;
-  std::int64_t strengthHits = 0, strengthMisses = 0;
-  std::int64_t rightClosedHits = 0, rightClosedMisses = 0;
-  std::int64_t zeroRoundHits = 0, zeroRoundMisses = 0;
-  std::int64_t canonicalHits = 0, canonicalMisses = 0;
-  std::int64_t autoboundHits = 0, autoboundMisses = 0;
-  std::int64_t storeHits = 0, storeMisses = 0, storeWrites = 0;
+/// Per-session cache traffic attributed to one request -- the engine's own
+/// counters (re::CacheStats; internedProblems stays off the wire) -- plus
+/// queue/run wall times.  The sum of *Misses fields is the number of
+/// computations the request actually paid for: a warm duplicate shows
+/// totalMisses() == 0 and storeWrites == 0.
+struct SessionStats : re::CacheStats {
   std::int64_t queueMicros = 0;
   std::int64_t runMicros = 0;
 
-  [[nodiscard]] std::int64_t totalHits() const {
-    return stepHits + edgeCompatHits + strengthHits + rightClosedHits +
-           zeroRoundHits + canonicalHits + autoboundHits;
-  }
-  [[nodiscard]] std::int64_t totalMisses() const {
-    return stepMisses + edgeCompatMisses + strengthMisses +
-           rightClosedMisses + zeroRoundMisses + canonicalMisses +
-           autoboundMisses;
-  }
+  [[nodiscard]] std::int64_t totalHits() const;
+  [[nodiscard]] std::int64_t totalMisses() const;
   /// The loadgen/CI one-liner: "N hits / M misses / W writes".
   [[nodiscard]] std::string describeLine() const;
 };

@@ -354,28 +354,8 @@ Response Server::execute(const Request& request,
   response.diagnostics = result.diagnostics;
   response.certificate = result.certificateBytes;
   if (request.wantStats) {
-    const re::CacheStats& cache = result.sessionStats;
     SessionStats stats;
-    const auto asInt = [](std::size_t v) {
-      return static_cast<std::int64_t>(v);
-    };
-    stats.stepHits = asInt(cache.stepHits);
-    stats.stepMisses = asInt(cache.stepMisses);
-    stats.edgeCompatHits = asInt(cache.edgeCompatHits);
-    stats.edgeCompatMisses = asInt(cache.edgeCompatMisses);
-    stats.strengthHits = asInt(cache.strengthHits);
-    stats.strengthMisses = asInt(cache.strengthMisses);
-    stats.rightClosedHits = asInt(cache.rightClosedHits);
-    stats.rightClosedMisses = asInt(cache.rightClosedMisses);
-    stats.zeroRoundHits = asInt(cache.zeroRoundHits);
-    stats.zeroRoundMisses = asInt(cache.zeroRoundMisses);
-    stats.canonicalHits = asInt(cache.canonicalHits);
-    stats.canonicalMisses = asInt(cache.canonicalMisses);
-    stats.autoboundHits = asInt(cache.autoboundHits);
-    stats.autoboundMisses = asInt(cache.autoboundMisses);
-    stats.storeHits = asInt(cache.storeHits);
-    stats.storeMisses = asInt(cache.storeMisses);
-    stats.storeWrites = asInt(cache.storeWrites);
+    static_cast<re::CacheStats&>(stats) = result.sessionStats;
     stats.queueMicros = std::chrono::duration_cast<std::chrono::microseconds>(
                             started - admitted)
                             .count();

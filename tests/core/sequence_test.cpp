@@ -30,6 +30,25 @@ TEST(Chain, ExactChainCertifies) {
   }
 }
 
+TEST(Chain, ExactChainRejectsStartOutsideZeroToDelta) {
+  // Pi_Delta(Delta, x0) only exists for 0 <= x0 <= Delta: outside that
+  // range exactChain refuses up front instead of returning a chain that
+  // fails only later, in certification.
+  for (const Count x0 : {Count{-5}, Count{-1}, Count{33}, Count{100}}) {
+    EXPECT_THROW((void)exactChain(32, x0), re::Error) << "x0=" << x0;
+  }
+  try {
+    (void)exactChain(32, -5);
+  } catch (const re::Error& e) {
+    EXPECT_STREQ(e.what(), "exactChain: x0 = -5 outside [0, delta = 32]");
+  }
+  // Both ends of the range are valid starts.
+  EXPECT_EQ(exactChain(32, 0).steps.front().x, 0);
+  const Chain top = exactChain(32, 32);
+  ASSERT_EQ(top.steps.size(), 1u);
+  EXPECT_EQ(top.steps.front().x, 32);
+}
+
 TEST(Chain, ExactChainIsAtLeastAsLongAsPaperChain) {
   for (Count delta : {64, 1 << 10, 1 << 16}) {
     EXPECT_GE(exactChain(delta, 0).length(), paperChain(delta, 0).length())

@@ -8,6 +8,7 @@
 // same commit.
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -35,6 +36,93 @@ TEST(CliGolden, UsageTextIsPinnedByteForByte) {
       "       --family NAME --family-def FILE --param NAME=VALUE\n"
       "       --trace FILE --trace-format {chrome,text} --report FILE\n";
   EXPECT_EQ(usageText("round_eliminator_cli"), expected);
+}
+
+/// The `--stats` counter block of one run: the output after its
+/// "engine cache statistics:" header.  It must equal the run's own
+/// CacheStats::describe() plus, with a store, the store's line.
+std::string statsBlock(const RunResult& result) {
+  const std::string header = "engine cache statistics:\n";
+  const std::size_t at = result.output.find(header);
+  if (at == std::string::npos) return "(no stats block)";
+  return result.output.substr(at + header.size());
+}
+
+TEST(CliGolden, CacheStatsBlockIsPinnedByteForByte) {
+  // MIS at Delta = 3, three steps, serial: without a store, against a cold
+  // store and against the same store warm.  Every counter line is part of
+  // the contract (docs/cli.md); any change to the memo discipline that
+  // moves a count shows up here.
+  RunRequest req;
+  req.nodeSpec = "M^3; P O^2";
+  req.edgeSpec = "M [P O]; O O";
+  req.maxSteps = 3;
+  req.numThreads = 1;
+  req.showStats = true;
+  const std::string plain =
+      "speedup steps: 8 hits / 6 misses\n"
+      "edge compatibility: 0 hits / 3 misses\n"
+      "strength diagrams: 0 hits / 3 misses\n"
+      "right-closed families: 0 hits / 3 misses\n"
+      "zero-round analyses: 1 hits / 215 misses\n"
+      "canonical forms: 0 hits / 0 misses\n"
+      "automatic lower bounds: 0 hits / 1 misses\n"
+      "interned problems: 0\n"
+      "step store: 0 hits / 0 misses / 0 writes\n";
+  const RunResult noStore = run(req);
+  ASSERT_EQ(noStore.status, RunStatus::kOk) << noStore.diagnostics;
+  EXPECT_EQ(noStore.sessionStats.describe(), plain);
+  EXPECT_EQ(statsBlock(noStore), plain);
+
+  const std::filesystem::path dir =
+      std::filesystem::path(testing::TempDir()) / "cli-golden-stats-store";
+  std::filesystem::remove_all(dir);
+  req.storeDir = dir.string();
+  const RunResult cold = run(req);
+  ASSERT_EQ(cold.status, RunStatus::kOk) << cold.diagnostics;
+  EXPECT_EQ(statsBlock(cold),
+            "speedup steps: 8 hits / 6 misses\n"
+            "edge compatibility: 0 hits / 3 misses\n"
+            "strength diagrams: 0 hits / 3 misses\n"
+            "right-closed families: 0 hits / 3 misses\n"
+            "zero-round analyses: 1 hits / 215 misses\n"
+            "canonical forms: 0 hits / 0 misses\n"
+            "automatic lower bounds: 0 hits / 1 misses\n"
+            "interned problems: 0\n"
+            "step store: 0 hits / 221 misses / 221 writes\n"
+            "store: 0 hits / 221 misses / 221 writes / 0 quarantined\n");
+  const RunResult warm = run(req);
+  ASSERT_EQ(warm.status, RunStatus::kOk) << warm.diagnostics;
+  EXPECT_EQ(statsBlock(warm),
+            "speedup steps: 8 hits / 0 misses\n"
+            "edge compatibility: 0 hits / 0 misses\n"
+            "strength diagrams: 0 hits / 0 misses\n"
+            "right-closed families: 0 hits / 0 misses\n"
+            "zero-round analyses: 1 hits / 0 misses\n"
+            "canonical forms: 0 hits / 0 misses\n"
+            "automatic lower bounds: 0 hits / 1 misses\n"
+            "interned problems: 0\n"
+            "step store: 221 hits / 0 misses / 0 writes\n"
+            "store: 221 hits / 0 misses / 0 writes / 0 quarantined\n");
+  std::filesystem::remove_all(dir);
+
+  // Sinkless orientation reaches a fixed point, so the same block also
+  // pins the canonical memo, interning and the sub-result hits.
+  req.nodeSpec = "O [I O]^2";
+  req.edgeSpec = "I O";
+  req.storeDir.clear();
+  const RunResult so = run(req);
+  ASSERT_EQ(so.status, RunStatus::kOk) << so.diagnostics;
+  EXPECT_EQ(statsBlock(so),
+            "speedup steps: 10 hits / 6 misses\n"
+            "edge compatibility: 1 hits / 2 misses\n"
+            "strength diagrams: 0 hits / 2 misses\n"
+            "right-closed families: 1 hits / 2 misses\n"
+            "zero-round analyses: 0 hits / 5 misses\n"
+            "canonical forms: 1 hits / 3 misses\n"
+            "automatic lower bounds: 0 hits / 1 misses\n"
+            "interned problems: 2\n"
+            "step store: 0 hits / 0 misses / 0 writes\n");
 }
 
 TEST(CliGolden, HelpRequestsUsageNotAnError) {
@@ -128,6 +216,24 @@ TEST(CliGolden, NumbersMustBeWholeIntegers) {
   const ParseOutcome negative = parse({"cli", "--chain", "-1", "--x0", "-2"});
   EXPECT_TRUE(negative.error.empty()) << negative.error;
   EXPECT_EQ(negative.request.chainX0, -2);
+}
+
+TEST(CliGolden, OutOfRangeChainStartPrintsNoChain) {
+  // x0 outside [0, delta]: no "exact chain" lines, just the chain error.
+  for (const long x0 : {-5L, 33L}) {
+    RunRequest req;
+    req.mode = RunRequest::Mode::kChain;
+    req.chainDelta = 32;
+    req.chainX0 = x0;
+    const RunResult result = run(req);
+    EXPECT_EQ(result.exitCode(), 1) << x0;
+    EXPECT_EQ(result.status, RunStatus::kFailure) << x0;
+    EXPECT_EQ(result.output, "") << x0;
+    EXPECT_EQ(result.diagnostics,
+              "chain error: exactChain: x0 = " + std::to_string(x0) +
+                  " outside [0, delta = 32]\n")
+        << x0;
+  }
 }
 
 TEST(CliGolden, UnknownFamilyExitsOne) {

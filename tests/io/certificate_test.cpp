@@ -29,7 +29,8 @@ std::string slurp(const std::string& path) {
 }
 
 Certificate goldenEquivalent() {
-  return core::buildChainCertificate(core::exactChain(32, 1));
+  re::EngineSession session;
+  return core::buildChainCertificate(core::exactChain(32, 1), session);
 }
 
 TEST(Certificate, BuildSerializeReloadVerify) {

@@ -335,10 +335,10 @@ TEST(PropFamily, SpeedupStepsAreBitIdenticalAcrossThreadWidths) {
     std::vector<re::Problem> rProblems;
     std::vector<re::Problem> rbarProblems;
     for (const int width : {1, 2, 8}) {
-      re::PassOptions passOptions;
-      passOptions.numThreads = width;
+      re::StepOptions stepOptions;
+      stepOptions.numThreads = width;
       re::EngineSession session(std::make_shared<re::EngineCore>(),
-                                passOptions);
+                                stepOptions);
       try {
         const re::StepResult r = session.applyR(p);
         const re::StepResult rbar = session.applyRbar(r.problem);

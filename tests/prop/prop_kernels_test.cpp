@@ -18,7 +18,7 @@
 //     (17..32 labels, including the 30-label node constraint of the Pi
 //     chain) word widths, and on the enumeration-limit Error message;
 //   * the full applyR / applyRbar operators vs the pre-rewrite pipeline,
-//     at thread widths 1, 2 and 8 and with a caller-provided arena.
+//     at thread widths 1, 2 and 8.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -444,26 +444,19 @@ TEST(PropKernels, ApplyRbarMatchesPreRewritePipeline) {
         const re::Problem& q = input->problem;
         const auto reference =
             tryOp<re::StepResult>([&] { return refimpl::applyRbar(q); });
-        util::Arena callerArena;
         for (const int threads : {1, 2, 8}) {
-          // With an external arena on the serial lane, and without.
-          for (const bool external : {false, true}) {
-            if (external && threads != 1) continue;
-            re::StepOptions options;
-            options.numThreads = threads;
-            options.arena = external ? &callerArena : nullptr;
-            const auto actual = tryOp<re::StepResult>(
-                [&] { return re::applyRbar(q, options); });
-            if (actual.has_value() != reference.has_value()) {
-              return "applyRbar throw disagreement at numThreads=" +
-                     std::to_string(threads);
-            }
-            if (actual && !(actual->problem == reference->problem &&
-                            actual->meaning == reference->meaning)) {
-              return "applyRbar result differs from reference at "
-                     "numThreads=" + std::to_string(threads) +
-                     (external ? " (external arena)" : "");
-            }
+          re::StepOptions options;
+          options.numThreads = threads;
+          const auto actual = tryOp<re::StepResult>(
+              [&] { return re::applyRbar(q, options); });
+          if (actual.has_value() != reference.has_value()) {
+            return "applyRbar throw disagreement at numThreads=" +
+                   std::to_string(threads);
+          }
+          if (actual && !(actual->problem == reference->problem &&
+                          actual->meaning == reference->meaning)) {
+            return "applyRbar result differs from reference at "
+                   "numThreads=" + std::to_string(threads);
           }
         }
         return {};

@@ -6,11 +6,18 @@
 #include "re/autobound.hpp"
 #include "re/cycle_verifier.hpp"
 #include "re/encodings.hpp"
+#include "re/engine.hpp"
 #include "re/tree_verifier.hpp"
 #include "re/zero_round.hpp"
 
 namespace relb::re {
 namespace {
+
+/// One search through a fresh session.
+AutoLowerBound lowerBound(const Problem& p,
+                          const AutoLowerBoundOptions& options = {}) {
+  return EngineSession().autoLowerBound(p, options);
+}
 
 TEST(ZeroRoundWithEdgeInputs, AgreesWithBruteForceOnCycles) {
   for (const auto& p :
@@ -44,7 +51,7 @@ TEST(AutoLowerBound, SinklessOrientationRunsToStepLimit) {
   // grows with the step budget (the Omega(log n) behavior, truncated).
   AutoLowerBoundOptions options;
   options.maxSteps = 4;
-  const auto lb = autoLowerBound(sinklessOrientationProblem(3), options);
+  const auto lb = lowerBound(sinklessOrientationProblem(3), options);
   EXPECT_EQ(lb.rounds, 4);
   EXPECT_EQ(lb.reason, StopReason::kStepLimit);
   for (const int labels : lb.labelsPerStep) EXPECT_EQ(labels, 2);
@@ -58,7 +65,7 @@ TEST(AutoLowerBound, MisCertifiesTwoAndThenSticks) {
   AutoLowerBoundOptions options;
   options.maxSteps = 4;
   options.maxLabels = 8;
-  const auto lb = autoLowerBound(misProblem(3), options);
+  const auto lb = lowerBound(misProblem(3), options);
   EXPECT_EQ(lb.rounds, 2);
   EXPECT_EQ(lb.reason, StopReason::kLabelBudget);
   EXPECT_EQ(lb.labelsPerStep, (std::vector<int>{3, 6}));
@@ -68,13 +75,13 @@ TEST(AutoLowerBound, MatchingMergesAndCertifiesThree) {
   AutoLowerBoundOptions options;
   options.maxSteps = 3;
   options.maxLabels = 8;
-  const auto lb = autoLowerBound(maximalMatchingProblem(3), options);
+  const auto lb = lowerBound(maximalMatchingProblem(3), options);
   EXPECT_GE(lb.rounds, 3);
 }
 
 TEST(AutoLowerBound, TrivialProblemCertifiesNothing) {
   const auto p = Problem::parse("O^3\n", "O O\n");
-  const auto lb = autoLowerBound(p);
+  const auto lb = lowerBound(p);
   EXPECT_EQ(lb.rounds, 0);
   EXPECT_EQ(lb.reason, StopReason::kZeroRoundSolvable);
 }
@@ -85,7 +92,7 @@ TEST(AutoLowerBound, CertificateConsistentWithBruteForce) {
   for (const auto& p : {misProblem(3), maximalMatchingProblem(3)}) {
     AutoLowerBoundOptions options;
     options.maxSteps = 2;
-    const auto lb = autoLowerBound(p, options);
+    const auto lb = lowerBound(p, options);
     if (lb.rounds >= 2) {
       try {
         EXPECT_FALSE(treeSolvable3(p, 1, 20'000));

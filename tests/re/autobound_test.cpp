@@ -3,13 +3,20 @@
 #include <gtest/gtest.h>
 
 #include "re/encodings.hpp"
+#include "re/engine.hpp"
 #include "re/problem.hpp"
 
 namespace relb::re {
 namespace {
 
+/// One iteration through a fresh session.
+IterationTrace iterate(const Problem& p, const IterateOptions& options = {}) {
+  EngineSession session;
+  return iterateSpeedup(session, p, options);
+}
+
 TEST(IterateSpeedup, SinklessOrientationFindsFixedPoint) {
-  const auto trace = iterateSpeedup(sinklessOrientationProblem(3));
+  const auto trace = iterate(sinklessOrientationProblem(3));
   EXPECT_EQ(trace.reason, StopReason::kFixedPoint);
   ASSERT_TRUE(trace.fixedPointAt.has_value());
   EXPECT_LE(*trace.fixedPointAt, 2);
@@ -20,7 +27,7 @@ TEST(IterateSpeedup, SinklessOrientationFindsFixedPoint) {
 
 TEST(IterateSpeedup, TrivialProblemStopsImmediately) {
   const auto p = Problem::parse("O^3\n", "O O\n");
-  const auto trace = iterateSpeedup(p);
+  const auto trace = iterate(p);
   EXPECT_EQ(trace.reason, StopReason::kZeroRoundSolvable);
   EXPECT_EQ(trace.zeroRoundAfter, 0);
 }
@@ -29,7 +36,7 @@ TEST(IterateSpeedup, MisHitsLabelBudget) {
   IterateOptions options;
   options.maxLabels = 12;
   options.maxSteps = 6;
-  const auto trace = iterateSpeedup(misProblem(3), options);
+  const auto trace = iterate(misProblem(3), options);
   EXPECT_EQ(trace.reason, StopReason::kLabelBudget);
   // Label counts grow monotonically along the recorded trace.
   ASSERT_GE(trace.steps.size(), 3u);
@@ -43,7 +50,7 @@ TEST(IterateSpeedup, StepLimitRespected) {
   options.maxSteps = 1;
   options.maxLabels = 100;  // don't stop for labels
   options.detectFixedPoint = false;
-  const auto trace = iterateSpeedup(misProblem(3), options);
+  const auto trace = iterate(misProblem(3), options);
   EXPECT_EQ(trace.reason, StopReason::kStepLimit);
   EXPECT_EQ(trace.steps.size(), 2u);
 }
@@ -53,7 +60,7 @@ TEST(IterateSpeedup, TwoColoringOfCycleIsHard) {
   // never report it 0-round solvable, and in fact it reaches a fixed point
   // (the classic Omega(n)-hard problems are fixed-point-like under
   // speedup; on cycles anything not o(log* n) shows up as non-trivial).
-  const auto trace = iterateSpeedup(cColoringProblem(2, 2));
+  const auto trace = iterate(cColoringProblem(2, 2));
   EXPECT_NE(trace.reason, StopReason::kZeroRoundSolvable);
 }
 
@@ -66,7 +73,7 @@ TEST(IterateSpeedup, ThreeColoringOfCycleBecomesSolvable) {
   IterateOptions options;
   options.maxSteps = 3;
   options.maxLabels = 40;
-  const auto trace = iterateSpeedup(cColoringProblem(2, 3), options);
+  const auto trace = iterate(cColoringProblem(2, 3), options);
   if (trace.reason == StopReason::kZeroRoundSolvable) {
     // Permitted only after at least one step (it is not 0-round solvable).
     EXPECT_GE(*trace.zeroRoundAfter, 1);
@@ -83,7 +90,7 @@ TEST(IterateSpeedup, FamilyMemberSurvivesSteps) {
   IterateOptions options;
   options.maxSteps = 3;
   options.maxLabels = 10;
-  const auto trace = iterateSpeedup(p, options);
+  const auto trace = iterate(p, options);
   EXPECT_TRUE(trace.reason == StopReason::kLabelBudget ||
               trace.reason == StopReason::kEngineLimit ||
               trace.reason == StopReason::kStepLimit);

@@ -1,9 +1,9 @@
 // The whole-result autoLowerBound memo and the step memo's refusal entries
-// (engine.hpp): a session-routed autoLowerBound equals the context-free
-// search on the serve popular set, the built-in families and a random
-// sweep; every key field separates entries; a refused step replays the
-// identical re::Error; and sessions racing on one core agree.  The
-// concurrency test runs under TSan in CI.
+// (engine.hpp): a search served warm from a shared core equals the same
+// search on a fresh core, on the serve popular set, the built-in families
+// and a random sweep; every key field separates entries; a refused step
+// replays the identical re::Error; and sessions racing on one core agree.
+// The concurrency test runs under TSan in CI.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -54,33 +54,42 @@ void expectSame(const AutoLowerBound& a, const AutoLowerBound& b,
   EXPECT_EQ(a.labelsPerStep, b.labelsPerStep) << what;
 }
 
-/// Context-free search, then the same search through a fresh session
-/// twice: the first is a miss, the repeat a hit, and all three agree.
-void expectSessionMatchesContextFree(const Problem& p,
-                                     AutoLowerBoundOptions options,
-                                     const std::string& what) {
-  options.stepOptions.numThreads = 1;
-  const AutoLowerBound plain = autoLowerBound(p, options);
-  EngineSession session(std::make_shared<EngineCore>());
-  options.context = &session;
-  expectSame(plain, autoLowerBound(p, options), what + " (cold)");
-  expectSame(plain, autoLowerBound(p, options), what + " (warm)");
-  EXPECT_EQ(session.stats().autoboundMisses, 1u) << what;
-  EXPECT_EQ(session.stats().autoboundHits, 1u) << what;
+StepOptions serialOptions() {
+  StepOptions serial;
+  serial.numThreads = 1;
+  return serial;
 }
 
-TEST(AutoboundMemo, MatchesContextFreeOnThePopularSet) {
+/// The search on a fresh core, then the same search through a second
+/// session over a shared core twice and through a third one: the first is a
+/// miss, every repeat a hit, and all agree.
+void expectWarmMatchesFresh(const Problem& p,
+                            const AutoLowerBoundOptions& options,
+                            const std::string& what) {
+  const AutoLowerBound plain =
+      EngineSession(nullptr, serialOptions()).autoLowerBound(p, options);
+  auto shared = std::make_shared<EngineCore>();
+  EngineSession session(shared, serialOptions());
+  expectSame(plain, session.autoLowerBound(p, options), what + " (cold)");
+  expectSame(plain, session.autoLowerBound(p, options), what + " (warm)");
+  EXPECT_EQ(session.stats().autoboundMisses, 1u) << what;
+  EXPECT_EQ(session.stats().autoboundHits, 1u) << what;
+  EngineSession other(shared, serialOptions());
+  expectSame(plain, other.autoLowerBound(p, options), what + " (shared)");
+  EXPECT_EQ(other.stats().autoboundHits, 1u) << what;
+}
+
+TEST(AutoboundMemo, WarmMatchesFreshOnThePopularSet) {
   AutoLowerBoundOptions options;
   options.maxSteps = 3;
   options.maxLabels = 10;
   int i = 0;
   for (const Problem& p : popularSet()) {
-    expectSessionMatchesContextFree(p, options,
-                                    "popular #" + std::to_string(i++));
+    expectWarmMatchesFresh(p, options, "popular #" + std::to_string(i++));
   }
 }
 
-TEST(AutoboundMemo, MatchesContextFreeOnTheBuiltinFamilies) {
+TEST(AutoboundMemo, WarmMatchesFreshOnTheBuiltinFamilies) {
   const family::DeriveOptions derive;
   AutoLowerBoundOptions options;
   options.maxSteps = derive.maxSteps;
@@ -88,11 +97,11 @@ TEST(AutoboundMemo, MatchesContextFreeOnTheBuiltinFamilies) {
   for (const family::FamilyDef& def : family::builtinFamilies()) {
     const Problem p =
         family::instantiate(def, family::resolveParams(def, {}));
-    expectSessionMatchesContextFree(p, options, def.name);
+    expectWarmMatchesFresh(p, options, def.name);
   }
 }
 
-TEST(AutoboundMemo, MatchesContextFreeOnRandomProblems) {
+TEST(AutoboundMemo, WarmMatchesFreshOnRandomProblems) {
   std::mt19937 rng(20261017);
   gen::RandomProblemOptions generator;
   generator.maxAlphabet = 4;
@@ -101,8 +110,8 @@ TEST(AutoboundMemo, MatchesContextFreeOnRandomProblems) {
   options.maxSteps = 2;
   options.maxLabels = 4;  // small, so the merge search actually runs
   for (int i = 0; i < 24; ++i) {
-    expectSessionMatchesContextFree(gen::randomProblem(rng, generator),
-                                    options, "random #" + std::to_string(i));
+    expectWarmMatchesFresh(gen::randomProblem(rng, generator), options,
+                           "random #" + std::to_string(i));
   }
 }
 
@@ -114,31 +123,23 @@ TEST(AutoboundMemo, EveryKeyFieldSeparatesEntries) {
   options.maxLabels = 6;
 
   EngineSession base(core);
-  options.context = &base;
-  const AutoLowerBound first = autoLowerBound(p, options);
-  (void)autoLowerBound(p, options);
+  const AutoLowerBound first = base.autoLowerBound(p, options);
+  (void)base.autoLowerBound(p, options);
   EXPECT_EQ(base.stats().autoboundMisses, 1u);
   EXPECT_EQ(base.stats().autoboundHits, 1u);
 
-  // Options that do not change the result share the entry: the fan-out
-  // width and the (context-overridden) stepOptions.
-  PassOptions wide;
+  // The fan-out width does not change the result, so it shares the entry.
+  StepOptions wide;
   wide.numThreads = 4;
   EngineSession wideSession(core, wide);
-  options.context = &wideSession;
-  options.stepOptions.maxRbarDelta = 3;
-  expectSame(first, autoLowerBound(p, options), "numThreads");
+  expectSame(first, wideSession.autoLowerBound(p, options), "numThreads");
   EXPECT_EQ(wideSession.stats().autoboundHits, 1u);
-  options.stepOptions = StepOptions{};
 
-  const auto expectMiss = [&](AutoLowerBoundOptions o, PassOptions session,
-                              const char* what) {
+  const auto expectMiss = [&](const AutoLowerBoundOptions& o,
+                              const StepOptions& session, const char* what) {
     EngineSession s(core, session);
-    o.context = &s;
-    AutoLowerBoundOptions plain = o;
-    plain.context = nullptr;
-    plain.stepOptions = session;
-    expectSame(autoLowerBound(p, plain), autoLowerBound(p, o), what);
+    expectSame(EngineSession(nullptr, session).autoLowerBound(p, o),
+               s.autoLowerBound(p, o), what);
     EXPECT_EQ(s.stats().autoboundMisses, 1u) << what;
     EXPECT_EQ(s.stats().autoboundHits, 0u) << what;
   };
@@ -148,10 +149,10 @@ TEST(AutoboundMemo, EveryKeyFieldSeparatesEntries) {
   AutoLowerBoundOptions labels = options;
   labels.maxLabels = 5;
   expectMiss(labels, {}, "maxLabels");
-  PassOptions delta;
+  StepOptions delta;
   delta.maxRbarDelta = 7;
   expectMiss(options, delta, "maxRbarDelta");
-  PassOptions limit;
+  StepOptions limit;
   limit.enumerationLimit = 1'000'000;
   expectMiss(options, limit, "enumerationLimit");
 }
@@ -175,9 +176,8 @@ TEST(AutoboundMemo, CountersAndSpansLandInTheSessionScope) {
   AutoLowerBoundOptions options;
   options.maxSteps = 2;
   options.maxLabels = 6;  // the second step's output needs merging
-  options.context = &session;
 
-  (void)autoLowerBound(misProblem(3), options);
+  (void)session.autoLowerBound(misProblem(3), options);
   EXPECT_EQ(scope.registry().counter("engine.autobound.miss").value(), 1u);
   EXPECT_EQ(spanCount(*spans, "engine.autobound"), 1u);
   const std::uint64_t merges = spanCount(*spans, "re.autobound.merge");
@@ -185,7 +185,7 @@ TEST(AutoboundMemo, CountersAndSpansLandInTheSessionScope) {
 
   // The warm repeat is one lookup: no merge search, no step traffic.
   const CacheStats before = session.stats();
-  (void)autoLowerBound(misProblem(3), options);
+  (void)session.autoLowerBound(misProblem(3), options);
   EXPECT_EQ(scope.registry().counter("engine.autobound.hit").value(), 1u);
   EXPECT_EQ(spanCount(*spans, "engine.autobound"), 2u);
   EXPECT_EQ(spanCount(*spans, "re.autobound.merge"), merges);
@@ -201,8 +201,8 @@ TEST(AutoboundMemo, RacingSessionsOverOneCoreAgree) {
   AutoLowerBoundOptions options;
   options.maxSteps = 3;
   options.maxLabels = 10;
-  options.stepOptions.numThreads = 1;
-  const AutoLowerBound reference = autoLowerBound(p, options);
+  const AutoLowerBound reference =
+      EngineSession(nullptr, serialOptions()).autoLowerBound(p, options);
 
   constexpr int kSessions = 8;
   auto core = std::make_shared<EngineCore>();
@@ -210,12 +210,8 @@ TEST(AutoboundMemo, RacingSessionsOverOneCoreAgree) {
   std::vector<std::thread> threads;
   for (int i = 0; i < kSessions; ++i) {
     threads.emplace_back([&, i] {
-      PassOptions serial;
-      serial.numThreads = 1;
-      EngineSession session(core, serial);
-      AutoLowerBoundOptions mine = options;
-      mine.context = &session;
-      results[static_cast<std::size_t>(i)] = autoLowerBound(p, mine);
+      EngineSession session(core, serialOptions());
+      results[static_cast<std::size_t>(i)] = session.autoLowerBound(p, options);
     });
   }
   for (std::thread& t : threads) t.join();
@@ -240,7 +236,7 @@ std::string refusalOf(EngineSession& session, const Problem& p) {
   return "(no refusal)";
 }
 
-std::string freeRefusalOf(const Problem& p, const PassOptions& options) {
+std::string freeRefusalOf(const Problem& p, const StepOptions& options) {
   try {
     (void)applyRbar(p, options);
   } catch (const Error& e) {
@@ -261,14 +257,14 @@ TEST(StepRefusal, ReplayRethrowsTheIdenticalMessage) {
   // guard, the strength computation's enumeration limit (it runs when the
   // right-closed sets are fetched) and the packed-word guard.  The free
   // function, a cold session and its replay must all throw the same text.
-  PassOptions tight;
+  StepOptions tight;
   tight.maxRbarDelta = 2;  // delta 3 trips the R-bar degree guard
-  PassOptions limit;
+  StepOptions limit;
   limit.enumerationLimit = 1;  // MIS's node constraint has two words
   const struct {
     const char* guard;
     Problem problem;
-    PassOptions options;
+    StepOptions options;
     const char* text;
   } cases[] = {
       {"degree", misProblem(3), tight, "node degree too large"},

@@ -51,7 +51,7 @@ TEST(EngineSession, ConcurrentSessionsMatchSerialBitForBit) {
   const std::vector<Problem> problems = randomTestbed(12);
   // Full speedup steps through a second session per lane: even lanes fan
   // their R and R-bar sections out into the shared thread pool (width 0),
-  // odd lanes run the serial R-bar sweep in their session's own arena
+  // odd lanes run the serial R-bar sweep in their thread's own arena
   // (width 1), all racing on the one core.
   const std::vector<Problem> stepProblems = {
       misProblem(3), sinklessOrientationProblem(3),
@@ -84,13 +84,13 @@ TEST(EngineSession, ConcurrentSessionsMatchSerialBitForBit) {
     threads.reserve(kSessions);
     for (int s = 0; s < kSessions; ++s) {
       threads.emplace_back([&, s] {
-        EngineSession session(core, PassOptions{}, &scopes[s]);
+        EngineSession session(core, StepOptions{}, &scopes[s]);
         for (const Problem& p : problems) {
           gotR[s].push_back(session.applyR(p));
           gotZero[s].push_back(
               session.zeroRoundSolvable(p, ZeroRoundMode::kSymmetricPorts));
         }
-        PassOptions stepOptions;
+        StepOptions stepOptions;
         stepOptions.numThreads = s % 2 == 0 ? 0 : 1;
         EngineSession stepSession(core, stepOptions, &scopes[s]);
         for (const Problem& p : stepProblems) {
@@ -191,7 +191,7 @@ TEST(EngineSession, ConcurrentChainCertificatesMatchSerialBytes) {
   const std::string serialBytes = [&] {
     EngineSession serial;
     return io::certificateToJson(
-               core::buildChainCertificate(chain, &serial, 1))
+               core::buildChainCertificate(chain, serial, 1))
         .dump();
   }();
 
@@ -201,9 +201,9 @@ TEST(EngineSession, ConcurrentChainCertificatesMatchSerialBytes) {
   threads.reserve(kSessions);
   for (int s = 0; s < kSessions; ++s) {
     threads.emplace_back([&, s] {
-      EngineSession session(shared, PassOptions{});
+      EngineSession session(shared, StepOptions{});
       bytes[s] = io::certificateToJson(
-                     core::buildChainCertificate(chain, &session, 1))
+                     core::buildChainCertificate(chain, session, 1))
                      .dump();
     });
   }
@@ -214,14 +214,11 @@ TEST(EngineSession, ConcurrentChainCertificatesMatchSerialBytes) {
 }
 
 TEST(EngineSession, DefaultSessionsShareNothing) {
-  // A default-constructed session owns a private core and its own arena.
+  // A default-constructed session owns a private core.
   const Problem p = core::familyProblem(4, 2, 1);
   EngineSession a;
   EngineSession b;
   EXPECT_NE(&a.core(), &b.core());
-  ASSERT_NE(a.options().arena, nullptr);
-  ASSERT_NE(b.options().arena, nullptr);
-  EXPECT_NE(a.options().arena, b.options().arena);
   (void)a.speedupStep(p);
   (void)b.speedupStep(p);
   EXPECT_EQ(a.stats().stepMisses, 2u);

@@ -4,6 +4,7 @@
 // iteration, and canonical interning detects renamed duplicates.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
 #include "core/family.hpp"
@@ -162,20 +163,20 @@ TEST(EngineMemo, IterateSpeedupWarmRerunRecomputesNothing) {
   IterateOptions options;
   options.maxSteps = 2;
   options.maxLabels = 32;
-  const IterationTrace plain = iterateSpeedup(mis, options);
+  EngineSession fresh;
+  const IterationTrace plain = iterateSpeedup(fresh, mis, options);
 
   EngineSession ctx;
-  options.context = &ctx;
-  const IterationTrace cold = iterateSpeedup(mis, options);
+  const IterationTrace cold = iterateSpeedup(ctx, mis, options);
   const CacheStats afterCold = ctx.stats();
   EXPECT_GT(afterCold.stepMisses, 0u);
-  const IterationTrace warm = iterateSpeedup(mis, options);
+  const IterationTrace warm = iterateSpeedup(ctx, mis, options);
   const CacheStats afterWarm = ctx.stats();
   EXPECT_EQ(afterWarm.stepMisses, afterCold.stepMisses)
       << "warm iteration recomputed a speedup step";
   EXPECT_GT(afterWarm.stepHits, afterCold.stepHits);
 
-  // Context and context-free traces are identical.
+  // Traces on separate cores, cold or warm, are identical.
   for (const IterationTrace* t : {&cold, &warm}) {
     EXPECT_EQ(plain.reason, t->reason);
     ASSERT_EQ(plain.steps.size(), t->steps.size());
@@ -186,33 +187,41 @@ TEST(EngineMemo, IterateSpeedupWarmRerunRecomputesNothing) {
   }
 }
 
-TEST(EngineMemo, FixedPointDetectionAgreesWithAndWithoutContext) {
+TEST(EngineMemo, FixedPointDetectionAgreesFreshAndWarm) {
+  // A session over a fresh core against one over a core another session
+  // warmed: the warm one is served from the memo and the intern table.
   for (Count delta = 3; delta <= 5; ++delta) {
     const Problem so = sinklessOrientationProblem(delta);
     IterateOptions options;
     options.maxSteps = 4;
-    const IterationTrace plain = iterateSpeedup(so, options);
-    EngineSession ctx;
-    options.context = &ctx;
-    const IterationTrace withCtx = iterateSpeedup(so, options);
-    EXPECT_EQ(plain.reason, withCtx.reason) << delta;
-    EXPECT_EQ(plain.fixedPointAt, withCtx.fixedPointAt) << delta;
-    EXPECT_EQ(plain.zeroRoundAfter, withCtx.zeroRoundAfter) << delta;
-    expectProblemsBitIdentical(plain.last, withCtx.last, "fixed point");
+    EngineSession fresh;
+    const IterationTrace plain = iterateSpeedup(fresh, so, options);
+    auto shared = std::make_shared<EngineCore>();
+    EngineSession warmer(shared);
+    (void)iterateSpeedup(warmer, so, options);
+    EngineSession warm(shared);
+    const IterationTrace again = iterateSpeedup(warm, so, options);
+    EXPECT_EQ(warm.stats().stepMisses, 0u) << delta;
+    EXPECT_EQ(plain.reason, again.reason) << delta;
+    EXPECT_EQ(plain.fixedPointAt, again.fixedPointAt) << delta;
+    EXPECT_EQ(plain.zeroRoundAfter, again.zeroRoundAfter) << delta;
+    expectProblemsBitIdentical(plain.last, again.last, "fixed point");
   }
 }
 
-TEST(EngineMemo, AutoLowerBoundAgreesWithAndWithoutContext) {
+TEST(EngineMemo, AutoLowerBoundAgreesFreshAndWarm) {
   for (const Problem& p : {misProblem(3), sinklessOrientationProblem(3)}) {
     AutoLowerBoundOptions options;
     options.maxSteps = 3;
-    const AutoLowerBound plain = autoLowerBound(p, options);
-    EngineSession ctx;
-    options.context = &ctx;
-    const AutoLowerBound withCtx = autoLowerBound(p, options);
-    EXPECT_EQ(plain.rounds, withCtx.rounds);
-    EXPECT_EQ(plain.reason, withCtx.reason);
-    EXPECT_EQ(plain.labelsPerStep, withCtx.labelsPerStep);
+    const AutoLowerBound plain = EngineSession().autoLowerBound(p, options);
+    auto shared = std::make_shared<EngineCore>();
+    (void)EngineSession(shared).autoLowerBound(p, options);
+    EngineSession warm(shared);
+    const AutoLowerBound again = warm.autoLowerBound(p, options);
+    EXPECT_EQ(warm.stats().autoboundHits, 1u);
+    EXPECT_EQ(plain.rounds, again.rounds);
+    EXPECT_EQ(plain.reason, again.reason);
+    EXPECT_EQ(plain.labelsPerStep, again.labelsPerStep);
   }
 }
 

@@ -213,6 +213,52 @@ TEST(ResponseEnvelope, FullRoundTrip) {
   EXPECT_EQ(back.stats->runMicros, 4500);
 }
 
+TEST(ResponseEnvelope, StatsMembersArePinnedByteForByte) {
+  // All nineteen stats members set to distinct values: the encoding's
+  // member names and order are part of the wire contract (docs/service.md),
+  // and the decoder must read every one back into its own field.
+  Response response;
+  response.id = 7;
+  SessionStats stats;
+  stats.stepHits = 1;
+  stats.stepMisses = 2;
+  stats.edgeCompatHits = 3;
+  stats.edgeCompatMisses = 4;
+  stats.strengthHits = 5;
+  stats.strengthMisses = 6;
+  stats.rightClosedHits = 7;
+  stats.rightClosedMisses = 8;
+  stats.zeroRoundHits = 9;
+  stats.zeroRoundMisses = 10;
+  stats.canonicalHits = 11;
+  stats.canonicalMisses = 12;
+  stats.autoboundHits = 13;
+  stats.autoboundMisses = 14;
+  stats.storeHits = 15;
+  stats.storeMisses = 16;
+  stats.storeWrites = 17;
+  stats.queueMicros = 18;
+  stats.runMicros = 19;
+  response.stats = stats;
+  const std::string expected =
+      R"({"format":"relb-response","version":1,"id":7,"code":200,)"
+      R"("status":"ok","stats":{"step_hits":1,"step_misses":2,)"
+      R"("edge_compat_hits":3,"edge_compat_misses":4,"strength_hits":5,)"
+      R"("strength_misses":6,"right_closed_hits":7,"right_closed_misses":8,)"
+      R"("zero_round_hits":9,"zero_round_misses":10,"canonical_hits":11,)"
+      R"("canonical_misses":12,"autobound_hits":13,"autobound_misses":14,)"
+      R"("store_hits":15,"store_misses":16,"store_writes":17,)"
+      R"("queue_micros":18,"run_micros":19}})";
+  EXPECT_EQ(responseToJson(response).dump(), expected);
+
+  const Response back = responseFromJson(io::Json::parse(expected));
+  ASSERT_TRUE(back.stats.has_value());
+  EXPECT_EQ(responseToJson(back).dump(), expected);
+  EXPECT_EQ(back.stats->totalHits(), 1 + 3 + 5 + 7 + 9 + 11 + 13);
+  EXPECT_EQ(back.stats->totalMisses(), 2 + 4 + 6 + 8 + 10 + 12 + 14);
+  EXPECT_EQ(back.stats->describeLine(), "49 hits / 56 misses / 17 writes");
+}
+
 TEST(ResponseEnvelope, AutoboundStatsAreAddedWithinTheVersion) {
   Response response;
   response.id = 12;

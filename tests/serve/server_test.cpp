@@ -257,6 +257,25 @@ TEST(Server, WarmDuplicateChainHasZeroMissesAndIdenticalCertificate) {
   server.stop();
 }
 
+TEST(Server, OutOfRangeChainStartFailsWithoutChainLines) {
+  ServeConfig config;
+  config.unixSocketPath = socketPath("bad-chain");
+  Server server(config);
+  server.start();
+  Request chain;
+  chain.kind = Request::Kind::kChain;
+  chain.id = 1;
+  chain.chainDelta = 32;
+  chain.chainX0 = -5;
+  Client client = Client::connectUnix(config.unixSocketPath);
+  const Response response = client.roundTrip(chain);
+  EXPECT_EQ(response.code, StatusCode::kFailed);
+  EXPECT_EQ(response.output, "");
+  EXPECT_EQ(response.diagnostics,
+            "chain error: exactChain: x0 = -5 outside [0, delta = 32]\n");
+  server.stop();
+}
+
 TEST(Server, WarmDuplicateProblemIsAnAutoboundHitWithZeroMisses) {
   const fs::path storeDir = freshDir("serve_warm_problem_store");
   ServeConfig config;

@@ -100,7 +100,7 @@ TEST(DiskStepStore, WarmChainCertificationRecomputesNothing) {
   {
     re::EngineSession ctx;
     ctx.attachStore(std::make_shared<DiskStepStore>(dir));
-    const auto cert = core::buildChainCertificate(chain, &ctx);
+    const auto cert = core::buildChainCertificate(chain, ctx);
     coldBytes = io::certificateToJson(cert).dumpPretty();
     EXPECT_GT(ctx.stats().zeroRoundMisses, 0u);
   }
@@ -111,7 +111,7 @@ TEST(DiskStepStore, WarmChainCertificationRecomputesNothing) {
     const auto before = obs::Registry::global().snapshot();
     re::EngineSession ctx;
     ctx.attachStore(std::make_shared<DiskStepStore>(dir));
-    const auto cert = core::buildChainCertificate(chain, &ctx);
+    const auto cert = core::buildChainCertificate(chain, ctx);
     warmBytes = io::certificateToJson(cert).dumpPretty();
     EXPECT_EQ(ctx.stats().zeroRoundMisses, 0u);
     EXPECT_EQ(ctx.stats().stepMisses, 0u);
