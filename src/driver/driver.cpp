@@ -2,7 +2,6 @@
 
 #include <chrono>
 #include <filesystem>
-#include <fstream>
 #include <optional>
 #include <sstream>
 #include <string_view>
@@ -13,6 +12,7 @@
 #include "family/derive.hpp"
 #include "family/text.hpp"
 #include "io/certificate.hpp"
+#include "io/file.hpp"
 #include "io/verify.hpp"
 #include "obs/chrome_sink.hpp"
 #include "obs/metrics.hpp"
@@ -91,12 +91,7 @@ struct ObsWiring {
     try {
       tracer.flush();  // the chrome sink writes its file here
       if (text != nullptr) {
-        std::ofstream file(request.tracePath, std::ios::binary);
-        file << text->render();
-        if (!file) {
-          throw re::Error("cannot write trace to '" + request.tracePath +
-                          "'");
-        }
+        io::atomicWriteFile(request.tracePath, text->render());
       }
       if (!request.tracePath.empty()) {
         out << "trace (" << request.traceFormat << ") written to "
@@ -210,6 +205,10 @@ ParseOutcome parseArgs(int argc, const char* const* argv) {
       if (!flagValue(i, arg, req.verifyCertPath)) return outcome;
     } else if (arg == "--chain") {
       if (!flagValue(i, arg, value) || !number(value, req.chainDelta, arg)) {
+        return outcome;
+      }
+      if (req.chainDelta < 1) {  // < 0 would read as "no chain"
+        outcome.error = "bad value for " + arg;
         return outcome;
       }
     } else if (arg == "--x0") {
@@ -364,6 +363,11 @@ RunResult run(const RunRequest& request, std::shared_ptr<re::EngineCore> core) {
   re::EngineSession ctx(core, stepOptions, request.scope);
   if (stepStore != nullptr) ctx.attachStore(stepStore);
   sessionStatsFrom = &ctx;
+  const auto printStats = [&] {  // --stats: engine caches, then the store
+    if (!request.showStats) return;
+    out << "\nengine cache statistics:\n" << ctx.stats().describe();
+    if (stepStore != nullptr) out << stepStore->stats().describe();
+  };
 
   // Chain mode: build, certify, and optionally persist the family chain.
   if (request.mode == RunRequest::Mode::kChain) {
@@ -401,10 +405,7 @@ RunResult run(const RunRequest& request, std::shared_ptr<re::EngineCore> core) {
       if (request.captureCert) {
         result.certificateBytes = io::certificateToJson(cert).dumpPretty();
       }
-      if (request.showStats) {
-        out << "\nengine cache statistics:\n" << ctx.stats().describe();
-        if (stepStore != nullptr) out << stepStore->stats().describe();
-      }
+      printStats();
     } catch (const re::Error& e) {
       err << "chain error: " << e.what() << "\n";
       code = 1;
@@ -480,10 +481,7 @@ RunResult run(const RunRequest& request, std::shared_ptr<re::EngineCore> core) {
         result.certificateBytes =
             io::certificateToJson(d.certificate).dumpPretty();
       }
-      if (request.showStats) {
-        out << "\nengine cache statistics:\n" << ctx.stats().describe();
-        if (stepStore != nullptr) out << stepStore->stats().describe();
-      }
+      printStats();
     } catch (const re::Error& e) {
       err << "family error: " << e.what() << "\n";
       code = 1;
@@ -600,10 +598,7 @@ RunResult run(const RunRequest& request, std::shared_ptr<re::EngineCore> core) {
     return finish(1);
   }
 
-  if (request.showStats) {
-    out << "\nengine cache statistics:\n" << ctx.stats().describe();
-    if (stepStore != nullptr) out << stepStore->stats().describe();
-  }
+  printStats();
   return finish(0);
 }
 

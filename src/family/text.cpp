@@ -1,10 +1,9 @@
 #include "family/text.hpp"
 
 #include <cctype>
-#include <fstream>
 #include <sstream>
 
-#include "io/certificate.hpp"
+#include "io/file.hpp"
 
 namespace relb::family {
 
@@ -303,12 +302,10 @@ std::string renderFamilyText(const FamilyDef& def) {
 }
 
 FamilyDef loadFamilyFile(const std::filesystem::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw Error("cannot open family file '" + path.string() + "'");
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
+  const auto text = io::readFile(path);
+  if (!text) throw Error("cannot open family file '" + path.string() + "'");
   try {
-    return parseFamilyText(buffer.str());
+    return parseFamilyText(*text);
   } catch (const Error& e) {
     throw Error(path.string() + ": " + e.what());
   }

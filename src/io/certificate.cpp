@@ -1,14 +1,15 @@
 #include "io/certificate.hpp"
 
-#include <atomic>
-#include <fstream>
-#include <sstream>
+#include "io/file.hpp"
 
 namespace relb::io {
 
 using re::Error;
 
 namespace {
+
+const SealedLayout kLayout{"certificate", "relb-certificate", kFormatVersion,
+                           {"params", "steps", "engine"}};
 
 Json stepToJson(const CertificateStep& step, const std::string& kind) {
   Json out = Json::object();
@@ -87,44 +88,13 @@ Json certificateToJson(const Certificate& cert) {
   Json engine = Json::object();
   for (const auto& [key, value] : cert.engineInfo) engine.set(key, value);
 
-  Json checksums = Json::object();
-  checksums.set("params", fnv1a64Hex(params.dump()));
-  checksums.set("steps", fnv1a64Hex(steps.dump()));
-  checksums.set("engine", fnv1a64Hex(engine.dump()));
-
-  Json out = Json::object();
-  out.set("format", "relb-certificate");
-  out.set("version", cert.version);
-  out.set("params", std::move(params));
-  out.set("steps", std::move(steps));
-  out.set("engine", std::move(engine));
-  out.set("checksums", std::move(checksums));
-  return out;
+  Json sections[] = {std::move(params), std::move(steps), std::move(engine)};
+  return sealSections(kLayout, cert.version, sections);
 }
 
 Certificate certificateFromJson(const Json& j) {
-  if (j.at("format").asString() != "relb-certificate") {
-    throw Error("certificate: not a relb-certificate document");
-  }
+  checkSealed(kLayout, j);
   Certificate cert;
-  cert.version = static_cast<int>(j.at("version").asInt());
-  if (cert.version != kFormatVersion) {
-    throw Error("certificate: unsupported version " +
-                std::to_string(cert.version) + " (supported: " +
-                std::to_string(kFormatVersion) + ")");
-  }
-
-  const Json& checksums = j.at("checksums");
-  for (const char* section : {"params", "steps", "engine"}) {
-    const std::string actual = fnv1a64Hex(j.at(section).dump());
-    const std::string& expected = checksums.at(section).asString();
-    if (actual != expected) {
-      throw Error(std::string("certificate: checksum mismatch in section '") +
-                  section + "' (expected " + expected + ", computed " +
-                  actual + ")");
-    }
-  }
-
   const Json& params = j.at("params");
   cert.kind = params.at("kind").asString();
   if (cert.kind != "family-chain" && cert.kind != "speedup-trace") {
@@ -143,47 +113,15 @@ Certificate certificateFromJson(const Json& j) {
   return cert;
 }
 
-void atomicWriteFile(const std::filesystem::path& path,
-                     std::string_view content) {
-  static std::atomic<unsigned> counter{0};
-  const std::filesystem::path dir =
-      path.has_parent_path() ? path.parent_path() : ".";
-  const std::filesystem::path tmp =
-      dir / (".tmp-" + std::to_string(counter.fetch_add(1)) + "-" +
-             path.filename().string());
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) {
-      throw Error("io: cannot open '" + tmp.string() + "' for writing");
-    }
-    out.write(content.data(),
-              static_cast<std::streamsize>(content.size()));
-    out.flush();
-    if (!out.good()) {
-      std::error_code ec;
-      std::filesystem::remove(tmp, ec);
-      throw Error("io: short write to '" + tmp.string() + "'");
-    }
-  }
-  std::error_code ec;
-  std::filesystem::rename(tmp, path, ec);
-  if (ec) {
-    std::filesystem::remove(tmp, ec);
-    throw Error("io: cannot rename into '" + path.string() + "'");
-  }
-}
-
 void saveCertificate(const std::filesystem::path& path,
                      const Certificate& cert) {
   atomicWriteFile(path, certificateToJson(cert).dumpPretty());
 }
 
 Certificate loadCertificate(const std::filesystem::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw Error("io: cannot open '" + path.string() + "'");
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return certificateFromJson(Json::parse(buffer.str()));
+  const auto text = readFile(path);
+  if (!text) throw Error("io: cannot open '" + path.string() + "'");
+  return certificateFromJson(Json::parse(*text));
 }
 
 }  // namespace relb::io

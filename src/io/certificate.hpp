@@ -12,9 +12,10 @@
 //     re-checks the soundness side of each operator plus the zero-round
 //     verdicts (see io/verify.hpp for the exact contract).
 //
-// The serialized form carries a format version and one checksum per section
-// ("params", "steps", "engine"); loadCertificate rejects any mismatch, so a
-// tampered or truncated file never reaches semantic verification.
+// The serialized form is a sealed-section document (io/file.hpp) with
+// sections "params", "steps" and "engine"; loadCertificate rejects any
+// format, version or checksum mismatch, so a tampered or truncated file
+// never reaches semantic verification.
 // Certificates contain no timestamps or timings: re-deriving the same chain
 // must reproduce the file byte for byte (asserted in CI against the golden
 // certificate and between cold- and warm-store runs).
@@ -76,10 +77,5 @@ void saveCertificate(const std::filesystem::path& path,
 /// Reads and decodes (including checksum validation).  Throws re::Error on
 /// I/O failure or any validation error.
 [[nodiscard]] Certificate loadCertificate(const std::filesystem::path& path);
-
-/// Writes `content` to `path` atomically (same-directory temp file, then
-/// rename).  Shared by the certificate writer and the step store.
-void atomicWriteFile(const std::filesystem::path& path,
-                     std::string_view content);
 
 }  // namespace relb::io

@@ -362,11 +362,15 @@ std::string fnv1a64Hex(std::string_view bytes) {
     h ^= static_cast<unsigned char>(ch);
     h *= 0x00000100000001b3ULL;
   }
+  return hex64(h);
+}
+
+std::string hex64(std::uint64_t value) {
   static constexpr char kHex[] = "0123456789abcdef";
   std::string out(16, '0');
   for (int i = 15; i >= 0; --i) {
-    out[static_cast<std::size_t>(i)] = kHex[h & 0xF];
-    h >>= 4;
+    out[static_cast<std::size_t>(i)] = kHex[value & 0xF];
+    value >>= 4;
   }
   return out;
 }

@@ -96,4 +96,7 @@ class Json {
 /// it detects corruption and casual tampering, not adversaries.
 [[nodiscard]] std::string fnv1a64Hex(std::string_view bytes);
 
+/// `value` as 16 lowercase hex digits (the fnv1a64Hex format).
+[[nodiscard]] std::string hex64(std::uint64_t value);
+
 }  // namespace relb::io

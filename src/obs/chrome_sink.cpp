@@ -1,6 +1,6 @@
 #include "obs/chrome_sink.hpp"
 
-#include "io/certificate.hpp"  // io::atomicWriteFile
+#include "io/file.hpp"
 
 namespace relb::obs {
 

@@ -1,9 +1,6 @@
 #include "obs/report.hpp"
 
-#include <fstream>
-#include <sstream>
-
-#include "io/certificate.hpp"  // io::atomicWriteFile
+#include "io/file.hpp"
 #include "re/types.hpp"
 
 namespace relb::obs {
@@ -31,6 +28,10 @@ RunReport buildRunReport(const SpanAggregator& aggregator,
 }
 
 namespace {
+
+const io::SealedLayout kLayout{
+    "run report", "relb-run-report", kRunReportVersion,
+    {"run", "phases", "spans", "counters", "gauges"}};
 
 Json rowsToJson(const std::vector<RunReport::Row>& rows) {
   Json out = Json::array();
@@ -83,9 +84,6 @@ Json runReportToJson(const RunReport& report) {
     run.set("ops_walked", std::move(ops));
   }
 
-  Json phases = rowsToJson(report.phases);
-  Json spans = rowsToJson(report.spans);
-
   Json counters = Json::object();
   for (const auto& [name, value] : report.counters) {
     counters.set(name, static_cast<std::int64_t>(value));
@@ -93,48 +91,15 @@ Json runReportToJson(const RunReport& report) {
   Json gauges = Json::object();
   for (const auto& [name, value] : report.gauges) gauges.set(name, value);
 
-  Json checksums = Json::object();
-  checksums.set("run", io::fnv1a64Hex(run.dump()));
-  checksums.set("phases", io::fnv1a64Hex(phases.dump()));
-  checksums.set("spans", io::fnv1a64Hex(spans.dump()));
-  checksums.set("counters", io::fnv1a64Hex(counters.dump()));
-  checksums.set("gauges", io::fnv1a64Hex(gauges.dump()));
-
-  Json out = Json::object();
-  out.set("format", "relb-run-report");
-  out.set("version", report.version);
-  out.set("run", std::move(run));
-  out.set("phases", std::move(phases));
-  out.set("spans", std::move(spans));
-  out.set("counters", std::move(counters));
-  out.set("gauges", std::move(gauges));
-  out.set("checksums", std::move(checksums));
-  return out;
+  Json sections[] = {std::move(run), rowsToJson(report.phases),
+                     rowsToJson(report.spans), std::move(counters),
+                     std::move(gauges)};
+  return io::sealSections(kLayout, report.version, sections);
 }
 
 RunReport runReportFromJson(const Json& j) {
-  if (j.at("format").asString() != "relb-run-report") {
-    throw Error("run report: not a relb-run-report document");
-  }
+  io::checkSealed(kLayout, j);
   RunReport report;
-  report.version = static_cast<int>(j.at("version").asInt());
-  if (report.version != kRunReportVersion) {
-    throw Error("run report: unsupported version " +
-                std::to_string(report.version) + " (supported: " +
-                std::to_string(kRunReportVersion) + ")");
-  }
-
-  const Json& checksums = j.at("checksums");
-  for (const char* section : {"run", "phases", "spans", "counters", "gauges"}) {
-    const std::string actual = io::fnv1a64Hex(j.at(section).dump());
-    const std::string& expected = checksums.at(section).asString();
-    if (actual != expected) {
-      throw Error(std::string("run report: checksum mismatch in section '") +
-                  section + "' (expected " + expected + ", computed " +
-                  actual + ")");
-    }
-  }
-
   const Json& run = j.at("run");
   report.command = run.at("command").asString();
   report.totalWallMicros = run.at("total_wall_micros").asInt();
@@ -170,11 +135,9 @@ void saveRunReport(const std::filesystem::path& path,
 }
 
 RunReport loadRunReport(const std::filesystem::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw Error("run report: cannot open '" + path.string() + "'");
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return runReportFromJson(Json::parse(buffer.str()));
+  const auto text = io::readFile(path);
+  if (!text) throw Error("run report: cannot open '" + path.string() + "'");
+  return runReportFromJson(Json::parse(*text));
 }
 
 }  // namespace relb::obs

@@ -2,12 +2,12 @@
 // run -- per-phase and per-span wall time from the tracer's SpanAggregator,
 // the full counter/gauge registry, and the (a, x) chain actually walked.
 //
-// Reports follow the same discipline as certificates (docs/formats.md):
-// a "format"/"version" header readers match exactly, per-section FNV-1a
-// checksums computed over the compact section dump, and no timestamps or
-// other nondeterminism outside the measured quantities -- so two reports of
-// the same run shape are diffable field by field, and a truncated or edited
-// report fails at load time naming the bad section.
+// Reports are sealed-section documents like certificates (io/file.hpp,
+// docs/formats.md): a "format"/"version" header readers match exactly,
+// per-section FNV-1a checksums computed over the compact section dump, and
+// no timestamps or other nondeterminism outside the measured quantities --
+// so two reports of the same run shape are diffable field by field, and a
+// truncated or edited report fails at load time naming the bad section.
 #pragma once
 
 #include <cstdint>

@@ -1,11 +1,7 @@
 #include "store/step_store.hpp"
 
-#include <fstream>
-#include <sstream>
-
-#include "io/certificate.hpp"  // atomicWriteFile
+#include "io/file.hpp"
 #include "io/serialize.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
 namespace relb::store {
@@ -17,63 +13,33 @@ using re::StepOptions;
 using re::StepResult;
 using re::ZeroRoundMode;
 
+// One entry tag.  Every payload is {kindField: kind, "input": problem,
+// ["max_rbar_delta", "enumeration_limit" if guarded], valueField: value}.
+struct EntrySlot {
+  const char* tag;        // the file suffix
+  const char* kindField;  // "op" (0 = R, 1 = R-bar) or "mode" (zero-round)
+  int kind;
+  bool guarded;  // the step guards are part of the key
+  const char* valueField;
+  /// Refusal lookups, which the engine makes before loadStep: only hits
+  /// count, and "store.load" spans only an entry that exists.
+  bool probe;
+};
+
 namespace {
 
 constexpr std::string_view kFormatStamp = "relb-store 1";
 
-const char* zeroRoundTag(ZeroRoundMode mode) {
-  switch (mode) {
-    case ZeroRoundMode::kSymmetricPorts: return "zr0";
-    case ZeroRoundMode::kAdversarialPorts: return "zr1";
-    case ZeroRoundMode::kWithEdgeInputs: return "zr2";
-  }
-  throw Error("step_store: unknown zero-round mode");
-}
-
-std::string hashHex(std::uint64_t hash) {
-  static constexpr char kHex[] = "0123456789abcdef";
-  std::string out(16, '0');
-  for (int i = 15; i >= 0; --i) {
-    out[static_cast<std::size_t>(i)] = kHex[hash & 0xF];
-    hash >>= 4;
-  }
-  return out;
-}
-
-std::string wrapEntry(Json payload) {
-  Json out = Json::object();
-  out.set("format", "relb-store-entry");
-  out.set("version", io::kFormatVersion);
-  const std::string checksum = io::fnv1a64Hex(payload.dump());
-  out.set("payload", std::move(payload));
-  out.set("checksum", checksum);
-  return out.dump() + "\n";
-}
-
-/// Parses and checksum-validates an entry file; throws re::Error on any
-/// corruption (malformed JSON, bad format/version, checksum mismatch).
-Json unwrapEntry(const std::string& text) {
-  const Json doc = Json::parse(text);
-  if (doc.at("format").asString() != "relb-store-entry") {
-    throw Error("step_store: not a store entry");
-  }
-  if (doc.at("version").asInt() != io::kFormatVersion) {
-    throw Error("step_store: unsupported entry version");
-  }
-  const Json& payload = doc.at("payload");
-  if (io::fnv1a64Hex(payload.dump()) != doc.at("checksum").asString()) {
-    throw Error("step_store: entry checksum mismatch");
-  }
-  return payload;
-}
-
-std::optional<std::string> readFile(const std::filesystem::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return std::nullopt;
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
-}
+constexpr EntrySlot kStepSlots[] = {
+    {"r", "op", 0, false, "result", false},
+    {"rbar", "op", 1, true, "result", false}};
+constexpr EntrySlot kRefusalSlots[] = {
+    {"rref", "op", 0, true, "refusal", true},
+    {"rbarref", "op", 1, true, "refusal", true}};
+constexpr EntrySlot kZeroRoundSlots[] = {
+    {"zr0", "mode", 0, false, "solvable", false},
+    {"zr1", "mode", 1, false, "solvable", false},
+    {"zr2", "mode", 2, false, "solvable", false}};
 
 }  // namespace
 
@@ -90,7 +56,7 @@ DiskStepStore::DiskStepStore(std::filesystem::path root,
   std::filesystem::create_directories(root_ / "objects");
   std::filesystem::create_directories(root_ / "quarantine");
   const std::filesystem::path stamp = root_ / "FORMAT";
-  if (const auto existing = readFile(stamp)) {
+  if (const auto existing = io::readFile(stamp)) {
     // Trailing newline tolerated; anything else is another version.
     std::string trimmed = *existing;
     while (!trimmed.empty() && (trimmed.back() == '\n' || trimmed.back() == '\r')) {
@@ -108,13 +74,21 @@ DiskStepStore::DiskStepStore(std::filesystem::path root,
 
 std::filesystem::path DiskStepStore::entryPath(std::uint64_t hash,
                                                const char* tag) const {
-  const std::string hex = hashHex(hash);
+  const std::string hex = io::hex64(hash);
   return root_ / "objects" / hex.substr(0, 2) / (hex + "." + tag + ".json");
 }
 
 void DiskStepStore::quarantine(const std::filesystem::path& path) {
+  // Numbered, never overwritten: a second corruption of the same entry
+  // must not replace the evidence of the first.
+  const std::string name = path.filename().string() + ".";
   std::error_code ec;
-  std::filesystem::rename(path, root_ / "quarantine" / path.filename(), ec);
+  std::filesystem::path target;
+  for (unsigned n = 1;; ++n) {
+    target = root_ / "quarantine" / (name + std::to_string(n));
+    if (!std::filesystem::exists(target, ec)) break;
+  }
+  std::filesystem::rename(path, target, ec);
   if (ec) std::filesystem::remove(path, ec);
   count(&StoreStats::quarantined);
   quarantinedCounter_.add();
@@ -141,66 +115,98 @@ std::size_t DiskStepStore::objectCount() const {
   return n;
 }
 
+template <class T>
+std::optional<T> DiskStepStore::readEntry(
+    const EntrySlot& slot, const StepOptions& options, const Problem& input,
+    std::uint64_t hash, const std::function<T(const Json&)>& decode) {
+  std::optional<obs::ScopedSpan> span;
+  if (!slot.probe) span.emplace("store.load");
+  const auto miss = [&] {
+    if (!slot.probe) count(&StoreStats::misses);
+    return std::nullopt;
+  };
+  const std::filesystem::path path = entryPath(hash, slot.tag);
+  const auto text = io::readFile(path);
+  if (!text) return miss();
+  if (slot.probe) span.emplace("store.load");
+  std::optional<T> out;
+  try {
+    const Json doc = Json::parse(*text);
+    const Json& payload = doc.at("payload");
+    if (doc.at("format").asString() != "relb-store-entry" ||
+        doc.at("version").asInt() != io::kFormatVersion ||
+        io::fnv1a64Hex(payload.dump()) != doc.at("checksum").asString() ||
+        payload.at(slot.kindField).asInt() != slot.kind) {
+      throw Error("step_store: corrupt entry");
+    }
+    if (io::problemFromJson(payload.at("input")) != input) {
+      return miss();  // structural-hash collision: another problem's slot
+    }
+    if (slot.guarded &&
+        (payload.at("max_rbar_delta").asInt() != options.maxRbarDelta ||
+         payload.at("enumeration_limit").asInt() !=
+             static_cast<std::int64_t>(options.enumerationLimit))) {
+      return miss();  // computed under other guards: not corrupt, not ours
+    }
+    out = decode(payload.at(slot.valueField));
+  } catch (const Error&) {
+    quarantine(path);
+    return miss();
+  }
+  count(&StoreStats::hits);
+  return out;
+}
+
+void DiskStepStore::writeEntry(const EntrySlot& slot,
+                               const StepOptions& options,
+                               const Problem& input, std::uint64_t hash,
+                               Json value) {
+  const obs::ScopedSpan span("store.write");
+  Json payload = Json::object();
+  payload.set(slot.kindField, slot.kind);
+  payload.set("input", io::problemToJson(input));
+  if (slot.guarded) {
+    payload.set("max_rbar_delta", options.maxRbarDelta);
+    payload.set("enumeration_limit",
+                static_cast<std::int64_t>(options.enumerationLimit));
+  }
+  payload.set(slot.valueField, std::move(value));
+  Json entry = Json::object();
+  entry.set("format", "relb-store-entry");
+  entry.set("version", io::kFormatVersion);
+  const std::string checksum = io::fnv1a64Hex(payload.dump());
+  entry.set("payload", std::move(payload));
+  entry.set("checksum", checksum);
+  const std::filesystem::path path = entryPath(hash, slot.tag);
+  std::filesystem::create_directories(path.parent_path());
+  io::atomicWriteFile(path, entry.dump() + "\n");
+  count(&StoreStats::writes);
+}
+
 std::optional<StepResult> DiskStepStore::loadStep(int kind,
                                                   const Problem& input,
                                                   std::uint64_t hash,
                                                   const StepOptions& options) {
-  const obs::ScopedSpan span("store.load");
-  const std::filesystem::path path =
-      entryPath(hash, kind == 0 ? "r" : "rbar");
-  const auto text = readFile(path);
-  if (!text) {
-    count(&StoreStats::misses);
-    return std::nullopt;
-  }
-  try {
-    const Json payload = unwrapEntry(*text);
-    if (payload.at("op").asInt() != kind) {
-      throw Error("step_store: entry operator mismatch");
-    }
-    if (io::problemFromJson(payload.at("input")) != input) {
-      // Structural-hash collision: a different problem owns this slot.
-      count(&StoreStats::misses);
-      return std::nullopt;
-    }
-    if (kind == 1 &&
-        (payload.at("max_rbar_delta").asInt() != options.maxRbarDelta ||
-         payload.at("enumeration_limit").asInt() !=
-             static_cast<std::int64_t>(options.enumerationLimit))) {
-      // Computed under other guards; not corrupt, just not reusable.
-      count(&StoreStats::misses);
-      return std::nullopt;
-    }
-    const Json& result = payload.at("result");
-    StepResult out;
-    out.problem = io::problemFromJson(result.at("problem"));
-    for (const Json& s : result.at("meaning").asArray()) {
-      out.meaning.push_back(io::labelSetFromJson(s, input.alphabet.size()));
-    }
-    if (static_cast<int>(out.meaning.size()) != out.problem.alphabet.size()) {
-      throw Error("step_store: meaning size does not match result alphabet");
-    }
-    count(&StoreStats::hits);
-    return out;
-  } catch (const Error&) {
-    quarantine(path);
-    count(&StoreStats::misses);
-    return std::nullopt;
-  }
+  return readEntry<StepResult>(
+      kStepSlots[kind], options, input, hash, [&](const Json& result) {
+        StepResult out;
+        out.problem = io::problemFromJson(result.at("problem"));
+        for (const Json& s : result.at("meaning").asArray()) {
+          out.meaning.push_back(
+              io::labelSetFromJson(s, input.alphabet.size()));
+        }
+        if (static_cast<int>(out.meaning.size()) !=
+            out.problem.alphabet.size()) {
+          throw Error(
+              "step_store: meaning size does not match result alphabet");
+        }
+        return out;
+      });
 }
 
 void DiskStepStore::storeStep(int kind, const Problem& input,
                               std::uint64_t hash, const StepOptions& options,
                               const StepResult& result) {
-  const obs::ScopedSpan span("store.write");
-  Json payload = Json::object();
-  payload.set("op", kind);
-  payload.set("input", io::problemToJson(input));
-  if (kind == 1) {
-    payload.set("max_rbar_delta", options.maxRbarDelta);
-    payload.set("enumeration_limit",
-                static_cast<std::int64_t>(options.enumerationLimit));
-  }
   Json res = Json::object();
   res.set("problem", io::problemToJson(result.problem));
   Json meaning = Json::array();
@@ -208,101 +214,35 @@ void DiskStepStore::storeStep(int kind, const Problem& input,
     meaning.push(io::labelSetToJson(s));
   }
   res.set("meaning", std::move(meaning));
-  payload.set("result", std::move(res));
-
-  const std::filesystem::path path =
-      entryPath(hash, kind == 0 ? "r" : "rbar");
-  std::filesystem::create_directories(path.parent_path());
-  io::atomicWriteFile(path, wrapEntry(std::move(payload)));
-  count(&StoreStats::writes);
+  writeEntry(kStepSlots[kind], options, input, hash, std::move(res));
 }
 
 std::optional<std::string> DiskStepStore::loadStepRefusal(
     int kind, const Problem& input, std::uint64_t hash,
     const StepOptions& options) {
-  const std::filesystem::path path =
-      entryPath(hash, kind == 0 ? "rref" : "rbarref");
-  const auto text = readFile(path);
-  if (!text) return std::nullopt;
-  const obs::ScopedSpan span("store.load");
-  try {
-    const Json payload = unwrapEntry(*text);
-    if (payload.at("op").asInt() != kind) {
-      throw Error("step_store: entry operator mismatch");
-    }
-    if (io::problemFromJson(payload.at("input")) != input ||
-        payload.at("max_rbar_delta").asInt() != options.maxRbarDelta ||
-        payload.at("enumeration_limit").asInt() !=
-            static_cast<std::int64_t>(options.enumerationLimit)) {
-      return std::nullopt;  // another problem's or other guards' refusal
-    }
-    std::string message = payload.at("refusal").asString();
-    count(&StoreStats::hits);
-    return message;
-  } catch (const Error&) {
-    quarantine(path);
-    return std::nullopt;
-  }
+  return readEntry<std::string>(
+      kRefusalSlots[kind], options, input, hash,
+      [](const Json& refusal) { return refusal.asString(); });
 }
 
 void DiskStepStore::storeStepRefusal(int kind, const Problem& input,
                                      std::uint64_t hash,
                                      const StepOptions& options,
                                      const std::string& message) {
-  const obs::ScopedSpan span("store.write");
-  Json payload = Json::object();
-  payload.set("op", kind);
-  payload.set("input", io::problemToJson(input));
-  payload.set("max_rbar_delta", options.maxRbarDelta);
-  payload.set("enumeration_limit",
-              static_cast<std::int64_t>(options.enumerationLimit));
-  payload.set("refusal", message);
-
-  const std::filesystem::path path =
-      entryPath(hash, kind == 0 ? "rref" : "rbarref");
-  std::filesystem::create_directories(path.parent_path());
-  io::atomicWriteFile(path, wrapEntry(std::move(payload)));
-  count(&StoreStats::writes);
+  writeEntry(kRefusalSlots[kind], options, input, hash, message);
 }
 
 std::optional<bool> DiskStepStore::loadZeroRound(ZeroRoundMode mode,
                                                  const Problem& input,
                                                  std::uint64_t hash) {
-  const obs::ScopedSpan span("store.load");
-  const std::filesystem::path path = entryPath(hash, zeroRoundTag(mode));
-  const auto text = readFile(path);
-  if (!text) {
-    count(&StoreStats::misses);
-    return std::nullopt;
-  }
-  try {
-    const Json payload = unwrapEntry(*text);
-    if (io::problemFromJson(payload.at("input")) != input) {
-      count(&StoreStats::misses);
-      return std::nullopt;
-    }
-    const bool solvable = payload.at("solvable").asBool();
-    count(&StoreStats::hits);
-    return solvable;
-  } catch (const Error&) {
-    quarantine(path);
-    count(&StoreStats::misses);
-    return std::nullopt;
-  }
+  return readEntry<bool>(kZeroRoundSlots[static_cast<int>(mode)], {}, input,
+                         hash, [](const Json& v) { return v.asBool(); });
 }
 
 void DiskStepStore::storeZeroRound(ZeroRoundMode mode, const Problem& input,
                                    std::uint64_t hash, bool solvable) {
-  const obs::ScopedSpan span("store.write");
-  Json payload = Json::object();
-  payload.set("mode", static_cast<std::int64_t>(mode));
-  payload.set("input", io::problemToJson(input));
-  payload.set("solvable", solvable);
-
-  const std::filesystem::path path = entryPath(hash, zeroRoundTag(mode));
-  std::filesystem::create_directories(path.parent_path());
-  io::atomicWriteFile(path, wrapEntry(std::move(payload)));
-  count(&StoreStats::writes);
+  writeEntry(kZeroRoundSlots[static_cast<int>(mode)], {}, input, hash,
+             solvable);
 }
 
 }  // namespace relb::store

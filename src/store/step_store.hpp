@@ -12,16 +12,18 @@
 //                                   zr0 / zr1 / zr2 (the zero-round modes)
 //                                   / rref / rbarref (refused R / R-bar
 //                                   steps: the guard's error message)
-//   quarantine/                     corrupt entries are MOVED here on read
-//                                   (never deleted, never trusted again);
+//   quarantine/<hash16>.<tag>.json.<n>
+//                                   corrupt entries are MOVED here on read,
+//                                   <n> the first free number (never deleted
+//                                   or overwritten, never trusted again);
 //                                   the caller transparently recomputes
 //
 // Every entry wraps its payload with a checksum over the canonical compact
-// JSON encoding; loads validate the checksum, then decode, then confirm the
-// stored input problem equals the queried one (a structural-hash collision
-// degrades to a miss).  Writes go through a same-directory temp file and an
-// atomic rename, so a crash mid-write never leaves a half-entry under
-// objects/ -- at worst an orphaned temp file that is ignored.
+// JSON encoding; loads validate the checksum, then confirm the stored key
+// equals the queried one (a structural-hash collision degrades to a miss),
+// then decode.  One private function reads every tag and one writes it;
+// writes go through io::atomicWriteFile, so a crash mid-write never leaves
+// a half-entry under objects/ -- at worst an orphaned temp file.
 //
 // Thread-safety: all methods may be called concurrently (the engine calls
 // them outside its own lock).  Filesystem operations rely on rename
@@ -30,14 +32,18 @@
 
 #include <cstdint>
 #include <filesystem>
+#include <functional>
 #include <mutex>
 #include <optional>
 #include <string>
 
+#include "io/json.hpp"
 #include "obs/metrics.hpp"
 #include "re/engine.hpp"
 
 namespace relb::store {
+
+struct EntrySlot;  // one tag's key, value field and counting policy
 
 struct StoreStats {
   std::size_t hits = 0;
@@ -92,6 +98,18 @@ class DiskStepStore final : public re::StepStorage {
  private:
   [[nodiscard]] std::filesystem::path entryPath(std::uint64_t hash,
                                                 const char* tag) const;
+  /// path -> read -> unwrap and checksum -> key check (`options` supplies
+  /// the guards) -> `decode`, which throws re::Error if corrupt; or
+  /// quarantine.
+  template <class T>
+  std::optional<T> readEntry(const EntrySlot& slot,
+                             const re::StepOptions& options,
+                             const re::Problem& input, std::uint64_t hash,
+                             const std::function<T(const io::Json&)>& decode);
+  /// Key plus `value` -> wrap -> atomic write -> count.
+  void writeEntry(const EntrySlot& slot, const re::StepOptions& options,
+                  const re::Problem& input, std::uint64_t hash,
+                  io::Json value);
   void quarantine(const std::filesystem::path& path);
   void count(std::size_t StoreStats::* counter);
 

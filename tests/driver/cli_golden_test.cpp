@@ -212,10 +212,23 @@ TEST(CliGolden, NumbersMustBeWholeIntegers) {
     const ParseOutcome outcome = parse(c.argv);
     EXPECT_EQ(outcome.error, c.error) << c.argv.back();
   }
-  // Negative values still parse; run() decides what they mean.
-  const ParseOutcome negative = parse({"cli", "--chain", "-1", "--x0", "-2"});
+  // A negative x0 still parses; run() decides what it means.
+  const ParseOutcome negative = parse({"cli", "--chain", "8", "--x0", "-2"});
   EXPECT_TRUE(negative.error.empty()) << negative.error;
   EXPECT_EQ(negative.request.chainX0, -2);
+}
+
+TEST(CliGolden, ChainBelowOneIsAParseError) {
+  // Delta < 1 is no chain at all; it must not fall back to problem mode or
+  // bare usage.
+  for (const char* delta : {"-3", "-1", "0"}) {
+    const ParseOutcome outcome =
+        parse({"cli", "--chain", delta, "M^3; P O^2", "M [PO]; O O", "1", "1"});
+    EXPECT_EQ(outcome.error, "bad value for --chain") << delta;
+    const ParseOutcome bare = parse({"cli", "--chain", delta});
+    EXPECT_EQ(bare.error, "bad value for --chain") << delta;
+  }
+  EXPECT_TRUE(parse({"cli", "--chain", "1"}).error.empty());
 }
 
 TEST(CliGolden, OutOfRangeChainStartPrintsNoChain) {

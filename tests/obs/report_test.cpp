@@ -109,6 +109,87 @@ TEST(RunReport, RoundtripsThroughJson) {
   EXPECT_EQ(out.chainSteps[1].x, 2);
 }
 
+TEST(RunReport, PrettyBytesArePinned) {
+  RunReport report = sampleReport();
+  report.opsWalked = {"input", "R", "Rbar"};
+  EXPECT_EQ(runReportToJson(report).dumpPretty(), R"({
+  "format": "relb-run-report",
+  "version": 1,
+  "run": {
+    "command": "round_eliminator_cli --chain 32",
+    "total_wall_micros": 12345,
+    "threads": 4,
+    "chain": {
+      "delta": 32,
+      "x0": 1,
+      "steps": [
+        {
+          "a": 32,
+          "x": 1
+        },
+        {
+          "a": 10,
+          "x": 2
+        },
+        {
+          "a": 2,
+          "x": 3
+        }
+      ]
+    },
+    "ops_walked": [
+      "input",
+      "R",
+      "Rbar"
+    ]
+  },
+  "phases": [
+    {
+      "name": "phase.chain.build",
+      "count": 1,
+      "wall_micros": 100
+    },
+    {
+      "name": "phase.chain.certify",
+      "count": 1,
+      "wall_micros": 12000
+    }
+  ],
+  "spans": [
+    {
+      "name": "engine.zeroRound",
+      "count": 7,
+      "wall_micros": 9000
+    },
+    {
+      "name": "phase.chain.build",
+      "count": 1,
+      "wall_micros": 100
+    },
+    {
+      "name": "phase.chain.certify",
+      "count": 1,
+      "wall_micros": 12000
+    }
+  ],
+  "counters": {
+    "engine.zero_round.miss": 7,
+    "store.hit": 0
+  },
+  "gauges": {
+    "pool.concurrency": 4
+  },
+  "checksums": {
+    "run": "84ce1c4d369903e4",
+    "phases": "65536635dd0b9ef7",
+    "spans": "9aaf5d889252d9ff",
+    "counters": "d1ae9248634d305d",
+    "gauges": "06720979a7668c3c"
+  }
+}
+)");
+}
+
 TEST(RunReport, PhaseWallTimesTileTheTotal) {
   // The property the CLI acceptance check relies on: the root-phase sum is
   // within 5% of end-to-end wall time.

@@ -1,16 +1,19 @@
 // DiskStepStore: persistence across contexts, crash safety (truncated and
-// corrupted entries are quarantined and recomputed, never trusted), and the
-// zero-recomputation guarantee for warm-store runs.
+// corrupted entries are quarantined and recomputed, never trusted), the
+// zero-recomputation guarantee for warm-store runs, and the exact bytes of
+// every entry tag.
 #include "store/step_store.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 
 #include "core/family.hpp"
 #include "core/sequence.hpp"
 #include "io/certificate.hpp"
+#include "io/serialize.hpp"
 #include "obs/metrics.hpp"
 #include "re/canonical.hpp"
 #include "re/problem.hpp"
@@ -33,7 +36,27 @@ std::vector<fs::path> objectFiles(const fs::path& root) {
        fs::recursive_directory_iterator(root / "objects")) {
     if (entry.is_regular_file()) out.push_back(entry.path());
   }
+  std::sort(out.begin(), out.end());
   return out;
+}
+
+std::string fileBytes(const fs::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  EXPECT_TRUE(in.good()) << path;
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+// Every file under `actual`'s objects/ equals its namesake under
+// `expected`'s, and neither tree has a file the other lacks.
+void expectSameObjects(const fs::path& actual, const fs::path& expected) {
+  const auto got = objectFiles(actual);
+  const auto want = objectFiles(expected);
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    const fs::path rel = fs::relative(got[i], actual);
+    EXPECT_EQ(rel, fs::relative(want[i], expected));
+    EXPECT_EQ(fileBytes(got[i]), fileBytes(want[i])) << rel;
+  }
 }
 
 TEST(DiskStepStore, InitializesLayoutAndRejectsForeignFormat) {
@@ -166,6 +189,37 @@ TEST(DiskStepStore, TruncatedEntryIsQuarantinedAndRecomputed) {
   (void)again.applyR(p);
   EXPECT_EQ(again.stats().storeHits, 1u);
   EXPECT_EQ(again.stats().stepMisses, 0u);
+}
+
+TEST(DiskStepStore, RepeatedCorruptionKeepsEveryQuarantinedCopy) {
+  // Corrupt one entry, let a run quarantine and rewrite it, corrupt it
+  // again: both corrupt copies stay under quarantine/, numbered in order.
+  const fs::path dir = freshDir("store-requarantine");
+  const re::Problem p = re::misProblem(3);
+  {
+    re::EngineSession ctx;
+    ctx.attachStore(std::make_shared<DiskStepStore>(dir));
+    (void)ctx.applyR(p);
+  }
+  const auto files = objectFiles(dir);
+  ASSERT_EQ(files.size(), 1u);
+  for (const char* garbage : {"garbage1", "garbage2"}) {
+    {
+      std::ofstream out(files[0], std::ios::binary | std::ios::trunc);
+      out << garbage;
+    }
+    auto store = std::make_shared<DiskStepStore>(dir);
+    re::EngineSession ctx;
+    ctx.attachStore(store);
+    (void)ctx.applyR(p);
+    EXPECT_EQ(store->stats().quarantined, 1u);
+  }
+  const std::string name = files[0].filename().string();
+  EXPECT_EQ(fileBytes(dir / "quarantine" / (name + ".1")), "garbage1");
+  EXPECT_EQ(fileBytes(dir / "quarantine" / (name + ".2")), "garbage2");
+  EXPECT_EQ(std::distance(fs::directory_iterator(dir / "quarantine"),
+                          fs::directory_iterator()),
+            2);
 }
 
 TEST(DiskStepStore, ChecksumMismatchIsQuarantined) {
@@ -316,6 +370,63 @@ TEST(DiskStepStore, PiChainRefusesTheThirtyLabelRbarStep) {
   EXPECT_EQ(store->loadStepRefusal(1, q, re::structuralHash(q),
                                    re::StepOptions{}),
             "allRightClosedSets: universe too large");
+}
+
+TEST(DiskStepStore, V1EntriesAreRestoredByteForByte) {
+  // Read each committed v1 entry back through the store and write it into a
+  // fresh root: the r, rbar, zr1 and zr2 entry bytes must not move.
+  const fs::path v1 = freshDir("store-pin-v1");
+  fs::copy(fs::path(RELB_TEST_DATA_DIR) / "store_v1_mis3", v1,
+           fs::copy_options::recursive);
+  const fs::path dir = freshDir("store-pin-restore");
+  DiskStepStore source(v1);
+  DiskStepStore fresh(dir);
+  for (const fs::path& file : objectFiles(v1)) {
+    const io::Json payload = io::Json::parse(fileBytes(file)).at("payload");
+    const re::Problem input = io::problemFromJson(payload.at("input"));
+    const std::uint64_t hash = re::structuralHash(input);
+    const std::string tag = file.stem().extension().string().substr(1);
+    if (tag == "r" || tag == "rbar") {
+      const int kind = tag == "r" ? 0 : 1;
+      re::StepOptions options;
+      if (kind == 1) {
+        options.maxRbarDelta =
+            static_cast<int>(payload.at("max_rbar_delta").asInt());
+        options.enumerationLimit = static_cast<std::size_t>(
+            payload.at("enumeration_limit").asInt());
+      }
+      const auto result = source.loadStep(kind, input, hash, options);
+      ASSERT_TRUE(result.has_value()) << file;
+      fresh.storeStep(kind, input, hash, options, *result);
+    } else {
+      const auto mode =
+          static_cast<re::ZeroRoundMode>(payload.at("mode").asInt());
+      const auto solvable = source.loadZeroRound(mode, input, hash);
+      ASSERT_TRUE(solvable.has_value()) << file;
+      fresh.storeZeroRound(mode, input, hash, *solvable);
+    }
+  }
+  EXPECT_EQ(source.stats().hits, 4u);
+  EXPECT_EQ(fresh.stats().writes, 4u);
+  expectSameObjects(dir, v1);
+}
+
+TEST(DiskStepStore, RefusalAndZeroRoundEntryBytesArePinned) {
+  // The tags the v1 store lacks, written from fixed inputs and compared
+  // with tests/data/store_entries.
+  const fs::path dir = freshDir("store-pin-tags");
+  DiskStepStore store(dir);
+  const re::Problem mis = re::misProblem(3);
+  const re::Problem sinkless = re::sinklessOrientationProblem(3);
+  store.storeStepRefusal(0, mis, re::structuralHash(mis), re::StepOptions{},
+                         "applyR: empty edge constraint after maximization");
+  store.storeStepRefusal(
+      1, mis, re::structuralHash(mis), tightOptions(),
+      "applyRbar: node degree too large for exact maximization");
+  store.storeZeroRound(re::ZeroRoundMode::kSymmetricPorts, sinkless,
+                       re::structuralHash(sinkless), false);
+  EXPECT_EQ(store.stats().writes, 3u);
+  expectSameObjects(dir, fs::path(RELB_TEST_DATA_DIR) / "store_entries");
 }
 
 }  // namespace

@@ -82,61 +82,16 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
 
 #ifndef RELB_FUZZ_ENGINE
 
-#include <algorithm>
 #include <filesystem>
-#include <fstream>
 #include <iostream>
-#include <sstream>
 #include <vector>
 
 #include "family/builtin.hpp"
+#include "fuzz_corpus.hpp"
 
 namespace {
 
 namespace fs = std::filesystem;
-
-std::string readFile(const fs::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw Finding("cannot open " + path.string());
-  std::ostringstream out;
-  out << in.rdbuf();
-  return std::move(out).str();
-}
-
-bool replay(const fs::path& path) {
-  try {
-    fuzzOne(readFile(path));
-    return true;
-  } catch (const std::exception& e) {
-    std::cerr << "FINDING " << path.string() << ": " << e.what() << "\n";
-    return false;
-  }
-}
-
-int runCorpus(const std::vector<std::string>& roots) {
-  std::vector<fs::path> entries;
-  for (const std::string& root : roots) {
-    if (fs::is_directory(root)) {
-      for (const auto& e : fs::recursive_directory_iterator(root)) {
-        if (e.is_regular_file()) entries.push_back(e.path());
-      }
-    } else {
-      entries.emplace_back(root);
-    }
-  }
-  std::sort(entries.begin(), entries.end());
-  int findings = 0;
-  for (const fs::path& entry : entries) {
-    if (!replay(entry)) ++findings;
-  }
-  std::cout << "fuzz_family: " << entries.size() << " corpus entries, "
-            << findings << " findings\n";
-  if (entries.empty()) {
-    std::cerr << "fuzz_family: no corpus entries found\n";
-    return 2;
-  }
-  return findings == 0 ? 0 : 1;
-}
 
 // Writes <name>.fam for every built-in: the generator for both families/
 // and the corpus seeds.
@@ -168,7 +123,7 @@ int main(int argc, char** argv) {
               << "every entry behaves.\n";
     return args.empty() ? 2 : 0;
   }
-  return runCorpus(args);
+  return relb::tools::runCorpus("fuzz_family", args, fuzzOne);
 }
 
 #endif  // RELB_FUZZ_ENGINE

@@ -137,59 +137,16 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
 
 #ifndef RELB_FUZZ_ENGINE
 
-#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <random>
-#include <sstream>
+
+#include "fuzz_corpus.hpp"
 
 namespace {
 
 namespace fs = std::filesystem;
-
-std::string readFile(const fs::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw Finding("cannot open " + path.string());
-  std::ostringstream out;
-  out << in.rdbuf();
-  return std::move(out).str();
-}
-
-bool replay(const fs::path& path) {
-  try {
-    fuzzOne(readFile(path));
-    return true;
-  } catch (const std::exception& e) {
-    std::cerr << "FINDING " << path.string() << ": " << e.what() << "\n";
-    return false;
-  }
-}
-
-int runCorpus(const std::vector<std::string>& roots) {
-  std::vector<fs::path> entries;
-  for (const std::string& root : roots) {
-    if (fs::is_directory(root)) {
-      for (const auto& e : fs::recursive_directory_iterator(root)) {
-        if (e.is_regular_file()) entries.push_back(e.path());
-      }
-    } else {
-      entries.emplace_back(root);
-    }
-  }
-  std::sort(entries.begin(), entries.end());
-  int findings = 0;
-  for (const fs::path& entry : entries) {
-    if (!replay(entry)) ++findings;
-  }
-  std::cout << "fuzz_frame: " << entries.size() << " corpus entries, "
-            << findings << " findings\n";
-  if (entries.empty()) {
-    std::cerr << "fuzz_frame: no corpus entries found\n";
-    return 2;
-  }
-  return findings == 0 ? 0 : 1;
-}
 
 // Serializes well-formed framed envelopes (requests and responses, with a
 // few back-to-back frames per entry) into `dir` to seed exploration.
@@ -264,7 +221,7 @@ int main(int argc, char** argv) {
               << "Exits 0 iff every entry behaves.\n";
     return args.empty() ? 2 : 0;
   }
-  return runCorpus(args);
+  return relb::tools::runCorpus("fuzz_frame", args, fuzzOne);
 }
 
 #endif  // RELB_FUZZ_ENGINE
