@@ -16,7 +16,7 @@ int main() {
     bench::Stopwatch sw;
     int checks = 0;
     bool pass = true;
-    for (re::Count delta = 2; delta <= 6; ++delta) {
+    for (re::Count delta = 2; delta <= 7; ++delta) {
       for (re::Count a = 2; a <= delta; ++a) {
         for (re::Count x = 0; x + 2 <= a; ++x) {
           const auto exact = core::verifyLemma8Exact(delta, a, x);
@@ -26,7 +26,7 @@ int main() {
         }
       }
     }
-    std::cout << "exact grid Delta in [2,6]: " << checks
+    std::cout << "exact grid Delta in [2,7]: " << checks
               << " points, exact and symbolic both verified = "
               << (pass ? "yes" : "no") << " (" << sw.ms() << " ms)\n\n";
     bench::verdict(pass, "exact Rbar(R(.)) relaxes to Pi_rel ~ Pi+ on the "

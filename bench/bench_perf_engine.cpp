@@ -198,7 +198,7 @@ void BM_SpeedupStepFamily(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SpeedupStepFamily)
-    ->ArgsProduct({{4, 5, 6}, {1, 0}})
+    ->ArgsProduct({{4, 5, 6, 7}, {1, 0}})
     ->Unit(benchmark::kMillisecond)
     ->MeasureProcessCPUTime()
     ->UseRealTime();

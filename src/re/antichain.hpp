@@ -1,8 +1,7 @@
-// SignatureBuckets: the union-signature antichain prune shared by the
-// maximality filters of maximalEdgePairs (edge_compat.cpp) and applyRbar
-// (re_step.cpp).
+// SignatureBuckets: the union-signature antichain prune of the
+// maximality filter of maximalEdgePairs (edge_compat.cpp).
 //
-// In both filters, "q dominates p" forces union(p) subsetOf union(q), so a
+// There, "q dominates p" forces union(p) subsetOf union(q), so a
 // candidate only needs to be compared against buckets whose signature is a
 // superset of its own.  With U distinct signatures and candidates spread
 // across them, the scan cost drops from O(P^2) domination tests to O(P * U)

@@ -9,13 +9,15 @@
 //     byte-per-label expansion.  Expanding the 16 nibbles into 16 byte lanes
 //     (values <= 15 < 128) makes componentwise comparison a three-op SWAR
 //     test with no per-label loop and no branches.
-//   * packedLeq / dominatedBySome — "partial word still completable":
-//     p <= w in every lane, tested against a batch of candidate words.
+//   * packedLeq / dominatedBySome — componentwise p <= w in every lane,
+//     tested against a batch of words ("p is still completable"; the
+//     oracle for CompletionTable, and R̄'s slot-count prefilter).
 //   * slotsRelaxTo — Definition 7 on flat slot arrays: a perfect matching
 //     pairing every slot of `a` with a superset slot of `b`, via bitmask
 //     adjacency rows and an allocation-free Kuhn augmentation.
-//   * CompletabilityMemo — open-addressing PackedWord -> bool table over an
-//     Arena; the R̄ DFS queries it once per distinct partial word.
+//   * CompletionTable — the completable partial words of a node
+//     constraint, one sorted layer per depth, with a per-label transition
+//     table; the R̄ DFS extends a level by table reads.
 //
 // These kernels are pure functions of their operands; bit-identity against
 // the pre-rewrite set/map-based reference implementations is asserted by
@@ -24,13 +26,14 @@
 // committed BENCH_speedup.json trajectory.
 #pragma once
 
+#include <algorithm>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <vector>
 
 #include "re/label_set.hpp"
 #include "re/types.hpp"
-#include "util/arena.hpp"
 
 namespace relb::re::kernels {
 
@@ -134,91 +137,68 @@ inline bool augment(int i, const std::uint16_t* adj, int* matchOfB,
   return true;
 }
 
-/// Open-addressing PackedWord -> bool memo over an Arena.  Growth rehashes
-/// into a fresh arena block and abandons the old table; the arena reclaims
-/// everything at reset, so the memo must live in a reset-only (non-LIFO)
-/// arena.  Key ~0 is unreachable (its lane sum exceeds any degree <= 15) and
-/// serves as the empty sentinel.
-///
-/// The slot index is the *high* log2(capacity) bits of the Fibonacci
-/// product w * 0x9E3779B97F4A7C15.  Its low bits would depend only on the
-/// low bits of w -- at 4096 slots, only the counts of labels 0..2 -- and
-/// every key agreeing on those labels would pile into one linear-probe run.
-class CompletabilityMemo {
+/// The completable partial words of a node constraint, one sorted layer per
+/// depth, plus a per-depth transition table.  Layer `delta` is the node
+/// words themselves; layer d - 1 holds every w - e_l with w in layer d, so
+/// a word of total d is in layer d exactly when some node word dominates
+/// it.  `next(d)[k * n + l]` is the index of layer(d)[k] + e_l in
+/// layer(d + 1), or -1 when that word is not completable.  The R̄ DFS keeps
+/// each level as a list of layer indices, so extending a level by a label
+/// is one table read per word.
+class CompletionTable {
  public:
-  explicit CompletabilityMemo(util::Arena& arena) : arena_(&arena) {
-    allocate(kInitialCapacity);
+  /// `nodeWords`: sorted, distinct, every word of total `delta` <= 15, over
+  /// `numLabels` <= 16 labels.
+  CompletionTable(const std::vector<PackedWord>& nodeWords, int numLabels,
+                  int delta)
+      : numLabels_(numLabels),
+        layers_(static_cast<std::size_t>(delta) + 1),
+        next_(static_cast<std::size_t>(delta)) {
+    assert(numLabels <= 16 && delta >= 0 && delta <= 15);
+    layers_[static_cast<std::size_t>(delta)] = nodeWords;
+    const auto n = static_cast<std::size_t>(numLabels);
+    for (std::size_t d = static_cast<std::size_t>(delta); d > 0; --d) {
+      const std::vector<PackedWord>& upper = layers_[d];
+      std::vector<PackedWord>& lower = layers_[d - 1];
+      for (const PackedWord w : upper) {
+        for (std::size_t l = 0; l < n; ++l) {
+          if (((w >> (4 * l)) & 0xF) != 0) lower.push_back(w - unit(l));
+        }
+      }
+      std::sort(lower.begin(), lower.end());
+      lower.erase(std::unique(lower.begin(), lower.end()), lower.end());
+      // Every non-negative entry is some w - e_l -> w edge generated above.
+      std::vector<std::int32_t>& table = next_[d - 1];
+      table.assign(lower.size() * n, -1);
+      for (std::size_t j = 0; j < upper.size(); ++j) {
+        for (std::size_t l = 0; l < n; ++l) {
+          if (((upper[j] >> (4 * l)) & 0xF) == 0) continue;
+          const auto k = static_cast<std::size_t>(
+              std::lower_bound(lower.begin(), lower.end(),
+                               upper[j] - unit(l)) -
+              lower.begin());
+          table[k * n + l] = static_cast<std::int32_t>(j);
+        }
+      }
+    }
   }
 
-  /// Returns the cached verdict for `w`, computing it with `compute()` on
-  /// the first query.
-  template <typename ComputeFn>
-  bool getOrCompute(PackedWord w, ComputeFn&& compute) {
-    assert(w != kEmpty);
-    Entry* e = find(w);
-    if (e->key == w) return e->value;
-    const bool value = compute();
-    // compute() never touches this memo (it only scans the word table), so
-    // the slot is still free; fill it and grow at 70% load.
-    e->key = w;
-    e->value = value;
-    if (++size_ * 10 >= capacity_ * 7) grow();
-    return value;
+  [[nodiscard]] int numLabels() const { return numLabels_; }
+  /// The completable words of total `d`, ascending.
+  [[nodiscard]] const std::vector<PackedWord>& layer(int d) const {
+    return layers_[static_cast<std::size_t>(d)];
   }
-
-  /// How many slots past its home slot the probe for `w` runs (0 when `w`
-  /// sits in its home slot).  Lets tests see the hash spread keys out.
-  [[nodiscard]] std::size_t probeDistance(PackedWord w) const {
-    return (static_cast<std::size_t>(find(w) - table_) - home(w)) &
-           (capacity_ - 1);
+  /// Row-major layer(d).size() x numLabels() transition table, d < delta.
+  [[nodiscard]] const std::int32_t* next(int d) const {
+    return next_[static_cast<std::size_t>(d)].data();
   }
 
  private:
-  struct Entry {
-    PackedWord key;
-    bool value;
-  };
+  static PackedWord unit(std::size_t l) { return PackedWord{1} << (4 * l); }
 
-  static constexpr PackedWord kEmpty = ~PackedWord{0};
-  static constexpr std::size_t kInitialCapacity = 256;  // power of two
-
-  std::size_t home(PackedWord w) const {
-    return static_cast<std::size_t>((w * 0x9E3779B97F4A7C15ull) >> shift_);
-  }
-
-  Entry* find(PackedWord w) const {
-    std::size_t i = home(w);
-    while (table_[i].key != w && table_[i].key != kEmpty) {
-      i = (i + 1) & (capacity_ - 1);
-    }
-    return &table_[i];
-  }
-
-  void allocate(std::size_t capacity) {
-    capacity_ = capacity;
-    shift_ = 64 - __builtin_ctzll(capacity);
-    size_ = 0;
-    table_ = arena_->allocate<Entry>(capacity);
-    for (std::size_t i = 0; i < capacity; ++i) table_[i].key = kEmpty;
-  }
-
-  void grow() {
-    Entry* old = table_;
-    const std::size_t oldCapacity = capacity_;
-    allocate(oldCapacity * 2);
-    for (std::size_t i = 0; i < oldCapacity; ++i) {
-      if (old[i].key == kEmpty) continue;
-      Entry* e = find(old[i].key);
-      *e = old[i];
-      ++size_;
-    }
-  }
-
-  util::Arena* arena_;
-  Entry* table_ = nullptr;
-  std::size_t capacity_ = 0;
-  int shift_ = 64;  // 64 - log2(capacity_)
-  std::size_t size_ = 0;
+  int numLabels_;
+  std::vector<std::vector<PackedWord>> layers_;
+  std::vector<std::vector<std::int32_t>> next_;
 };
 
 }  // namespace relb::re::kernels

@@ -3,10 +3,10 @@
 #include <algorithm>
 #include <array>
 #include <cassert>
+#include <numeric>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "re/antichain.hpp"
 #include "re/bitkernels.hpp"
 #include "re/packed_words.hpp"
 #include "util/arena.hpp"
@@ -16,7 +16,6 @@ namespace relb::re {
 
 namespace {
 
-using detail::SignatureBuckets;
 using kernels::PackedWord;
 
 // Registry references are interned once; hot loops accumulate locally and
@@ -40,19 +39,11 @@ StepCounters& stepCounters() {
   return c;
 }
 
-// Per-thread arena pair for the step hot paths (see util/arena.hpp):
-// `scratch` backs the DFS level buffers under strict mark/rewind LIFO;
-// `results` backs the completability memo and the candidate accumulator,
-// whose growth is non-LIFO and is reclaimed only by reset() at the start of
-// the next step on this thread.
-struct StepArenas {
-  util::Arena scratch;
-  util::Arena results;
-};
-
-StepArenas& stepArenas() {
-  thread_local StepArenas arenas;
-  return arenas;
+// Per-thread arena for the R̄ DFS level buffers, used under strict
+// mark/rewind LIFO (see util/arena.hpp); its chunks persist across steps.
+util::Arena& stepScratch() {
+  thread_local util::Arena scratch;
+  return scratch;
 }
 
 // Builds the fresh alphabet for a collection of label sets over the old
@@ -184,106 +175,106 @@ namespace {
 // Enumerates multisets of right-closed sets of size delta (non-decreasing
 // index sequences) with prefix sharing: the level set of distinct partial
 // choice words is extended one slot at a time, and a branch dies as soon as
-// some partial word can no longer be completed to an allowed word.  Level
-// buffers live in the scratch arena under mark/rewind; the memo and the
-// flat candidate accumulator live in the results arena.  Each enumerator
-// owns its arenas and output, so independent top-level branches can run on
-// separate threads.
+// some partial word can no longer be completed to an allowed word.  A level
+// is a sorted list of indices into the CompletionTable layer of its depth,
+// and each level reads one table column per label: a label is live when
+// every extension by it is completable, a slot set is viable exactly when
+// all its labels are live, and a viable set's next level is the union of
+// its labels' columns.  Level buffers live in the scratch arena under
+// mark/rewind.  The table is shared read-only; each enumerator owns its
+// arena and output, so independent top-level branches can run on separate
+// threads.
 struct RbarEnumerator {
   const std::vector<LabelSet>& rcSets;
-  const PackedWord* nodeWords;  // sorted ascending
-  const kernels::ExpandedWord* nodeWordsExpanded;  // same order
-  const std::size_t nodeWordCount;
+  const kernels::CompletionTable& table;
   const Count delta;
 
   util::Arena& scratch;
-  // The same partial word recurs across many branches; memoize its
-  // completability.
-  kernels::CompletabilityMemo memo;
+  // labelsFrom[i] = the union of rcSets[i..], the labels a level can still
+  // be extended by once its next slot is chosen from rcSets[i..].
+  std::vector<std::uint32_t> labelsFrom;
   // Accepted candidates as delta-strided slot records: candidate k occupies
   // valid[k*delta .. (k+1)*delta), each entry a LabelSet::bits() value, in
   // the (non-decreasing) order the DFS chose the slots.
-  util::ArenaVector<std::uint32_t> valid;
+  std::vector<std::uint32_t> valid;
   std::uint32_t slots[16];
   Count depth = 0;
 
   RbarEnumerator(const std::vector<LabelSet>& rcSets,
-                 const PackedWord* nodeWords,
-                 const kernels::ExpandedWord* nodeWordsExpanded,
-                 std::size_t nodeWordCount, Count delta, util::Arena& scratch,
-                 util::Arena& results)
+                 const kernels::CompletionTable& table, Count delta,
+                 util::Arena& scratch)
       : rcSets(rcSets),
-        nodeWords(nodeWords),
-        nodeWordsExpanded(nodeWordsExpanded),
-        nodeWordCount(nodeWordCount),
+        table(table),
         delta(delta),
         scratch(scratch),
-        memo(results),
-        valid(results) {}
-
-  bool canComplete(PackedWord w) {
-    return memo.getOrCompute(w, [&] {
-      return kernels::dominatedBySome(kernels::expandWord(w),
-                                      nodeWordsExpanded, nodeWordCount);
-    });
+        labelsFrom(rcSets.size() + 1, 0) {
+    for (std::size_t i = rcSets.size(); i > 0; --i) {
+      labelsFrom[i - 1] = labelsFrom[i] | rcSets[i - 1].bits();
+    }
   }
 
-  // One loop iteration of rec: extend `level` by slot set rcSets[i] and
-  // recurse if every resulting partial word is still completable.  Each word
-  // is tested as it is generated, so a dead branch (most of them) stops at
-  // its first uncompletable word; duplicates cost one memo hit each.  Only a
-  // viable level is sorted and deduplicated.  `level` is sorted, so the words
-  // level + e_l for one label l form a sorted run; generating run by run
-  // makes the sort a bottom-up merge of |rcSets[i]| runs.
-  void descend(std::size_t i, const PackedWord* level, std::size_t levelSize) {
-    const util::Arena::Mark levelMark = scratch.mark();
-    const std::uint32_t setBits = rcSets[i].bits();
-    const std::size_t total =
-        levelSize * static_cast<std::size_t>(rcSets[i].size());
-    PackedWord* next = scratch.allocate<PackedWord>(total);
-    PackedWord* out = next;
-    for (std::uint32_t m = setBits; m != 0; m &= m - 1) {
-      const PackedWord unit = PackedWord{1} << (4 * __builtin_ctz(m));
-      for (std::size_t k = 0; k < levelSize; ++k) {
-        const PackedWord w = level[k] + unit;
-        if (!canComplete(w)) {
-          scratch.rewind(levelMark);
-          return;
-        }
-        *out++ = w;
-      }
-    }
-    PackedWord* spare = scratch.allocate<PackedWord>(total);
-    for (std::size_t run = levelSize; run < total; run *= 2) {
-      for (std::size_t lo = 0; lo < total; lo += 2 * run) {
-        const std::size_t mid = std::min(lo + run, total);
-        const std::size_t hi = std::min(lo + 2 * run, total);
-        std::merge(next + lo, next + mid, next + mid, next + hi, spare + lo);
-      }
-      std::swap(next, spare);
-    }
-    const std::size_t nextSize =
-        static_cast<std::size_t>(std::unique(next, next + total) - next);
-    slots[depth++] = setBits;
-    rec(i, next, nextSize);
-    --depth;
-    scratch.rewind(levelMark);
-  }
-
-  void rec(std::size_t minIdx, const PackedWord* level,
+  // Extends the slots chosen so far, whose partial words are `level`
+  // (indices into layer `depth` < delta), by each set rcSets[i] with
+  // minIdx <= i < endIdx, then recurses on the sets from rcSets[i] on.
+  void rec(std::size_t minIdx, std::size_t endIdx, const std::uint32_t* level,
            std::size_t levelSize) {
-    if (depth == delta) {
-      // Completion: every distinct choice word must be allowed.
-      const bool all =
-          std::all_of(level, level + levelSize, [&](PackedWord w) {
-            return std::binary_search(nodeWords, nodeWords + nodeWordCount, w);
-          });
-      if (all) valid.append(slots, static_cast<std::size_t>(delta));
-      return;
+    const util::Arena::Mark mark = scratch.mark();
+    const auto n = static_cast<std::size_t>(table.numLabels());
+    const std::int32_t* next = table.next(static_cast<int>(depth));
+    // Column l lists the next-layer index of level[k] + e_l for every k,
+    // ascending because the level is; it is complete for live labels.
+    std::uint32_t* columns = scratch.allocate<std::uint32_t>(n * levelSize);
+    std::uint32_t live = 0;
+    for (std::uint32_t m = labelsFrom[minIdx]; m != 0; m &= m - 1) {
+      const auto l = static_cast<std::size_t>(__builtin_ctz(m));
+      std::size_t k = 0;
+      for (; k < levelSize && next[level[k] * n + l] >= 0; ++k) {
+        columns[l * levelSize + k] =
+            static_cast<std::uint32_t>(next[level[k] * n + l]);
+      }
+      if (k == levelSize) live |= std::uint32_t{1} << l;
     }
-    for (std::size_t i = minIdx; i < rcSets.size(); ++i) {
-      descend(i, level, levelSize);
+    const util::Arena::Mark columnsMark = scratch.mark();
+    ++depth;
+    for (std::size_t i = minIdx; i < endIdx; ++i) {
+      const std::uint32_t setBits = rcSets[i].bits();
+      if ((setBits & ~live) != 0) continue;  // an extension dies
+      slots[depth - 1] = setBits;
+      if (depth == delta) {
+        // Layer delta is the node words: every choice word is allowed.
+        valid.insert(valid.end(), slots, slots + delta);
+        continue;
+      }
+      // The next level: the union of the set's columns, deduplicated and
+      // sorted through a bitset over the range their ends bound.
+      std::size_t lo = SIZE_MAX, hi = 0;
+      for (std::uint32_t m = setBits; m != 0; m &= m - 1) {
+        const std::uint32_t* col = columns + __builtin_ctz(m) * levelSize;
+        lo = std::min<std::size_t>(lo, col[0] / 64);
+        hi = std::max<std::size_t>(hi, col[levelSize - 1] / 64);
+      }
+      std::uint64_t* seen = scratch.allocate<std::uint64_t>(hi - lo + 1);
+      std::fill(seen, seen + (hi - lo + 1), 0);
+      for (std::uint32_t m = setBits; m != 0; m &= m - 1) {
+        const std::uint32_t* col = columns + __builtin_ctz(m) * levelSize;
+        for (std::size_t k = 0; k < levelSize; ++k) {
+          seen[col[k] / 64 - lo] |= std::uint64_t{1} << (col[k] % 64);
+        }
+      }
+      std::uint32_t* out = scratch.allocate<std::uint32_t>(
+          levelSize * static_cast<std::size_t>(__builtin_popcount(setBits)));
+      std::size_t nextSize = 0;
+      for (std::size_t w = lo; w <= hi; ++w) {
+        for (std::uint64_t bits = seen[w - lo]; bits != 0; bits &= bits - 1) {
+          out[nextSize++] =
+              static_cast<std::uint32_t>(w * 64 + __builtin_ctzll(bits));
+        }
+      }
+      rec(i, rcSets.size(), out, nextSize);
+      scratch.rewind(columnsMark);
     }
+    --depth;
+    scratch.rewind(mark);
   }
 };
 
@@ -306,6 +297,91 @@ Configuration slotsToConfiguration(const std::uint32_t* slots, Count delta) {
 
 }  // namespace
 
+std::vector<std::size_t> detail::maximalSlotRecords(
+    const std::vector<std::uint32_t>& records, Count delta, int numThreads) {
+  const std::size_t numValid =
+      records.size() / static_cast<std::size_t>(delta);
+  const auto candidate = [&](std::size_t i) {
+    return records.data() + i * static_cast<std::size_t>(delta);
+  };
+  // A relaxation a -> b pairs every a-slot with a superset b-slot, so it
+  // never lowers the total slot size sum |slot|, and keeps it only when
+  // a == b.  Records are pairwise distinct, so a dominated record has a
+  // dominator of strictly larger size, and by transitivity a maximal one.
+  // Records are therefore decided one size class at a time, largest first,
+  // each against the maximal records of the larger classes only.
+  //
+  // Two necessary conditions reject most pairs before the matching runs:
+  // the slot unions must nest, and for every label l, #(a-slots containing
+  // l) <= #(b-slots containing l).  These per-label slot counts (each
+  // <= delta <= 15, so they fit the byte lanes of an ExpandedWord) make the
+  // second a SWAR test.
+  std::vector<std::uint32_t> signatures(numValid);
+  std::vector<kernels::ExpandedWord> slotCounts(numValid);
+  std::vector<int> totalSize(numValid);
+  for (std::size_t i = 0; i < numValid; ++i) {
+    std::uint32_t u = 0;
+    PackedWord counts = 0;
+    int size = 0;
+    const std::uint32_t* rec = candidate(i);
+    for (Count k = 0; k < delta; ++k) {
+      u |= rec[k];
+      size += __builtin_popcount(rec[k]);
+      for (std::uint32_t m = rec[k]; m != 0; m &= m - 1) {
+        counts += PackedWord{1} << (4 * __builtin_ctz(m));
+      }
+    }
+    signatures[i] = u;
+    slotCounts[i] = kernels::expandWord(counts);
+    totalSize[i] = size;
+  }
+  std::vector<std::size_t> order(numValid);
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return totalSize[a] > totalSize[b];
+                   });
+  std::vector<std::size_t> maximalFound;
+  std::vector<char> dominated(numValid, 0);
+  const obs::ScopedSpan span("re.rbar.filter");
+  for (std::size_t begin = 0; begin < numValid;) {
+    std::size_t end = begin + 1;
+    while (end < numValid &&
+           totalSize[order[end]] == totalSize[order[begin]]) {
+      ++end;
+    }
+    const std::size_t known = maximalFound.size();
+    util::parallel_for(numThreads, end - begin, [&](std::size_t c) {
+      const std::size_t i = order[begin + c];
+      std::uint64_t pairsVisited = 0;
+      // Relaxation tests decided, by the prefilter or by the matching;
+      // `prefiltered` counts those the prefilter decided alone.
+      std::uint64_t testsRun = 0;
+      std::uint64_t prefiltered = 0;
+      for (std::size_t m = 0; m < known && !dominated[i]; ++m) {
+        const std::size_t j = maximalFound[m];
+        ++pairsVisited;
+        if ((signatures[i] & ~signatures[j]) != 0) continue;
+        ++testsRun;
+        if (!kernels::packedLeq(slotCounts[i], slotCounts[j])) {
+          ++prefiltered;
+          continue;
+        }
+        dominated[i] = kernels::slotsRelaxTo(candidate(i), candidate(j),
+                                             static_cast<int>(delta));
+      }
+      stepCounters().antichainPairs.add(pairsVisited);
+      stepCounters().antichainTests.add(testsRun);
+      stepCounters().antichainPrefiltered.add(prefiltered);
+    });
+    for (std::size_t c = begin; c < end; ++c) {
+      if (!dominated[order[c]]) maximalFound.push_back(order[c]);
+    }
+    begin = end;
+  }
+  return maximalFound;
+}
+
 StepResult detail::applyRbar(const Problem& p, const StepOptions& options,
                              const SubResult& rightClosedSets) {
   p.validate();
@@ -315,68 +391,44 @@ StepResult detail::applyRbar(const Problem& p, const StepOptions& options,
     throw Error("applyRbar: node degree too large for exact maximization");
   }
 
+  // Both size guards run before the strength diagram, so a refused step
+  // never pays for it; their texts and order are unchanged.
+  if (n > 20) throw Error("allRightClosedSets: universe too large");
+  if (n > 16 || delta > 15) {
+    throw Error("applyRbar: packed-word enumeration needs <= 16 labels and "
+                "delta <= 15");
+  }
+
   // Strength relation w.r.t. the node constraint -> right-closed candidate
   // slot sets (Observation 4 plus the up-closure argument documented in
   // re_step.hpp).
   const std::vector<LabelSet> rcSets = rightClosedSets();
 
-  if (n > 16 || delta > 15) {
-    throw Error("applyRbar: packed-word enumeration needs <= 16 labels and "
-                "delta <= 15");
-  }
-  const std::vector<PackedWord> nodeWords =
-      kernels::collectPackedWords(p.node, n, options.enumerationLimit);
-  // Pre-expanded copy for the branch-free domination kernel; shared
-  // read-only by every enumeration lane.
-  std::vector<kernels::ExpandedWord> nodeWordsExpanded(nodeWords.size());
-  for (std::size_t i = 0; i < nodeWords.size(); ++i) {
-    nodeWordsExpanded[i] = kernels::expandWord(nodeWords[i]);
-  }
-
-  // Multiset enumeration (see RbarEnumerator).  With more than one thread,
-  // the top-level branches fan out: branch i enumerates exactly the
-  // multisets whose smallest chosen set is rcSets[i], and concatenating the
-  // per-branch results in branch order reproduces the serial DFS output
-  // verbatim.  Each branch owns a private memo; per-branch results are
-  // copied out of the lane's arenas before the next branch resets them.
-  const int width = std::min<int>(util::resolveThreadCount(options.numThreads),
-                                  static_cast<int>(rcSets.size()));
-  // Delta-strided slot records (see RbarEnumerator::valid).
-  std::vector<std::uint32_t> validFlat;
+  // Multiset enumeration (see RbarEnumerator), one top-level branch at a
+  // time: branch i enumerates exactly the multisets whose smallest chosen
+  // set is rcSets[i], so concatenating the branches in order reproduces the
+  // serial DFS output verbatim, and with more than one thread the branches
+  // fan out.
+  std::vector<std::uint32_t> validFlat;  // see RbarEnumerator::valid
   {
     const obs::ScopedSpan span("re.rbar.enumerate");
-    if (width <= 1) {
-      StepArenas& arenas = stepArenas();
-      arenas.scratch.reset();
-      arenas.results.reset();
-      RbarEnumerator enumerator(rcSets, nodeWords.data(),
-                                nodeWordsExpanded.data(), nodeWords.size(),
-                                delta, arenas.scratch, arenas.results);
-      const PackedWord root = 0;
-      enumerator.rec(0, &root, 1);
-      validFlat.assign(enumerator.valid.begin(), enumerator.valid.end());
-    } else {
-      std::vector<std::vector<std::uint32_t>> branchValid(rcSets.size());
-      util::parallel_for(
-          options.numThreads, rcSets.size(), [&](std::size_t i) {
-            StepArenas& arenas = stepArenas();
-            arenas.scratch.reset();
-            arenas.results.reset();
-            RbarEnumerator enumerator(rcSets, nodeWords.data(),
-                                      nodeWordsExpanded.data(),
-                                      nodeWords.size(), delta, arenas.scratch,
-                                      arenas.results);
-            const PackedWord root = 0;
-            enumerator.descend(i, &root, 1);
-            branchValid[i].assign(enumerator.valid.begin(),
-                                  enumerator.valid.end());
-          });
-      std::size_t total = 0;
-      for (const auto& branch : branchValid) total += branch.size();
-      validFlat.reserve(total);
-      for (const auto& branch : branchValid) {
-        validFlat.insert(validFlat.end(), branch.begin(), branch.end());
-      }
+    const kernels::CompletionTable table(
+        kernels::collectPackedWords(p.node, n, options.enumerationLimit), n,
+        static_cast<int>(delta));
+    // The empty word is layer 0's only entry, unless no node word exists.
+    std::vector<std::vector<std::uint32_t>> branchValid(
+        table.layer(0).empty() ? 0 : rcSets.size());
+    util::parallel_for(
+        options.numThreads, branchValid.size(), [&](std::size_t i) {
+          util::Arena& scratch = stepScratch();
+          scratch.reset();
+          RbarEnumerator enumerator(rcSets, table, delta, scratch);
+          const std::uint32_t root = 0;
+          enumerator.rec(i, i + 1, &root, 1);
+          branchValid[i] = std::move(enumerator.valid);
+        });
+    for (const auto& branch : branchValid) {
+      validFlat.insert(validFlat.end(), branch.begin(), branch.end());
     }
   }
   const std::size_t numValid =
@@ -385,81 +437,11 @@ StepResult detail::applyRbar(const Problem& p, const StepOptions& options,
   if (numValid == 0) {
     throw Error("applyRbar: node constraint empty after maximization");
   }
-  const auto candidate = [&](std::size_t i) {
-    return validFlat.data() + i * static_cast<std::size_t>(delta);
-  };
-
-  // Keep only maximal candidates under the relaxation order.  Candidates
-  // are pairwise distinct slot multisets (the DFS emits each once), so
-  // strict domination is `relaxes-to and not equal`.  A relaxation requires
-  // the slot unions to nest, so the all-pairs scan is bucketed by union
-  // signature and each candidate compared against superset buckets only.
-  //
-  // A relaxation a -> b also matches every a-slot to a distinct superset
-  // b-slot, so for every label l, #(a-slots containing l) <= #(b-slots
-  // containing l).  These per-label slot counts (each <= delta <= 15, so
-  // they fit the byte lanes of an ExpandedWord) give a SWAR prefilter that
-  // rejects most pairs before the matching runs.
-  std::vector<std::uint32_t> signatures(numValid);
-  std::vector<kernels::ExpandedWord> slotCounts(numValid);
-  for (std::size_t i = 0; i < numValid; ++i) {
-    std::uint32_t u = 0;
-    PackedWord counts = 0;
-    const std::uint32_t* rec = candidate(i);
-    for (Count k = 0; k < delta; ++k) {
-      u |= rec[k];
-      for (std::uint32_t m = rec[k]; m != 0; m &= m - 1) {
-        counts += PackedWord{1} << (4 * __builtin_ctz(m));
-      }
-    }
-    signatures[i] = u;
-    slotCounts[i] = kernels::expandWord(counts);
-  }
-  const SignatureBuckets buckets(signatures);
-  std::vector<char> dominated(numValid, 0);
-  {
-    const obs::ScopedSpan span("re.rbar.filter");
-    util::parallel_for(options.numThreads, numValid, [&](std::size_t i) {
-      std::uint64_t pairsVisited = 0;
-      // Every relaxation test decided, by the prefilter or by the matching;
-      // `prefiltered` counts those the prefilter decided alone.
-      std::uint64_t testsRun = 0;
-      std::uint64_t prefiltered = 0;
-      const std::uint32_t* mine = candidate(i);
-      dominated[i] = buckets.anyInSupersetBucket(
-          signatures[i], [&](std::size_t j) {
-            if (j == i) return false;
-            ++pairsVisited;
-            ++testsRun;
-            if (!kernels::packedLeq(slotCounts[i], slotCounts[j])) {
-              ++prefiltered;
-              return false;
-            }
-            const std::uint32_t* other = candidate(j);
-            if (!kernels::slotsRelaxTo(mine, other,
-                                       static_cast<int>(delta))) {
-              return false;
-            }
-            // The reverse relaxation needs union(j) subsetOf union(i);
-            // inside a strictly-larger bucket it is impossible, so
-            // domination is already established.
-            if (signatures[j] != signatures[i]) return true;
-            ++testsRun;
-            if (!kernels::packedLeq(slotCounts[j], slotCounts[i])) {
-              ++prefiltered;
-              return true;
-            }
-            return !kernels::slotsRelaxTo(other, mine,
-                                          static_cast<int>(delta));
-          });
-      stepCounters().antichainPairs.add(pairsVisited);
-      stepCounters().antichainTests.add(testsRun);
-      stepCounters().antichainPrefiltered.add(prefiltered);
-    });
-  }
   std::vector<Configuration> maximal;
-  for (std::size_t i = 0; i < numValid; ++i) {
-    if (!dominated[i]) maximal.push_back(slotsToConfiguration(candidate(i), delta));
+  for (const std::size_t i :
+       detail::maximalSlotRecords(validFlat, delta, options.numThreads)) {
+    maximal.push_back(slotsToConfiguration(
+        validFlat.data() + i * static_cast<std::size_t>(delta), delta));
   }
   std::sort(maximal.begin(), maximal.end());
   maximal.erase(std::unique(maximal.begin(), maximal.end()), maximal.end());

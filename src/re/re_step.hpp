@@ -16,21 +16,24 @@
 //     by enumerating multisets of right-closed label sets with a
 //     deduplicating all-choices check, which is feasible for small Delta
 //     (the number of distinct choice words is bounded by the number of
-//     multisets, not by |set|^Delta).  Guarded by `options.maxRbarDelta`.
+//     completable partial words, not by |set|^Delta), then keeping the
+//     maximal ones largest-first.  Guarded by `options.maxRbarDelta`.
 //
 // Parallelism: the subset sweep of maximalEdgePairs, the top-level branches
-// of the Rbar multiset enumeration, and both maximality filters fan out over
-// a thread pool (see util/thread_pool.hpp) when StepOptions::numThreads
-// resolves to more than one thread.  Partial results are merged in a fixed
+// of the Rbar multiset enumeration, and both maximality filters (Rbar's
+// within each size class) fan out over a thread pool (see
+// util/thread_pool.hpp) when StepOptions::numThreads resolves to more than
+// one thread.  Partial results are merged in a fixed
 // index order and the domination filters are pure per-candidate predicates,
 // so the output is bit-identical for every thread count; numThreads == 1
 // runs the original serial code paths.  Independently of threading, the
-// quadratic domination filters are pruned by union-signature bucketing:
-// a candidate can only be dominated by one whose label-set union is a
-// superset, so candidates are compared against plausibly-dominating buckets
-// only (an antichain prune that helps even at one thread).
+// domination filters are pruned: R's compares each candidate against the
+// union-signature buckets that could dominate it only (an antichain prune
+// that helps even at one thread), and Rbar's compares each candidate only
+// against the maximal candidates of strictly larger total slot size.
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <vector>
 
@@ -86,15 +89,24 @@ using SubResult = std::function<std::vector<LabelSet>()>;
 /// guards in a fixed order around the sub-result, so a refused step throws
 /// the same message on every path (the step store persists these texts):
 ///   R:     p.validate(), then compat() = edgeCompatibility(p.edge, |alphabet|);
-///   Rbar:  p.validate() and the maxRbarDelta guard, then rightClosedSets() =
+///   Rbar:  p.validate() and the maxRbarDelta guard, then the right-closed
+///          universe guard (<= 20 labels), then the packed-word guard
+///          (<= 16 labels, delta <= 15), and only then rightClosedSets() =
 ///          the non-empty right-closed subsets of p's alphabet under the node
-///          constraint's strength relation, then the packed-word guard
-///          (<= 16 labels, delta <= 15).
+///          constraint's strength relation.
 [[nodiscard]] StepResult applyR(const Problem& p, const StepOptions& options,
                                 const SubResult& compat);
 [[nodiscard]] StepResult applyRbar(const Problem& p,
                                    const StepOptions& options,
                                    const SubResult& rightClosedSets);
+
+/// Rbar's maximality filter.  `records` holds delta-strided slot records
+/// (each slot a LabelSet::bits() value), pairwise distinct as multisets.
+/// Returns the indices of the records no other record strictly relaxes to
+/// (Definition 7), by decreasing total slot size and in input order within
+/// one size.
+[[nodiscard]] std::vector<std::size_t> maximalSlotRecords(
+    const std::vector<std::uint32_t>& records, Count delta, int numThreads);
 
 }  // namespace detail
 

@@ -1,7 +1,7 @@
 // Monotonic arena allocation for the engine's per-step scratch structures.
 //
 // The R̄ sweep allocates and frees the same transient buffers (DFS level
-// sets, slot stacks, completability memos) once per enumeration branch; on
+// sets, label columns, deduplication bitsets) once per DFS node; on
 // the malloc heap that traffic dominates small-step wall time.  An Arena
 // turns every allocation into a bump of a chunk cursor and every free into
 // nothing: memory is reclaimed wholesale by reset() between steps (or by
@@ -11,7 +11,7 @@
 //   * Only trivially-destructible payloads: the arena never runs
 //     destructors.  allocate<T>() enforces this statically.
 //   * Not thread-safe.  Parallel consumers keep one arena per lane
-//     (re_step.cpp uses a thread_local pair of arenas; see stepArenas()).
+//     (re_step.cpp uses one thread_local arena; see stepScratch()).
 //   * rewind(mark) only reclaims allocations made after mark() in LIFO
 //     order.  Structures with non-LIFO lifetime (growing tables, result
 //     accumulators) belong in a separate arena that is only ever reset().
@@ -22,7 +22,6 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
 #include <memory>
 #include <type_traits>
 #include <vector>
@@ -122,63 +121,6 @@ class Arena {
   std::vector<Chunk> chunks_;
   std::size_t current_ = 0;
   std::size_t used_ = 0;
-};
-
-/// A growable array of trivially-copyable T backed by an Arena.  Growth
-/// copies into a fresh arena block and abandons the old one (reclaimed at
-/// the owning arena's reset), so use it in arenas with non-LIFO lifetime,
-/// not between mark/rewind pairs.
-template <typename T>
-class ArenaVector {
-  static_assert(std::is_trivially_copyable_v<T>);
-
- public:
-  explicit ArenaVector(Arena& arena, std::size_t initialCapacity = 0)
-      : arena_(&arena) {
-    if (initialCapacity > 0) reserve(initialCapacity);
-  }
-
-  [[nodiscard]] std::size_t size() const { return size_; }
-  [[nodiscard]] bool empty() const { return size_ == 0; }
-  [[nodiscard]] const T* data() const { return data_; }
-  [[nodiscard]] T* data() { return data_; }
-  [[nodiscard]] const T& operator[](std::size_t i) const { return data_[i]; }
-  [[nodiscard]] T& operator[](std::size_t i) { return data_[i]; }
-  [[nodiscard]] const T* begin() const { return data_; }
-  [[nodiscard]] const T* end() const { return data_ + size_; }
-
-  void clear() { size_ = 0; }
-
-  void reserve(std::size_t capacity) {
-    if (capacity <= capacity_) return;
-    T* fresh = arena_->allocate<T>(capacity);
-    if (size_ > 0) std::memcpy(fresh, data_, size_ * sizeof(T));
-    data_ = fresh;
-    capacity_ = capacity;
-  }
-
-  void push_back(T value) {
-    if (size_ == capacity_) reserve(capacity_ == 0 ? 16 : capacity_ * 2);
-    data_[size_++] = value;
-  }
-
-  /// Appends `n` values from `src` (may be nullptr when n == 0).
-  void append(const T* src, std::size_t n) {
-    if (n == 0) return;
-    if (size_ + n > capacity_) {
-      std::size_t target = capacity_ == 0 ? 16 : capacity_ * 2;
-      while (target < size_ + n) target *= 2;
-      reserve(target);
-    }
-    std::memcpy(data_ + size_, src, n * sizeof(T));
-    size_ += n;
-  }
-
- private:
-  Arena* arena_;
-  T* data_ = nullptr;
-  std::size_t size_ = 0;
-  std::size_t capacity_ = 0;
 };
 
 }  // namespace relb::util

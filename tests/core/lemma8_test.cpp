@@ -36,7 +36,9 @@ INSTANTIATE_TEST_SUITE_P(
                       Params{3, 3, 1}, Params{4, 2, 0}, Params{4, 3, 1},
                       Params{4, 4, 0}, Params{4, 4, 2}, Params{5, 3, 0},
                       Params{5, 4, 1}, Params{5, 5, 3}, Params{6, 4, 1},
-                      Params{6, 5, 2}, Params{6, 6, 0}, Params{6, 6, 4}),
+                      Params{6, 5, 2}, Params{6, 6, 0}, Params{6, 6, 4},
+                      Params{7, 4, 1}, Params{7, 5, 2}, Params{7, 7, 0},
+                      Params{7, 7, 5}),
     [](const ::testing::TestParamInfo<Params>& info) {
       return "d" + std::to_string(info.param.delta) + "a" +
              std::to_string(info.param.a) + "x" +

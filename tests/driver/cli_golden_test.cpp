@@ -52,7 +52,9 @@ TEST(CliGolden, CacheStatsBlockIsPinnedByteForByte) {
   // MIS at Delta = 3, three steps, serial: without a store, against a cold
   // store and against the same store warm.  Every counter line is part of
   // the contract (docs/cli.md); any change to the memo discipline that
-  // moves a count shows up here.
+  // moves a count shows up here.  One R̄ input has more than 16 labels, so
+  // R̄'s size guard refuses it before its strength diagram and right-closed
+  // family are computed.
   RunRequest req;
   req.nodeSpec = "M^3; P O^2";
   req.edgeSpec = "M [P O]; O O";
@@ -62,8 +64,8 @@ TEST(CliGolden, CacheStatsBlockIsPinnedByteForByte) {
   const std::string plain =
       "speedup steps: 8 hits / 6 misses\n"
       "edge compatibility: 0 hits / 3 misses\n"
-      "strength diagrams: 0 hits / 3 misses\n"
-      "right-closed families: 0 hits / 3 misses\n"
+      "strength diagrams: 0 hits / 2 misses\n"
+      "right-closed families: 0 hits / 2 misses\n"
       "zero-round analyses: 1 hits / 215 misses\n"
       "canonical forms: 0 hits / 0 misses\n"
       "automatic lower bounds: 0 hits / 1 misses\n"
@@ -83,8 +85,8 @@ TEST(CliGolden, CacheStatsBlockIsPinnedByteForByte) {
   EXPECT_EQ(statsBlock(cold),
             "speedup steps: 8 hits / 6 misses\n"
             "edge compatibility: 0 hits / 3 misses\n"
-            "strength diagrams: 0 hits / 3 misses\n"
-            "right-closed families: 0 hits / 3 misses\n"
+            "strength diagrams: 0 hits / 2 misses\n"
+            "right-closed families: 0 hits / 2 misses\n"
             "zero-round analyses: 1 hits / 215 misses\n"
             "canonical forms: 0 hits / 0 misses\n"
             "automatic lower bounds: 0 hits / 1 misses\n"

@@ -6,9 +6,9 @@
 //
 //   * packed word collection vs Constraint::enumerateWords (including
 //     agreement on *throwing* under a tight enumeration limit);
-//   * SWAR domination and the open-addressing completability memo vs the
-//     nibble-loop linear scan, including >= 10k keys that agree on their
-//     low labels (the keys a low-bits hash would pile into one probe run);
+//   * SWAR domination vs the nibble-loop linear scan, and the R̄
+//     completion table's layers and transitions vs SWAR domination over
+//     every word of each total;
 //   * bitmask Kuhn matching (kernels::slotsRelaxTo) vs the std::function
 //     version, cross-checked against Configuration::relaxesTo;
 //   * shape-based edge compatibility and self-compatible labels vs the
@@ -21,6 +21,7 @@
 //     at thread widths 1, 2 and 8.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -32,7 +33,6 @@
 #include "re/bitkernels.hpp"
 #include "re/packed_words.hpp"
 #include "re/zero_round.hpp"
-#include "util/arena.hpp"
 
 namespace relb {
 namespace {
@@ -135,7 +135,7 @@ TEST(PropKernels, PackedCollectionFallbackCountsTheGlobalLimit) {
   EXPECT_EQ(kernels::collectPackedWords(c, 3, 5).size(), 5u);
 }
 
-TEST(PropKernels, SwarDominationAndMemoMatchLinearScan) {
+TEST(PropKernels, SwarDominationMatchesLinearScan) {
   prop::forAllProblems(
       {.name = "kernels-domination", .gen = {}, .baseSeed = 62000},
       [](const re::Problem& p, std::mt19937& rng) -> std::string {
@@ -149,8 +149,6 @@ TEST(PropKernels, SwarDominationAndMemoMatchLinearScan) {
         }
         // Probes: prefixes of allowed words (knock random slots out) plus
         // random perturbations, covering both verdicts.
-        util::Arena arena;
-        kernels::CompletabilityMemo memo(arena);
         for (int probeIdx = 0; probeIdx < 32; ++probeIdx) {
           PackedWord probe = words[rng() % words.size()];
           for (int knock = 0; knock < 3; ++knock) {
@@ -182,73 +180,86 @@ TEST(PropKernels, SwarDominationAndMemoMatchLinearScan) {
             return "dominatedBySome mismatch on probe " +
                    std::to_string(probe);
           }
-          // The memo must return the computed verdict on first call and the
-          // cached one (without recomputing) on the second.
-          int computeCalls = 0;
-          const auto compute = [&] {
-            ++computeCalls;
-            return kernels::dominatedBySome(kernels::expandWord(probe),
-                                            expanded.data(), expanded.size());
-          };
-          const bool first = memo.getOrCompute(probe, compute);
-          const bool second = memo.getOrCompute(probe, compute);
-          if (first != reference || second != reference || computeCalls > 1) {
-            return "CompletabilityMemo mismatch on probe " +
-                   std::to_string(probe);
-          }
         }
         return {};
       });
 }
 
-TEST(PropKernels, MemoSpreadsKeysThatAgreeOnLowLabels) {
-  // 12288 distinct keys with labels 0..2 fixed at counts (1, 0, 2) and the
-  // key index spread over the nibbles of labels 3..15.  The memo starts at
-  // 256 slots, so these keys pass through several grow() rehashes.
-  constexpr PackedWord kLow = 0x201;
-  std::vector<PackedWord> keys;
-  for (PackedWord i = 0; i < 12288; ++i) keys.push_back(kLow | (i << 12));
-  std::mt19937 rng(4242);
-  std::vector<ExpandedWord> table;
-  for (int t = 0; t < 64; ++t) {
-    PackedWord w = kLow;
-    for (int l = 3; l < 16; ++l) {
-      w |= static_cast<PackedWord>(rng() % 4) << (4 * l);
+// Every packed word of total `d` over `n` labels, ascending.
+std::vector<PackedWord> allWordsOfTotal(int n, int d) {
+  std::vector<PackedWord> out;
+  const auto rec = [&](const auto& self, int label, int left,
+                       PackedWord acc) -> void {
+    if (label == n - 1) {
+      out.push_back(acc + (static_cast<PackedWord>(left) << (4 * label)));
+      return;
     }
-    table.push_back(kernels::expandWord(w));
-  }
-  util::Arena arena;
-  kernels::CompletabilityMemo memo(arena);
-  std::size_t computeCalls = 0;
-  const auto verdictOf = [&](PackedWord key) {
-    return memo.getOrCompute(key, [&] {
-      ++computeCalls;
-      return kernels::dominatedBySome(kernels::expandWord(key), table.data(),
-                                      table.size());
-    });
+    for (int take = 0; take <= left; ++take) {
+      self(self, label + 1, left - take,
+           acc + (static_cast<PackedWord>(take) << (4 * label)));
+    }
   };
-  std::size_t dominated = 0;
-  for (const PackedWord key : keys) {
-    const bool reference = kernels::dominatedBySome(
-        kernels::expandWord(key), table.data(), table.size());
-    dominated += reference ? 1 : 0;
-    ASSERT_EQ(verdictOf(key), reference) << "first query, key " << key;
-  }
-  EXPECT_EQ(computeCalls, keys.size());
-  EXPECT_GT(dominated, 0u);
-  EXPECT_LT(dominated, keys.size());
-  std::size_t totalDistance = 0;
-  for (const PackedWord key : keys) {
-    const bool reference = kernels::dominatedBySome(
-        kernels::expandWord(key), table.data(), table.size());
-    ASSERT_EQ(verdictOf(key), reference) << "second query, key " << key;
-    totalDistance += memo.probeDistance(key);
-  }
-  EXPECT_EQ(computeCalls, keys.size()) << "a second query recomputed";
-  // Linear probing at <= 70% load keeps the mean distance near one slot; a
-  // hash that ignored the high labels would put every key in one run
-  // (thousands of slots on average).
-  EXPECT_LT(totalDistance, 4 * keys.size());
+  rec(rec, 0, d, 0);
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+TEST(PropKernels, CompletionTableMatchesDomination) {
+  // Layer d holds exactly the words of total d that some node word
+  // dominates, and the transition table links each layer word to its
+  // one-label extensions in the next layer.
+  prop::forAllProblems(
+      {.name = "kernels-completion-table",
+       .gen = {.maxAlphabet = 7, .maxDelta = 6},
+       .baseSeed = 62500},
+      [](const re::Problem& p, std::mt19937&) -> std::string {
+        const int n = p.alphabet.size();
+        const int delta = static_cast<int>(p.delta());
+        const auto nodeWords = kernels::collectPackedWords(p.node, n, 100'000);
+        std::vector<ExpandedWord> expanded;
+        for (const PackedWord w : nodeWords) {
+          expanded.push_back(kernels::expandWord(w));
+        }
+        const kernels::CompletionTable table(nodeWords, n, delta);
+        for (int d = 0; d <= delta; ++d) {
+          std::vector<PackedWord> reference;
+          for (const PackedWord w : allWordsOfTotal(n, d)) {
+            if (kernels::dominatedBySome(kernels::expandWord(w),
+                                         expanded.data(), expanded.size())) {
+              reference.push_back(w);
+            }
+          }
+          if (table.layer(d) != reference) {
+            return "layer " + std::to_string(d) + " has " +
+                   std::to_string(table.layer(d).size()) + " words, " +
+                   std::to_string(reference.size()) + " are completable";
+          }
+        }
+        for (int d = 0; d < delta; ++d) {
+          const auto& layer = table.layer(d);
+          const auto& upper = table.layer(d + 1);
+          for (std::size_t k = 0; k < layer.size(); ++k) {
+            for (int l = 0; l < n; ++l) {
+              const PackedWord w = layer[k] + (PackedWord{1} << (4 * l));
+              const auto it = std::lower_bound(upper.begin(), upper.end(), w);
+              const std::int32_t expected =
+                  it != upper.end() && *it == w
+                      ? static_cast<std::int32_t>(it - upper.begin())
+                      : -1;
+              const std::int32_t actual =
+                  table.next(d)[k * static_cast<std::size_t>(n) +
+                                static_cast<std::size_t>(l)];
+              if (actual != expected) {
+                return "next[" + std::to_string(d) + "][" +
+                       std::to_string(k) + ", " + std::to_string(l) +
+                       "] = " + std::to_string(actual) + ", expected " +
+                       std::to_string(expected);
+              }
+            }
+          }
+        }
+        return {};
+      });
 }
 
 TEST(PropKernels, BitmaskMatchingMatchesReferenceAndRelaxesTo) {
@@ -385,8 +396,9 @@ TEST(PropKernels, WidePackedStrengthMatchesEnumerationReference) {
 
 TEST(PropKernels, WidePackedStrengthOnThePiChainsThirtyLabelConstraint) {
   // Pi_4(2, 0) -> R -> Rbar -> R yields the 30-label problem whose Rbar
-  // the derivation of the pi family refuses: its strength relation is
-  // computed, and its right-closed-set sweep then refuses the universe.
+  // the derivation of the pi family refuses by its universe guard.  Its
+  // strength relation is still computable, and the right-closed-set sweep
+  // refuses the universe too.
   const re::Problem pi = core::familyProblem(4, 2, 0);
   const re::Problem q =
       re::applyR(re::applyRbar(re::applyR(pi).problem).problem).problem;

@@ -254,8 +254,9 @@ Problem seventeenLabels() {
 
 TEST(StepRefusal, ReplayRethrowsTheIdenticalMessage) {
   // One input per R-bar guard, in the order the guards run: the degree
-  // guard, the strength computation's enumeration limit (it runs when the
-  // right-closed sets are fetched) and the packed-word guard.  The free
+  // guard, the packed-word guard and the strength computation's
+  // enumeration limit (it runs when the right-closed sets are fetched).
+  // The free
   // function, a cold session and its replay must all throw the same text.
   StepOptions tight;
   tight.maxRbarDelta = 2;  // delta 3 trips the R-bar degree guard
@@ -268,8 +269,8 @@ TEST(StepRefusal, ReplayRethrowsTheIdenticalMessage) {
     const char* text;
   } cases[] = {
       {"degree", misProblem(3), tight, "node degree too large"},
-      {"enumeration limit", misProblem(3), limit, "exceeds limit"},
       {"packed words", seventeenLabels(), {}, "packed-word enumeration"},
+      {"enumeration limit", misProblem(3), limit, "exceeds limit"},
   };
   auto core = std::make_shared<EngineCore>();
   for (const auto& c : cases) {

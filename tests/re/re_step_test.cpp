@@ -6,9 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <map>
 #include <set>
+#include <string>
 
+#include "obs/metrics.hpp"
 #include "re/rename.hpp"
 #include "re/zero_round.hpp"
 
@@ -307,6 +310,70 @@ TEST(ApplyRbar, RefusesLargeDelta) {
   const auto p = misProblem(64);
   const auto r = applyR(p);
   EXPECT_THROW(applyRbar(r.problem), Error);
+}
+
+TEST(ApplyRbar, SizeGuardsRunBeforeTheStrengthDiagram) {
+  // Above 20 labels the right-closed universe guard trips, above 16 the
+  // packed-word guard; neither asks for the right-closed sets first.
+  const auto refusalOf = [](int labels) {
+    std::string all = "[";
+    for (int l = 0; l < labels; ++l) {
+      all += std::string(l > 0 ? " " : "") + static_cast<char>('A' + l);
+    }
+    all += "]";
+    const Problem p = Problem::parse(all + "^2", all + "^2");
+    bool fetched = false;
+    std::string text = "(no refusal)";
+    try {
+      (void)detail::applyRbar(p, {}, [&] {
+        fetched = true;
+        return std::vector<LabelSet>{};
+      });
+    } catch (const Error& e) {
+      text = e.what();
+    }
+    EXPECT_FALSE(fetched) << labels << " labels";
+    return text;
+  };
+  EXPECT_EQ(refusalOf(21), "allRightClosedSets: universe too large");
+  EXPECT_EQ(refusalOf(17),
+            "applyRbar: packed-word enumeration needs <= 16 labels and "
+            "delta <= 15");
+}
+
+// The maximality filter on hand-built slot records over labels A=0, B=1,
+// C=2, D=3, with the registry's antichain counters showing which pairs it
+// compared.
+std::uint64_t antichainPairs() {
+  return obs::Registry::global().snapshot().counterValue("re.antichain.pairs");
+}
+
+TEST(MaximalSlotRecords, ChainIsDecidedAgainstItsMaximalTop) {
+  // a = {A}{B} -> b = {A}{B C} -> c = {A D}{B C}: a's only maximal
+  // dominator is c.  b is decided first and is not maximal, so a is
+  // compared with c alone: two pairs in all, not three.
+  constexpr std::uint32_t A = 1, B = 2, C = 4, D = 8;
+  const std::vector<std::uint32_t> records = {A, B, A, B | C, A | D, B | C};
+  for (const int threads : {1, 2}) {
+    const std::uint64_t before = antichainPairs();
+    EXPECT_EQ(detail::maximalSlotRecords(records, 2, threads),
+              std::vector<std::size_t>{2});
+    EXPECT_EQ(antichainPairs() - before, 2u) << "threads=" << threads;
+  }
+}
+
+TEST(MaximalSlotRecords, EqualSizesAreNeverCompared) {
+  // {A C} and {A B} have the same size and are incomparable: both are
+  // maximal, in input order, without a test between them.  {A} is decided
+  // against the first of them, which already dominates it.
+  constexpr std::uint32_t A = 1, B = 2, C = 4;
+  const std::vector<std::uint32_t> records = {A, A | C, A | B};
+  for (const int threads : {1, 2}) {
+    const std::uint64_t before = antichainPairs();
+    EXPECT_EQ(detail::maximalSlotRecords(records, 1, threads),
+              (std::vector<std::size_t>{1, 2}));
+    EXPECT_EQ(antichainPairs() - before, 1u) << "threads=" << threads;
+  }
 }
 
 // The classic ground truth: speeding up sinkless orientation yields the

@@ -352,9 +352,9 @@ TEST(DiskStepStore, CorruptedRefusalIsQuarantinedAndRecomputed) {
 
 TEST(DiskStepStore, PiChainRefusesTheThirtyLabelRbarStep) {
   // The pi family's derivation: Pi_4(2, 0) -> R -> Rbar -> R reaches 30
-  // labels.  Their strength relation is computed (128-bit packed words),
-  // and the right-closed-set sweep then refuses the universe; the refusal
-  // is what the store keeps for that step.
+  // labels.  R-bar's universe guard refuses the step before any strength
+  // relation is computed; the refusal is what the store keeps for that
+  // step.
   const fs::path dir = freshDir("store-pi-refusal");
   auto store = std::make_shared<DiskStepStore>(dir);
   re::EngineSession session;
@@ -366,7 +366,9 @@ TEST(DiskStepStore, PiChainRefusesTheThirtyLabelRbarStep) {
                                 .problem)
                             .problem;
   ASSERT_EQ(q.alphabet.size(), 30);
+  const std::size_t strengthMisses = session.stats().strengthMisses;
   EXPECT_EQ(refusalOf(session, q), "allRightClosedSets: universe too large");
+  EXPECT_EQ(session.stats().strengthMisses, strengthMisses);
   EXPECT_EQ(store->loadStepRefusal(1, q, re::structuralHash(q),
                                    re::StepOptions{}),
             "allRightClosedSets: universe too large");

@@ -2,10 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
-#include <numeric>
-#include <vector>
 
 namespace relb::util {
 namespace {
@@ -68,41 +65,6 @@ TEST(Arena, GrowsForOversizedRequests) {
   EXPECT_EQ(big[0], 1.5);
   EXPECT_EQ(big[9'999], 2.5);
   EXPECT_GE(arena.capacityBytes(), 10'000 * sizeof(double));
-}
-
-TEST(ArenaVector, PushBackPreservesContentsAcrossGrowth) {
-  Arena arena;
-  ArenaVector<std::uint32_t> v(arena);
-  for (std::uint32_t i = 0; i < 1'000; ++i) v.push_back(i * 3);
-  ASSERT_EQ(v.size(), 1'000u);
-  for (std::uint32_t i = 0; i < 1'000; ++i) EXPECT_EQ(v[i], i * 3);
-}
-
-TEST(ArenaVector, AppendAndClear) {
-  Arena arena;
-  ArenaVector<int> v(arena, 4);
-  std::vector<int> chunk(37);
-  std::iota(chunk.begin(), chunk.end(), 0);
-  v.append(chunk.data(), chunk.size());
-  v.append(chunk.data(), chunk.size());
-  ASSERT_EQ(v.size(), 74u);
-  EXPECT_EQ(v[0], 0);
-  EXPECT_EQ(v[36], 36);
-  EXPECT_EQ(v[37], 0);
-  EXPECT_EQ(v[73], 36);
-  EXPECT_TRUE(std::equal(v.begin(), v.begin() + 37, chunk.begin()));
-  v.clear();
-  EXPECT_TRUE(v.empty());
-  v.push_back(7);
-  ASSERT_EQ(v.size(), 1u);
-  EXPECT_EQ(v[0], 7);
-}
-
-TEST(ArenaVector, AppendZeroFromNullIsANoop) {
-  Arena arena;
-  ArenaVector<int> v(arena);
-  v.append(nullptr, 0);
-  EXPECT_TRUE(v.empty());
 }
 
 }  // namespace
