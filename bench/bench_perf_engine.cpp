@@ -177,7 +177,7 @@ class CounterScope {
     state_.counters["rbar_candidates"] = perIter("re.rbar.candidates");
     state_.counters["rbar_maximal"] = perIter("re.rbar.maximal");
     state_.counters["antichain_tests"] = perIter("re.antichain.tests");
-    state_.counters["subsets_swept"] = perIter("re.r.subsets_swept");
+    state_.counters["closed_sets"] = perIter("re.r.closed_sets");
     state_.counters["labels_produced"] = perIter("re.labels.produced");
     state_.counters["pool_batches"] = perIter("pool.batches");
   }
@@ -204,12 +204,12 @@ BENCHMARK(BM_SpeedupStepFamily)
     ->UseRealTime();
 
 void BM_MaximalEdgePairs(benchmark::State& state) {
-  // A reproducible dense edge constraint over `labels` labels: the subset
-  // sweep is 2^labels and the maximality filter sees many incomparable
-  // pairs, which is exactly where the antichain prune and the sweep fan-out
-  // matter.
+  // A reproducible dense edge constraint over `labels` labels: many closed
+  // sets, and a maximality filter that sees many incomparable pairs, which
+  // is where the antichain prune matters.  Serial; the trailing argument is
+  // always 1, so the rows keep the "/1" names the regression gate reads as
+  // serial.
   const int labels = static_cast<int>(state.range(0));
-  const int numThreads = static_cast<int>(state.range(1));
   const CounterScope counters(state);
   std::mt19937 rng(12345);
   std::bernoulli_distribution coin(0.35);
@@ -224,12 +224,33 @@ void BM_MaximalEdgePairs(benchmark::State& state) {
     }
   }
   for (auto _ : state) {
-    benchmark::DoNotOptimize(re::maximalEdgePairs(edge, labels, numThreads));
+    benchmark::DoNotOptimize(re::maximalEdgePairs(edge, labels));
   }
 }
 BENCHMARK(BM_MaximalEdgePairs)
-    ->ArgsProduct({{10, 14, 18}, {1, 0}})
+    ->ArgsProduct({{10, 14, 18}, {1}})
     ->UseRealTime();
+
+void BM_MaximalEdgePairsWorstCase(benchmark::State& state) {
+  // compat[a] = all labels but a: 2^n - 2 closed sets, the most any matrix
+  // has, so this is the intersection closure's worst case.  Every pair
+  // (A, complement of A) has the full union signature, so the maximality
+  // filter tests all pairs against each other and dominates the row.
+  const int labels = static_cast<int>(state.range(0));
+  const CounterScope counters(state);
+  const re::LabelSet all = re::LabelSet::full(labels);
+  std::vector<re::LabelSet> compat;
+  for (int a = 0; a < labels; ++a) {
+    compat.push_back(all - re::LabelSet{static_cast<re::Label>(a)});
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        re::detail::maximalEdgePairsFromCompat(compat, labels));
+  }
+}
+BENCHMARK(BM_MaximalEdgePairsWorstCase)
+    ->Arg(16)
+    ->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------------
 // Bit-parallel kernel rows (re/bitkernels.hpp and friends), so the regression
@@ -292,9 +313,10 @@ void BM_RightClosure(benchmark::State& state) {
 BENCHMARK(BM_RightClosure)->Arg(12)->Arg(16);
 
 void BM_SubsetSweep(benchmark::State& state) {
-  // The 2^n Galois sweep + antichain filter of maximalEdgePairsFromCompat on
-  // a synthetic compatibility matrix, isolated from constraint construction
-  // and the per-pair flow of the legacy edgeCompatibility.
+  // The closed-set enumeration + antichain filter of
+  // maximalEdgePairsFromCompat on a synthetic compatibility matrix, isolated
+  // from constraint construction.  The row name is kept from the 2^n subset
+  // sweep the enumeration replaced, so the gate keeps its history.
   const int labels = static_cast<int>(state.range(0));
   std::mt19937 rng(999);
   std::bernoulli_distribution coin(0.35);
@@ -309,7 +331,7 @@ void BM_SubsetSweep(benchmark::State& state) {
   }
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        re::detail::maximalEdgePairsFromCompat(compat, labels, 1));
+        re::detail::maximalEdgePairsFromCompat(compat, labels));
   }
 }
 BENCHMARK(BM_SubsetSweep)->Arg(12)->Arg(16);

@@ -19,9 +19,10 @@
 #
 # The captured benchmarks are the ones whose second argument is
 # StepOptions::numThreads (1 = serial, 0 = one thread per hardware core):
-# BM_SpeedupStepFamily, BM_SpeedupStepMis, BM_MaximalEdgePairs and
-# BM_CertifyChain -- each row carries per-iteration registry-counter
-# breakdowns (antichain tests, labels produced, ...) -- plus the serial
+# BM_SpeedupStepFamily, BM_SpeedupStepMis, BM_MaximalEdgePairs (serial
+# only: its second argument is always 1) and BM_CertifyChain -- each row
+# carries per-iteration registry-counter breakdowns (antichain tests, labels
+# produced, ...) -- plus BM_MaximalEdgePairsWorstCase, the serial
 # bit-kernel rows BM_DominationFilter / BM_RightClosure / BM_SubsetSweep and
 # the tracer overhead rows BM_ScopedSpan* / BM_RegistryCounterAdd and the
 # session-layer rows BM_SessionCreate / BM_ConcurrentSessions and the

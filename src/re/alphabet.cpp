@@ -38,6 +38,14 @@ std::optional<Label> Alphabet::find(std::string_view name) const {
   return it->second;
 }
 
+Alphabet Alphabet::without(Label b) const {
+  Alphabet out = *this;
+  out.index_.erase(name(b));  // name() range-checks b
+  out.names_.erase(out.names_.begin() + b);
+  for (auto& entry : out.index_) entry.second -= entry.second > b ? 1 : 0;
+  return out;
+}
+
 Label Alphabet::at(std::string_view name) const {
   if (auto l = find(name)) return *l;
   throw Error("Alphabet: unknown label '" + std::string(name) + "'");

@@ -29,6 +29,10 @@ class Alphabet {
 
   [[nodiscard]] std::optional<Label> find(std::string_view name) const;
 
+  /// This alphabet without label b (later labels shift down by one): equal
+  /// to re-adding the other names in order, without re-validating them.
+  [[nodiscard]] Alphabet without(Label b) const;
+
   /// Returns the label for `name`; throws Error if absent.
   [[nodiscard]] Label at(std::string_view name) const;
 

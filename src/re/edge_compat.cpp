@@ -14,7 +14,7 @@ namespace relb::re {
 namespace {
 
 struct EdgeCounters {
-  obs::Counter& subsetsSwept;
+  obs::Counter& closedSets;
   obs::Counter& pairCandidates;
   obs::Counter& pairMaximal;
   obs::Counter& antichainPairs;
@@ -24,7 +24,7 @@ struct EdgeCounters {
 EdgeCounters& edgeCounters() {
   auto& reg = obs::Registry::global();
   static EdgeCounters c{
-      reg.counter("re.r.subsets_swept"), reg.counter("re.r.pairs.candidates"),
+      reg.counter("re.r.closed_sets"), reg.counter("re.r.pairs.candidates"),
       reg.counter("re.r.pairs.maximal"), reg.counter("re.antichain.pairs"),
       reg.counter("re.antichain.tests")};
   return c;
@@ -53,7 +53,7 @@ std::vector<LabelSet> edgeCompatibility(const Constraint& edge,
 }
 
 std::vector<std::pair<LabelSet, LabelSet>> detail::maximalEdgePairsFromCompat(
-    const std::vector<LabelSet>& compat, int alphabetSize, int numThreads) {
+    const std::vector<LabelSet>& compat, int alphabetSize) {
   if (alphabetSize > 20) {
     throw Error("maximalEdgePairs: alphabet too large to enumerate subsets");
   }
@@ -62,13 +62,14 @@ std::vector<std::pair<LabelSet, LabelSet>> detail::maximalEdgePairsFromCompat(
   // partner(A) = intersection of compat[a] over a in A: the unique largest
   // set pairable with A.  Maximal pairs are the Galois-closed pairs
   // (A, partner(A)) with A = partner(partner(A)).  The matrix is copied to a
-  // flat word array so the sweep's inner loop is ctz + AND only.
+  // flat word array, masked to the alphabet (the visited set below is
+  // indexed by row intersections), so partner() is ctz + AND only.
+  const std::uint32_t fullBits = LabelSet::full(alphabetSize).bits();
   std::array<std::uint32_t, 20> compatBits{};
   for (int l = 0; l < alphabetSize; ++l) {
     compatBits[static_cast<std::size_t>(l)] =
-        compat[static_cast<std::size_t>(l)].bits();
+        compat[static_cast<std::size_t>(l)].bits() & fullBits;
   }
-  const std::uint32_t fullBits = LabelSet::full(alphabetSize).bits();
   const auto partner = [&](LabelSet a) {
     std::uint32_t out = fullBits;
     for (std::uint32_t m = a.bits(); m != 0; m &= m - 1) {
@@ -76,50 +77,52 @@ std::vector<std::pair<LabelSet, LabelSet>> detail::maximalEdgePairsFromCompat(
     }
     return LabelSet(out);
   };
-  // Subset sweep + Galois closure, fanned out over contiguous mask ranges.
-  // Every chunk deduplicates locally; the final sort + unique makes the
-  // result independent of the fan-out width.
-  const std::uint32_t count = std::uint32_t{1} << alphabetSize;
-  std::vector<Pair> pairs = util::parallel_reduce(
-      numThreads, static_cast<std::size_t>(count) - 1, std::vector<Pair>{},
-      [&](std::size_t begin, std::size_t end) {
-        std::vector<Pair> local;
-        for (std::size_t m = begin; m < end; ++m) {
-          const LabelSet a(static_cast<std::uint32_t>(m) + 1);
-          const LabelSet b = partner(a);
-          if (b.empty()) continue;
-          const LabelSet closedA = partner(b);
-          assert(partner(closedA) == b);
-          const auto p = std::minmax(closedA, b);
-          local.emplace_back(p.first, p.second);
-        }
-        std::sort(local.begin(), local.end());
-        local.erase(std::unique(local.begin(), local.end()), local.end());
-        return local;
-      },
-      [](std::vector<Pair> acc, std::vector<Pair> part) {
-        acc.insert(acc.end(), part.begin(), part.end());
-        return acc;
-      });
+  // The closed partner sets partner(A), A nonempty, are exactly the nonempty
+  // intersections of compatibility rows.  Close the rows under intersection
+  // one row at a time: row r adds itself and r & S for every set S found
+  // before it.  A 2^n-bit visited set deduplicates, so the cost is
+  // O(n * #closed sets) and never above the O(n * 2^n) of a subset sweep.
+  std::vector<std::uint32_t> closed;
+  std::vector<std::uint64_t> seen((std::size_t{1} << alphabetSize) / 64 + 1);
+  const auto insert = [&](std::uint32_t s) {
+    const std::uint64_t bit = std::uint64_t{1} << (s % 64);
+    if (s == 0 || (seen[s / 64] & bit) != 0) return;
+    seen[s / 64] |= bit;
+    closed.push_back(s);
+  };
+  for (int l = 0; l < alphabetSize; ++l) {
+    const std::uint32_t row = compatBits[static_cast<std::size_t>(l)];
+    const std::size_t before = closed.size();
+    insert(row);
+    for (std::size_t i = 0; i < before; ++i) insert(closed[i] & row);
+  }
+  std::vector<Pair> pairs;
+  for (const std::uint32_t bits : closed) {
+    const LabelSet b(bits);
+    const LabelSet closedA = partner(b);
+    assert(partner(closedA) == b);
+    const auto p = std::minmax(closedA, b);
+    pairs.emplace_back(p.first, p.second);
+  }
   std::sort(pairs.begin(), pairs.end());
   pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());
-  edgeCounters().subsetsSwept.add(count - 1);
+  edgeCounters().closedSets.add(closed.size());
   edgeCounters().pairCandidates.add(pairs.size());
 
   // Galois-closed pairs are maximal against same-orientation growth by
   // construction, but an unordered configuration can still be dominated in
   // the swapped orientation; filter those out.  Bucketed by union signature
-  // (domination implies union inclusion) and fanned out per candidate.
+  // (domination implies union inclusion).
   std::vector<std::uint32_t> signatures(pairs.size());
   for (std::size_t i = 0; i < pairs.size(); ++i) {
     signatures[i] = (pairs[i].first | pairs[i].second).bits();
   }
   const detail::SignatureBuckets buckets(signatures);
-  std::vector<char> dominated(pairs.size(), 0);
-  util::parallel_for(numThreads, pairs.size(), [&](std::size_t i) {
+  std::uint64_t pairsVisited = 0;
+  std::vector<Pair> out;
+  for (std::size_t i = 0; i < pairs.size(); ++i) {
     const Pair& p = pairs[i];
-    std::uint64_t pairsVisited = 0;
-    dominated[i] = buckets.anyInSupersetBucket(
+    const bool dominated = buckets.anyInSupersetBucket(
         signatures[i], [&](std::size_t j) {
           if (j == i) return false;  // pairs are distinct after unique
           ++pairsVisited;
@@ -130,21 +133,18 @@ std::vector<std::pair<LabelSet, LabelSet>> detail::maximalEdgePairsFromCompat(
               p.first.subsetOf(q.second) && p.second.subsetOf(q.first);
           return straight || swapped;
         });
-    edgeCounters().antichainPairs.add(pairsVisited);
-    edgeCounters().antichainTests.add(pairsVisited);
-  });
-  std::vector<Pair> out;
-  for (std::size_t i = 0; i < pairs.size(); ++i) {
-    if (!dominated[i]) out.push_back(pairs[i]);
+    if (!dominated) out.push_back(p);
   }
+  edgeCounters().antichainPairs.add(pairsVisited);
+  edgeCounters().antichainTests.add(pairsVisited);
   edgeCounters().pairMaximal.add(out.size());
   return out;
 }
 
 std::vector<std::pair<LabelSet, LabelSet>> maximalEdgePairs(
-    const Constraint& edge, int alphabetSize, int numThreads) {
+    const Constraint& edge, int alphabetSize) {
   return detail::maximalEdgePairsFromCompat(
-      edgeCompatibility(edge, alphabetSize), alphabetSize, numThreads);
+      edgeCompatibility(edge, alphabetSize), alphabetSize);
 }
 
 }  // namespace relb::re

@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "re/constraint.hpp"
-#include "util/thread_pool.hpp"
 
 namespace relb::re {
 
@@ -23,12 +22,10 @@ namespace relb::re {
 /// The maximal edge configurations of R(Pi) as unordered pairs of label sets
 /// (before renaming): the Galois-closed pairs (A, B) with A x B
 /// edge-compatible, filtered for swapped-orientation domination.  Exact for
-/// any Delta.  `numThreads` follows the engine-wide convention of
-/// util::kDefaultNumThreads (0 = one thread per core); results are
-/// bit-identical for every width.
+/// any Delta.  Serial: the closed sets are enumerated in time proportional
+/// to their number, so a fan-out would cost more than it saves.
 [[nodiscard]] std::vector<std::pair<LabelSet, LabelSet>> maximalEdgePairs(
-    const Constraint& edge, int alphabetSize,
-    int numThreads = util::kDefaultNumThreads);
+    const Constraint& edge, int alphabetSize);
 
 namespace detail {
 
@@ -36,7 +33,7 @@ namespace detail {
 /// with applyR, whose engine context may have the matrix cached.
 [[nodiscard]] std::vector<std::pair<LabelSet, LabelSet>>
 maximalEdgePairsFromCompat(const std::vector<LabelSet>& compat,
-                           int alphabetSize, int numThreads);
+                           int alphabetSize);
 
 }  // namespace detail
 

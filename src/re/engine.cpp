@@ -313,8 +313,8 @@ StepResult EngineSession::memoizedStep(int kind, const Problem& p) {
     const int n = p.alphabet.size();
     try {
       if (kind == 0) {
-        out.result = detail::applyR(
-            p, options_, [&] { return edgeCompatibility(p.edge, n); });
+        out.result =
+            detail::applyR(p, [&] { return edgeCompatibility(p.edge, n); });
       } else {
         out.result = detail::applyRbar(p, options_, [&] {
           return rightClosedSets(p.node, n, p.alphabet.all(),

@@ -114,11 +114,10 @@ std::vector<LabelSet> sortedDistinctSets(std::vector<LabelSet> sets) {
 
 }  // namespace
 
-StepResult detail::applyR(const Problem& p, const StepOptions& options,
-                          const SubResult& compat) {
+StepResult detail::applyR(const Problem& p, const SubResult& compat) {
   p.validate();
-  const auto pairs = detail::maximalEdgePairsFromCompat(
-      compat(), p.alphabet.size(), options.numThreads);
+  const auto pairs =
+      detail::maximalEdgePairsFromCompat(compat(), p.alphabet.size());
   if (pairs.empty()) {
     throw Error("applyR: empty edge constraint after maximization");
   }
@@ -159,8 +158,8 @@ StepResult detail::applyR(const Problem& p, const StepOptions& options,
   return result;
 }
 
-StepResult applyR(const Problem& p, const StepOptions& options) {
-  return detail::applyR(p, options, [&] {
+StepResult applyR(const Problem& p, const StepOptions& /*options*/) {
+  return detail::applyR(p, [&] {
     return edgeCompatibility(p.edge, p.alphabet.size());
   });
 }

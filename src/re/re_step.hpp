@@ -19,18 +19,14 @@
 //     completable partial words, not by |set|^Delta), then keeping the
 //     maximal ones largest-first.  Guarded by `options.maxRbarDelta`.
 //
-// Parallelism: the subset sweep of maximalEdgePairs, the top-level branches
-// of the Rbar multiset enumeration, and both maximality filters (Rbar's
-// within each size class) fan out over a thread pool (see
+// Parallelism: Rbar's top-level enumeration branches and its maximality
+// filter (within each size class) fan out over a thread pool (see
 // util/thread_pool.hpp) when StepOptions::numThreads resolves to more than
-// one thread.  Partial results are merged in a fixed
-// index order and the domination filters are pure per-candidate predicates,
-// so the output is bit-identical for every thread count; numThreads == 1
-// runs the original serial code paths.  Independently of threading, the
-// domination filters are pruned: R's compares each candidate against the
-// union-signature buckets that could dominate it only (an antichain prune
-// that helps even at one thread), and Rbar's compares each candidate only
-// against the maximal candidates of strictly larger total slot size.
+// one thread; partial results merge in a fixed index order, so the output
+// is bit-identical for every thread count.  R is serial.  Both domination
+// filters are pruned: R's tests each candidate only against the
+// union-signature buckets that could dominate it, Rbar's only against the
+// maximal candidates of strictly larger total slot size.
 #pragma once
 
 #include <cstdint>
@@ -55,13 +51,14 @@ struct StepOptions {
   Count maxRbarDelta = 8;
   /// Word-enumeration cap used for strength computation inside applyRbar.
   std::size_t enumerationLimit = 2'000'000;
-  /// Fan-out width for the parallel sections of applyR / applyRbar:
+  /// Fan-out width for the parallel sections of applyRbar:
   /// 0 = one thread per hardware core, 1 = fully serial, k >= 2 = exactly k
   /// lanes.  Results are bit-identical for every value.
   int numThreads = util::kDefaultNumThreads;
 };
 
-/// Computes Pi' = R(Pi).  Exact for arbitrary Delta.
+/// Computes Pi' = R(Pi).  Exact for arbitrary Delta, and serial: R reads no
+/// option, the parameter keeps it call-compatible with applyRbar.
 [[nodiscard]] StepResult applyR(const Problem& p,
                                 const StepOptions& options = {});
 
@@ -94,8 +91,7 @@ using SubResult = std::function<std::vector<LabelSet>()>;
 ///          (<= 16 labels, delta <= 15), and only then rightClosedSets() =
 ///          the non-empty right-closed subsets of p's alphabet under the node
 ///          constraint's strength relation.
-[[nodiscard]] StepResult applyR(const Problem& p, const StepOptions& options,
-                                const SubResult& compat);
+[[nodiscard]] StepResult applyR(const Problem& p, const SubResult& compat);
 [[nodiscard]] StepResult applyRbar(const Problem& p,
                                    const StepOptions& options,
                                    const SubResult& rightClosedSets);

@@ -33,14 +33,10 @@ Problem mergeTwoLabels(const Problem& p, Label a, Label b) {
   const int n = p.alphabet.size();
   if (a >= n || b >= n || a == b) throw Error("mergeTwoLabels: bad labels");
   // New alphabet: all labels except b, preserving order.
-  Alphabet fresh;
   std::vector<Label> map(static_cast<std::size_t>(n));
-  for (Label l = 0; l < n; ++l) {
-    if (l == b) continue;
-    map[l] = fresh.add(p.alphabet.name(l));
-  }
+  for (Label l = 0; l < n; ++l) map[l] = l < b ? l : static_cast<Label>(l - 1);
   map[b] = map[a];
-  return mergeLabels(p, map, std::move(fresh));
+  return mergeLabels(p, map, p.alphabet.without(b));
 }
 
 Problem restrictToLabels(const Problem& p, LabelSet keep) {

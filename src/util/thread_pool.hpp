@@ -35,7 +35,7 @@
 namespace relb::util {
 
 /// The engine-wide default for every user-facing thread-count knob
-/// (StepOptions::numThreads, maximalEdgePairs, certifyChain, ...): one
+/// (StepOptions::numThreads, certifyChain, ...): one
 /// thread per hardware core.  All defaults route through this constant so
 /// low-level helpers and the pass pipeline agree; pass kSerial to opt out.
 inline constexpr int kDefaultNumThreads = 0;

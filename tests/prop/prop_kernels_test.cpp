@@ -13,6 +13,9 @@
 //     version, cross-checked against Configuration::relaxesTo;
 //   * shape-based edge compatibility and self-compatible labels vs the
 //     containsWord probes;
+//   * maximal edge pairs by intersection closure of the compatibility rows
+//     vs the 2^n subset sweep, on random, worst-case and degenerate
+//     matrices and on the > 20-label guard text;
 //   * packed computeStrength and the closure-table right-closed-set sweep
 //     vs the std::set<Word> originals, at 64-bit (<= 16 labels) and 128-bit
 //     (17..32 labels, including the 30-label node constraint of the Pi
@@ -28,9 +31,11 @@
 #include <vector>
 
 #include "core/family.hpp"
+#include "obs/metrics.hpp"
 #include "prop/prop.hpp"
 #include "prop/reference_step.hpp"
 #include "re/bitkernels.hpp"
+#include "re/edge_compat.hpp"
 #include "re/packed_words.hpp"
 #include "re/zero_round.hpp"
 
@@ -324,6 +329,97 @@ TEST(PropKernels, ShapeBasedEdgeAnalysisMatchesWordProbes) {
         }
         return {};
       });
+}
+
+// A random symmetric compatibility matrix over n labels, the shape
+// edgeCompatibility returns: each pair {a, b} (a == b included) is
+// compatible with probability `density`, and each label is left with no
+// compatible label at all with probability `emptyRow`.
+std::vector<re::LabelSet> randomCompat(std::mt19937& rng, int n,
+                                       double density, double emptyRow) {
+  std::bernoulli_distribution pair(density);
+  std::bernoulli_distribution empty(emptyRow);
+  std::vector<re::LabelSet> compat(static_cast<std::size_t>(n));
+  for (int a = 0; a < n; ++a) {
+    for (int b = a; b < n; ++b) {
+      if (!pair(rng)) continue;
+      compat[static_cast<std::size_t>(a)].insert(static_cast<re::Label>(b));
+      compat[static_cast<std::size_t>(b)].insert(static_cast<re::Label>(a));
+    }
+  }
+  for (int a = 0; a < n; ++a) {
+    if (!empty(rng)) continue;
+    compat[static_cast<std::size_t>(a)] = re::LabelSet{};
+    for (auto& row : compat) row.erase(static_cast<re::Label>(a));
+  }
+  return compat;
+}
+
+std::uint64_t closedSetsCounted() {
+  return obs::Registry::global().snapshot().counterValue("re.r.closed_sets");
+}
+
+TEST(PropKernels, ClosedSetEnumerationMatchesSubsetSweep) {
+  const int iterations = prop::envIterations(200);
+  for (int i = 0; i < iterations; ++i) {
+    std::mt19937 rng(testsupport::effectiveSeed(68000 + i));
+    const int n = 1 + i % 16;
+    const double density =
+        std::uniform_real_distribution<double>(0.05, 0.95)(rng);
+    const auto compat = randomCompat(rng, n, density, 0.1);
+    EXPECT_EQ(re::detail::maximalEdgePairsFromCompat(compat, n),
+              refimpl::maximalEdgePairs(compat, n))
+        << "case " << i << ": n=" << n << ", rows " << describeSets(compat);
+  }
+}
+
+TEST(PropKernels, ClosedSetEnumerationOnTheWorstCase) {
+  // compat[a] = all labels but a: the row intersections are the complements
+  // of the nonempty sets A, so there are 2^n - 2 closed sets, the most any
+  // matrix has, paired as (A, complement of A).  Each row of the closure
+  // adds as many sets as it finds.
+  for (int n = 1; n <= 12; ++n) {
+    const re::LabelSet all = re::LabelSet::full(n);
+    std::vector<re::LabelSet> compat;
+    for (int a = 0; a < n; ++a) {
+      compat.push_back(all - re::LabelSet{static_cast<re::Label>(a)});
+    }
+    const std::uint64_t before = closedSetsCounted();
+    const auto actual = re::detail::maximalEdgePairsFromCompat(compat, n);
+    EXPECT_EQ(closedSetsCounted() - before, (std::uint64_t{1} << n) - 2)
+        << "n=" << n;
+    EXPECT_EQ(actual.size(), (std::size_t{1} << (n - 1)) - 1) << "n=" << n;
+    for (const auto& [a, b] : actual) {
+      EXPECT_EQ(a | b, all) << "n=" << n;
+      EXPECT_TRUE((a & b).empty()) << "n=" << n;
+    }
+    EXPECT_EQ(actual, refimpl::maximalEdgePairs(compat, n)) << "n=" << n;
+  }
+}
+
+TEST(PropKernels, ClosedSetEnumerationOnDegenerateMatrices) {
+  for (int n = 1; n <= 16; ++n) {
+    // No label compatible with any: no closed set, no pair.
+    const std::vector<re::LabelSet> none(static_cast<std::size_t>(n));
+    EXPECT_TRUE(re::detail::maximalEdgePairsFromCompat(none, n).empty())
+        << "n=" << n;
+    EXPECT_EQ(refimpl::maximalEdgePairs(none, n).size(), 0u) << "n=" << n;
+    // Everything compatible: the one pair (all, all).
+    const re::LabelSet all = re::LabelSet::full(n);
+    const std::vector<re::LabelSet> full(static_cast<std::size_t>(n), all);
+    const auto actual = re::detail::maximalEdgePairsFromCompat(full, n);
+    EXPECT_EQ(actual, (std::vector<std::pair<re::LabelSet, re::LabelSet>>{
+                          {all, all}}))
+        << "n=" << n;
+    EXPECT_EQ(actual, refimpl::maximalEdgePairs(full, n)) << "n=" << n;
+  }
+  // Past 20 labels both refuse with the same text, which the step store
+  // persists for refused steps.
+  const std::vector<re::LabelSet> wide(21, re::LabelSet::full(21));
+  const std::string text =
+      errorOf([&] { return re::detail::maximalEdgePairsFromCompat(wide, 21); });
+  EXPECT_EQ(text, "maximalEdgePairs: alphabet too large to enumerate subsets");
+  EXPECT_EQ(text, errorOf([&] { return refimpl::maximalEdgePairs(wide, 21); }));
 }
 
 TEST(PropKernels, PackedStrengthMatchesEnumerationReference) {

@@ -132,6 +132,52 @@ bool slotsRelaxTo(const std::vector<LabelSet>& a,
   return true;
 }
 
+// Serial maximal-pair computation: Galois closure over the full 2^n subset
+// sweep, then a plain quadratic swapped-orientation domination filter (no
+// signature buckets -- the buckets only prune, they never change the set).
+std::vector<std::pair<LabelSet, LabelSet>> maximalEdgePairs(
+    const std::vector<LabelSet>& compat, int alphabetSize) {
+  if (alphabetSize > 20) {
+    throw Error("maximalEdgePairs: alphabet too large to enumerate subsets");
+  }
+  using Pair = std::pair<LabelSet, LabelSet>;
+  const auto partner = [&](LabelSet a) {
+    LabelSet out = LabelSet::full(alphabetSize);
+    forEachLabel(a, [&](Label l) { out = out & compat[l]; });
+    return out;
+  };
+  const std::uint32_t count = std::uint32_t{1} << alphabetSize;
+  std::vector<Pair> pairs;
+  for (std::uint32_t m = 1; m < count; ++m) {
+    const LabelSet a(m);
+    const LabelSet b = partner(a);
+    if (b.empty()) continue;
+    const LabelSet closedA = partner(b);
+    const auto p = std::minmax(closedA, b);
+    pairs.emplace_back(p.first, p.second);
+  }
+  std::sort(pairs.begin(), pairs.end());
+  pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());
+  std::vector<char> dominated(pairs.size(), 0);
+  for (std::size_t i = 0; i < pairs.size(); ++i) {
+    for (std::size_t j = 0; j < pairs.size() && !dominated[i]; ++j) {
+      if (j == i) continue;
+      const Pair& p = pairs[i];
+      const Pair& q = pairs[j];
+      const bool straight =
+          p.first.subsetOf(q.first) && p.second.subsetOf(q.second);
+      const bool swapped =
+          p.first.subsetOf(q.second) && p.second.subsetOf(q.first);
+      if (straight || swapped) dominated[i] = 1;
+    }
+  }
+  std::vector<Pair> maximal;
+  for (std::size_t i = 0; i < pairs.size(); ++i) {
+    if (!dominated[i]) maximal.push_back(pairs[i]);
+  }
+  return maximal;
+}
+
 namespace {
 
 Alphabet freshAlphabet(const std::vector<LabelSet>& sets,
@@ -177,52 +223,6 @@ Constraint replaceConstraint(const Constraint& constraint,
     if (realizable) out.add(std::move(mapped));
   }
   return out;
-}
-
-// Serial maximal-pair computation: Galois closure over the full subset
-// sweep, then a plain quadratic swapped-orientation domination filter (no
-// signature buckets -- the buckets only prune, they never change the set).
-std::vector<std::pair<LabelSet, LabelSet>> maximalEdgePairs(
-    const std::vector<LabelSet>& compat, int alphabetSize) {
-  if (alphabetSize > 20) {
-    throw Error("maximalEdgePairs: alphabet too large to enumerate subsets");
-  }
-  using Pair = std::pair<LabelSet, LabelSet>;
-  const auto partner = [&](LabelSet a) {
-    LabelSet out = LabelSet::full(alphabetSize);
-    forEachLabel(a, [&](Label l) { out = out & compat[l]; });
-    return out;
-  };
-  const std::uint32_t count = std::uint32_t{1} << alphabetSize;
-  std::vector<Pair> pairs;
-  for (std::uint32_t m = 1; m < count; ++m) {
-    const LabelSet a(m);
-    const LabelSet b = partner(a);
-    if (b.empty()) continue;
-    const LabelSet closedA = partner(b);
-    const auto p = std::minmax(closedA, b);
-    pairs.emplace_back(p.first, p.second);
-  }
-  std::sort(pairs.begin(), pairs.end());
-  pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());
-  std::vector<char> dominated(pairs.size(), 0);
-  for (std::size_t i = 0; i < pairs.size(); ++i) {
-    for (std::size_t j = 0; j < pairs.size() && !dominated[i]; ++j) {
-      if (j == i) continue;
-      const Pair& p = pairs[i];
-      const Pair& q = pairs[j];
-      const bool straight =
-          p.first.subsetOf(q.first) && p.second.subsetOf(q.second);
-      const bool swapped =
-          p.first.subsetOf(q.second) && p.second.subsetOf(q.first);
-      if (straight || swapped) dominated[i] = 1;
-    }
-  }
-  std::vector<Pair> maximal;
-  for (std::size_t i = 0; i < pairs.size(); ++i) {
-    if (!dominated[i]) maximal.push_back(pairs[i]);
-  }
-  return maximal;
 }
 
 using PackedWord = std::uint64_t;

@@ -42,6 +42,14 @@ re::StrengthRelation computeStrength(const re::Constraint& constraint,
 std::vector<re::LabelSet> allRightClosedSets(const re::StrengthRelation& rel,
                                              re::LabelSet universe);
 
+/// The 2^n subset sweep with Galois closure, then an all-pairs
+/// swapped-orientation domination filter (the original of
+/// re::detail::maximalEdgePairsFromCompat, which enumerates the closed sets
+/// by intersecting compatibility rows).  Throws the production guard text
+/// above 20 labels.
+std::vector<std::pair<re::LabelSet, re::LabelSet>> maximalEdgePairs(
+    const std::vector<re::LabelSet>& compat, int alphabetSize);
+
 /// Per-label containsWord probe (the original of re::selfCompatibleLabels).
 re::LabelSet selfCompatibleLabels(const re::Problem& p);
 

@@ -55,5 +55,24 @@ TEST(Alphabet, VectorConstructor) {
   EXPECT_EQ(a.at("B"), 1);
 }
 
+TEST(Alphabet, WithoutEqualsTheAlphabetRebuiltThroughAdd) {
+  const Alphabet a({"M", "P1", "(O U)", "X", "long_name", "Q"});
+  for (Label b = 0; b < a.size(); ++b) {
+    Alphabet rebuilt;
+    for (Label l = 0; l < a.size(); ++l) {
+      if (l != b) rebuilt.add(a.name(l));
+    }
+    Alphabet without = a.without(b);
+    EXPECT_EQ(without, rebuilt) << "b=" << int{b};
+    // The index is shifted with the names, so lookups agree too.
+    for (Label l = 0; l < rebuilt.size(); ++l) {
+      EXPECT_EQ(without.find(rebuilt.name(l)), l) << "b=" << int{b};
+    }
+    EXPECT_EQ(without.find(a.name(b)), std::nullopt) << "b=" << int{b};
+    EXPECT_EQ(without.add(a.name(b)), rebuilt.add(a.name(b)));
+  }
+  EXPECT_THROW((void)a.without(6), Error);
+}
+
 }  // namespace
 }  // namespace relb::re

@@ -11,6 +11,7 @@
 
 #include "core/family.hpp"
 #include "core/sequence.hpp"
+#include "prop/reference_step.hpp"
 #include "re/re_step.hpp"
 
 namespace relb::re {
@@ -152,14 +153,15 @@ TEST_P(ParallelRandomStepTest, RandomProblemsAgreeAcrossWidths) {
   }
 }
 
-TEST_P(ParallelRandomStepTest, MaximalEdgePairsAgreeAcrossWidths) {
+// maximalEdgePairs is serial; on the same problems its closure enumeration
+// must agree with the 2^n subset sweep it replaced.
+TEST_P(ParallelRandomStepTest, MaximalEdgePairsMatchTheSubsetSweep) {
   std::mt19937 rng(GetParam() + 1000);
   const auto p = randomProblem(rng, 5, 3, 2, 0.4);
-  const auto serial = maximalEdgePairs(p.edge, p.alphabet.size(), 1);
-  for (const int threads : {2, 4, 8}) {
-    EXPECT_EQ(serial, maximalEdgePairs(p.edge, p.alphabet.size(), threads))
-        << "numThreads=" << threads;
-  }
+  const int n = p.alphabet.size();
+  EXPECT_EQ(maximalEdgePairs(p.edge, n),
+            refimpl::maximalEdgePairs(refimpl::edgeCompatibility(p.edge, n),
+                                      n));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ParallelRandomStepTest,

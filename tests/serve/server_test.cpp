@@ -330,10 +330,14 @@ TEST(Server, QueuedRequestPastDeadlineAnswers504) {
   Server server(config);
   server.start();
 
-  // Head-of-line: a request that takes >= 100ms of real work.
+  // Head-of-line: a request that takes far more than the 30 ms below of
+  // real work -- MIS at Delta = 6, about 1 s on one core (MIS at Delta = 3
+  // can finish within the 30 ms).
   std::thread slow([&] {
     Client client = Client::connectUnix(config.unixSocketPath);
-    (void)client.roundTrip(problemRequest(1, 6));
+    Request request = problemRequest(1, 6);
+    request.nodeSpec = "M^6; P O^5";
+    (void)client.roundTrip(request);
   });
   // Give the slow request time to be admitted and picked up by the lane.
   std::this_thread::sleep_for(std::chrono::milliseconds(30));
