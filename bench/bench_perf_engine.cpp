@@ -205,8 +205,8 @@ BENCHMARK(BM_SpeedupStepFamily)
 
 void BM_MaximalEdgePairs(benchmark::State& state) {
   // A reproducible dense edge constraint over `labels` labels: many closed
-  // sets, and a maximality filter that sees many incomparable pairs, which
-  // is where the antichain prune matters.  Serial; the trailing argument is
+  // sets, each giving a maximal pair (no domination filter runs, so
+  // antichain_tests is 0).  Serial; the trailing argument is
   // always 1, so the rows keep the "/1" names the regression gate reads as
   // serial.
   const int labels = static_cast<int>(state.range(0));
@@ -233,9 +233,8 @@ BENCHMARK(BM_MaximalEdgePairs)
 
 void BM_MaximalEdgePairsWorstCase(benchmark::State& state) {
   // compat[a] = all labels but a: 2^n - 2 closed sets, the most any matrix
-  // has, so this is the intersection closure's worst case.  Every pair
-  // (A, complement of A) has the full union signature, so the maximality
-  // filter tests all pairs against each other and dominates the row.
+  // has, so this is the intersection closure's worst case, paired as
+  // (A, complement of A).
   const int labels = static_cast<int>(state.range(0));
   const CounterScope counters(state);
   const re::LabelSet all = re::LabelSet::full(labels);
@@ -313,10 +312,10 @@ void BM_RightClosure(benchmark::State& state) {
 BENCHMARK(BM_RightClosure)->Arg(12)->Arg(16);
 
 void BM_SubsetSweep(benchmark::State& state) {
-  // The closed-set enumeration + antichain filter of
-  // maximalEdgePairsFromCompat on a synthetic compatibility matrix, isolated
-  // from constraint construction.  The row name is kept from the 2^n subset
-  // sweep the enumeration replaced, so the gate keeps its history.
+  // The closed-set enumeration of maximalEdgePairsFromCompat on a
+  // synthetic compatibility matrix, isolated from constraint construction.
+  // The row name is kept from the 2^n subset sweep the enumeration
+  // replaced, so the gate keeps its history.
   const int labels = static_cast<int>(state.range(0));
   std::mt19937 rng(999);
   std::bernoulli_distribution coin(0.35);

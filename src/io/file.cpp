@@ -1,5 +1,7 @@
 #include "io/file.hpp"
 
+#include <unistd.h>
+
 #include <atomic>
 #include <fstream>
 #include <sstream>
@@ -18,11 +20,14 @@ std::optional<std::string> readFile(const std::filesystem::path& path) {
 
 void atomicWriteFile(const std::filesystem::path& path,
                      std::string_view content) {
+  // The pid keeps two processes writing one path off each other's temp
+  // file; the counter does the same for two threads of one process.
   static std::atomic<unsigned> counter{0};
   const std::filesystem::path dir =
       path.has_parent_path() ? path.parent_path() : ".";
   const std::filesystem::path tmp =
-      dir / (".tmp-" + std::to_string(counter.fetch_add(1)) + "-" +
+      dir / (".tmp-" + std::to_string(::getpid()) + "-" +
+             std::to_string(counter.fetch_add(1)) + "-" +
              path.filename().string());
   {
     std::ofstream out(tmp, std::ios::binary | std::ios::trunc);

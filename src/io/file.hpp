@@ -23,8 +23,10 @@ namespace relb::io {
 [[nodiscard]] std::optional<std::string> readFile(
     const std::filesystem::path& path);
 
-/// Writes `content` to `path` atomically (same-directory temp file, then
-/// rename); throws re::Error on any I/O failure.
+/// Writes `content` to `path` atomically (a same-directory temp file named
+/// for this process and call, then rename); throws re::Error on any I/O
+/// failure.  Concurrent writers of one path, in any processes, each land
+/// whole; the last rename wins.
 void atomicWriteFile(const std::filesystem::path& path,
                      std::string_view content);
 

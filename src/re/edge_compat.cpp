@@ -7,7 +7,6 @@
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "re/antichain.hpp"
 
 namespace relb::re {
 
@@ -17,16 +16,13 @@ struct EdgeCounters {
   obs::Counter& closedSets;
   obs::Counter& pairCandidates;
   obs::Counter& pairMaximal;
-  obs::Counter& antichainPairs;
-  obs::Counter& antichainTests;
 };
 
 EdgeCounters& edgeCounters() {
   auto& reg = obs::Registry::global();
-  static EdgeCounters c{
-      reg.counter("re.r.closed_sets"), reg.counter("re.r.pairs.candidates"),
-      reg.counter("re.r.pairs.maximal"), reg.counter("re.antichain.pairs"),
-      reg.counter("re.antichain.tests")};
+  static EdgeCounters c{reg.counter("re.r.closed_sets"),
+                        reg.counter("re.r.pairs.candidates"),
+                        reg.counter("re.r.pairs.maximal")};
   return c;
 }
 
@@ -104,41 +100,21 @@ std::vector<std::pair<LabelSet, LabelSet>> detail::maximalEdgePairsFromCompat(
     const auto p = std::minmax(closedA, b);
     pairs.emplace_back(p.first, p.second);
   }
+  // Every closed pair is maximal, in both orientations, so no domination
+  // filter follows.  compat is symmetric (edgeCompatibility adds both
+  // directions), so (A, B) is closed iff (B, A) is.  Let (A, B) and
+  // (A', B') be closed with A <= A' and B <= B' (the swapped orientation is
+  // the same test against the closed pair (B', A')).  partner reverses
+  // inclusion, so B = partner(A) >= partner(A') = B', hence B = B' and
+  // A = partner(B) = partner(B') = A': a closed pair is dominated only by
+  // itself, and distinct unordered pairs dominate each other in neither
+  // orientation.
   std::sort(pairs.begin(), pairs.end());
   pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());
   edgeCounters().closedSets.add(closed.size());
   edgeCounters().pairCandidates.add(pairs.size());
-
-  // Galois-closed pairs are maximal against same-orientation growth by
-  // construction, but an unordered configuration can still be dominated in
-  // the swapped orientation; filter those out.  Bucketed by union signature
-  // (domination implies union inclusion).
-  std::vector<std::uint32_t> signatures(pairs.size());
-  for (std::size_t i = 0; i < pairs.size(); ++i) {
-    signatures[i] = (pairs[i].first | pairs[i].second).bits();
-  }
-  const detail::SignatureBuckets buckets(signatures);
-  std::uint64_t pairsVisited = 0;
-  std::vector<Pair> out;
-  for (std::size_t i = 0; i < pairs.size(); ++i) {
-    const Pair& p = pairs[i];
-    const bool dominated = buckets.anyInSupersetBucket(
-        signatures[i], [&](std::size_t j) {
-          if (j == i) return false;  // pairs are distinct after unique
-          ++pairsVisited;
-          const Pair& q = pairs[j];
-          const bool straight =
-              p.first.subsetOf(q.first) && p.second.subsetOf(q.second);
-          const bool swapped =
-              p.first.subsetOf(q.second) && p.second.subsetOf(q.first);
-          return straight || swapped;
-        });
-    if (!dominated) out.push_back(p);
-  }
-  edgeCounters().antichainPairs.add(pairsVisited);
-  edgeCounters().antichainTests.add(pairsVisited);
-  edgeCounters().pairMaximal.add(out.size());
-  return out;
+  edgeCounters().pairMaximal.add(pairs.size());
+  return pairs;
 }
 
 std::vector<std::pair<LabelSet, LabelSet>> maximalEdgePairs(

@@ -21,8 +21,9 @@ namespace relb::re {
 
 /// The maximal edge configurations of R(Pi) as unordered pairs of label sets
 /// (before renaming): the Galois-closed pairs (A, B) with A x B
-/// edge-compatible, filtered for swapped-orientation domination.  Exact for
-/// any Delta.  Serial: the closed sets are enumerated in time proportional
+/// edge-compatible, none dominated by another in either orientation (the
+/// matrix is symmetric; edge_compat.cpp has the proof).  Exact for any
+/// Delta.  Serial: the closed sets are enumerated in time proportional
 /// to their number, so a fan-out would cost more than it saves.
 [[nodiscard]] std::vector<std::pair<LabelSet, LabelSet>> maximalEdgePairs(
     const Constraint& edge, int alphabetSize);

@@ -68,11 +68,13 @@ Count parseExponent(std::string_view text, std::string_view context,
                 "bad exponent '" + std::string(text) + "' in '" + token.text +
                     "'");
     }
-    value = value * 10 + (ch - '0');
-    if (value > (Count{1} << 62)) {
+    // Checked before the multiply, so the accumulator never overflows.
+    const Count digit = ch - '0';
+    if (value > ((Count{1} << 62) - digit) / 10) {
       parseFail(context, token.column,
                 "exponent too large in '" + token.text + "'");
     }
+    value = value * 10 + digit;
   }
   return value;
 }

@@ -23,10 +23,10 @@
 // filter (within each size class) fan out over a thread pool (see
 // util/thread_pool.hpp) when StepOptions::numThreads resolves to more than
 // one thread; partial results merge in a fixed index order, so the output
-// is bit-identical for every thread count.  R is serial.  Both domination
-// filters are pruned: R's tests each candidate only against the
-// union-signature buckets that could dominate it, Rbar's only against the
-// maximal candidates of strictly larger total slot size.
+// is bit-identical for every thread count.  R is serial, and its closed
+// edge pairs need no domination filter (edge_compat.cpp); Rbar's filter
+// tests each candidate only against the maximal candidates of strictly
+// larger total slot size.
 #pragma once
 
 #include <cstdint>

@@ -1,5 +1,15 @@
 #include "store/step_store.hpp"
 
+#include <fcntl.h>
+#include <sys/file.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
+#include <cerrno>
+#include <charconv>
+#include <cstring>
+#include <memory>
+
 #include "io/file.hpp"
 #include "io/serialize.hpp"
 #include "obs/trace.hpp"
@@ -16,7 +26,7 @@ using re::ZeroRoundMode;
 // One entry tag.  Every payload is {kindField: kind, "input": problem,
 // ["max_rbar_delta", "enumeration_limit" if guarded], valueField: value}.
 struct EntrySlot {
-  const char* tag;        // the file suffix
+  const char* tag;        // the record tag (the objects/ file suffix)
   const char* kindField;  // "op" (0 = R, 1 = R-bar) or "mode" (zero-round)
   int kind;
   bool guarded;  // the step guards are part of the key
@@ -30,18 +40,66 @@ namespace {
 
 constexpr std::string_view kFormatStamp = "relb-store 1";
 
-constexpr EntrySlot kStepSlots[] = {
+// Every tag; a slot's index here is its Key::tag.
+constexpr EntrySlot kSlots[] = {
     {"r", "op", 0, false, "result", false},
-    {"rbar", "op", 1, true, "result", false}};
-constexpr EntrySlot kRefusalSlots[] = {
+    {"rbar", "op", 1, true, "result", false},
     {"rref", "op", 0, true, "refusal", true},
-    {"rbarref", "op", 1, true, "refusal", true}};
-constexpr EntrySlot kZeroRoundSlots[] = {
+    {"rbarref", "op", 1, true, "refusal", true},
     {"zr0", "mode", 0, false, "solvable", false},
     {"zr1", "mode", 1, false, "solvable", false},
     {"zr2", "mode", 2, false, "solvable", false}};
+constexpr const EntrySlot* kStepSlots = kSlots;
+constexpr const EntrySlot* kRefusalSlots = kSlots + 2;
+constexpr const EntrySlot* kZeroRoundSlots = kSlots + 4;
+
+std::uint8_t tagOf(const EntrySlot& slot) {
+  return static_cast<std::uint8_t>(&slot - kSlots);
+}
+
+// Record headers are short; the scan keeps this many leading bytes of a line.
+constexpr std::size_t kHeaderMax = 32;
+constexpr std::size_t kScanChunk = std::size_t{1} << 16;
+
+// flock() on the pack for one scope: appends hold it exclusively, scans
+// shared, so a scan never sees another instance's append half done.
+class PackLock {
+ public:
+  PackLock(int fd, int operation, const std::filesystem::path& pack)
+      : fd_(fd) {
+    while (::flock(fd_, operation) != 0) {
+      if (errno != EINTR) {
+        throw Error("step_store: cannot lock '" + pack.string() +
+                    "': " + std::strerror(errno));
+      }
+    }
+  }
+  ~PackLock() { ::flock(fd_, LOCK_UN); }
+  PackLock(const PackLock&) = delete;
+  PackLock& operator=(const PackLock&) = delete;
+
+ private:
+  int fd_;
+};
 
 }  // namespace
+
+std::optional<DiskStepStore::Key> DiskStepStore::parseKey(
+    std::string_view text) {
+  if (text.size() < 18 || text[16] != '.') return std::nullopt;
+  Key key;
+  const auto [end, ec] =
+      std::from_chars(text.data(), text.data() + 16, key.hash, 16);
+  if (ec != std::errc() || end != text.data() + 16) return std::nullopt;
+  const std::string_view tag = text.substr(17);
+  for (const EntrySlot& slot : kSlots) {
+    if (tag == slot.tag) {
+      key.tag = tagOf(slot);
+      return key;
+    }
+  }
+  return std::nullopt;
+}
 
 std::string StoreStats::describe() const {
   return "store: " + std::to_string(hits) + " hits / " +
@@ -53,8 +111,7 @@ DiskStepStore::DiskStepStore(std::filesystem::path root,
                              obs::Registry& registry)
     : root_(std::move(root)),
       quarantinedCounter_(registry.counter("store.quarantine")) {
-  std::filesystem::create_directories(root_ / "objects");
-  std::filesystem::create_directories(root_ / "quarantine");
+  std::filesystem::create_directories(root_);
   const std::filesystem::path stamp = root_ / "FORMAT";
   if (const auto existing = io::readFile(stamp)) {
     // Trailing newline tolerated; anything else is another version.
@@ -70,27 +127,164 @@ DiskStepStore::DiskStepStore(std::filesystem::path root,
   } else {
     io::atomicWriteFile(stamp, std::string(kFormatStamp) + "\n");
   }
+  const std::filesystem::path pack = root_ / "pack";
+  packFd_ =
+      ::open(pack.c_str(), O_RDWR | O_APPEND | O_CREAT | O_CLOEXEC, 0644);
+  if (packFd_ < 0) {
+    throw Error("step_store: cannot open '" + pack.string() +
+                "': " + std::strerror(errno));
+  }
+  try {
+    const obs::ScopedSpan span("store.open");
+    indexObjects();
+    const PackLock packLock(packFd_, LOCK_SH, pack);
+    scanPack();
+  } catch (...) {
+    ::close(packFd_);
+    throw;
+  }
 }
 
-std::filesystem::path DiskStepStore::entryPath(std::uint64_t hash,
-                                               const char* tag) const {
-  const std::string hex = io::hex64(hash);
-  return root_ / "objects" / hex.substr(0, 2) / (hex + "." + tag + ".json");
+DiskStepStore::~DiskStepStore() { ::close(packFd_); }
+
+std::filesystem::path DiskStepStore::entryPath(const Key& key) const {
+  const std::string hex = io::hex64(key.hash);
+  return root_ / "objects" / hex.substr(0, 2) /
+         (hex + "." + kSlots[key.tag].tag + ".json");
 }
 
-void DiskStepStore::quarantine(const std::filesystem::path& path) {
+void DiskStepStore::indexObjects() {
+  std::error_code ec;
+  for (auto it = std::filesystem::recursive_directory_iterator(
+           root_ / "objects", ec);
+       !ec && it != std::filesystem::recursive_directory_iterator();
+       it.increment(ec)) {
+    const std::filesystem::path& path = it->path();
+    if (path.extension() != ".json" || !it->is_regular_file(ec)) continue;
+    if (const auto key = parseKey(path.stem().string())) {
+      index_[*key] = Location{0, 0, true};
+    }
+  }
+}
+
+void DiskStepStore::scanPack() {
+  const std::filesystem::path pack = root_ / "pack";
+  struct stat st {};
+  if (::fstat(packFd_, &st) != 0) {
+    throw Error("step_store: cannot stat '" + pack.string() +
+                "': " + std::strerror(errno));
+  }
+  const auto size = static_cast<std::uint64_t>(st.st_size);
+  const auto chunk = std::make_unique_for_overwrite<char[]>(kScanChunk);
+  std::string head;  // the current line's first bytes
+  std::uint64_t lineStart = scanned_;
+  std::uint64_t pos = scanned_;
+  while (pos < size) {
+    const std::size_t want = std::min<std::uint64_t>(kScanChunk, size - pos);
+    const ssize_t n =
+        ::pread(packFd_, chunk.get(), want, static_cast<off_t>(pos));
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0) {
+      throw Error("step_store: cannot read '" + pack.string() +
+                  "': " + std::strerror(errno));
+    }
+    if (n == 0) break;
+    const std::string_view data(chunk.get(), static_cast<std::size_t>(n));
+    std::size_t at = 0;
+    while (at < data.size()) {
+      const std::size_t newline = data.find('\n', at);
+      const std::size_t end =
+          newline == std::string_view::npos ? data.size() : newline;
+      head.append(
+          data.substr(at, std::min(end - at, kHeaderMax - head.size())));
+      if (newline == std::string_view::npos) break;
+      // A complete line [lineStart, pos + newline): index it if its header
+      // parses and a body follows.  Anything else (an empty line, a
+      // foreign tag) is skipped.
+      const std::size_t space = head.find(' ');
+      const std::uint64_t lineEnd = pos + newline;
+      if (space != std::string::npos && lineStart + space + 1 < lineEnd) {
+        if (const auto key =
+                parseKey(std::string_view(head).substr(0, space))) {
+          const std::uint64_t body = lineStart + space + 1;
+          index_[*key] = Location{body, lineEnd - body, false};
+        }
+      }
+      head.clear();
+      lineStart = lineEnd + 1;
+      at = newline + 1;
+    }
+    pos += static_cast<std::uint64_t>(n);
+  }
+  scanned_ = lineStart;
+  seen_ = pos;
+}
+
+std::optional<DiskStepStore::Location> DiskStepStore::locate(
+    const Key& key) {
+  std::lock_guard lock(mutex_);
+  auto it = index_.find(key);
+  if (it == index_.end()) {
+    struct stat st {};
+    if (::fstat(packFd_, &st) != 0 ||
+        static_cast<std::uint64_t>(st.st_size) == seen_) {
+      return std::nullopt;
+    }
+    const PackLock packLock(packFd_, LOCK_SH, root_ / "pack");
+    scanPack();  // another instance appended since
+    it = index_.find(key);
+    if (it == index_.end()) return std::nullopt;
+  }
+  return it->second;
+}
+
+std::optional<std::string> DiskStepStore::readLocation(
+    const Key& key, const Location& location) const {
+  if (location.v1) return io::readFile(entryPath(key));
+  std::string bytes(location.length, '\0');
+  std::size_t got = 0;
+  while (got < bytes.size()) {
+    const ssize_t n =
+        ::pread(packFd_, bytes.data() + got, bytes.size() - got,
+                static_cast<off_t>(location.offset + got));
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) break;
+    got += static_cast<std::size_t>(n);
+  }
+  bytes.resize(got);
+  return bytes;
+}
+
+void DiskStepStore::quarantine(const Key& key, const Location& location,
+                               std::string_view bytes) {
+  std::lock_guard lock(mutex_);
+  const auto it = index_.find(key);
+  if (it == index_.end() || it->second != location) return;  // done already
+  index_.erase(it);
   // Numbered, never overwritten: a second corruption of the same entry
   // must not replace the evidence of the first.
-  const std::string name = path.filename().string() + ".";
+  const std::string hex = io::hex64(key.hash);
+  const std::string name = hex + "." + kSlots[key.tag].tag + ".json.";
+  const std::filesystem::path dir = root_ / "quarantine";
   std::error_code ec;
+  std::filesystem::create_directories(dir, ec);
   std::filesystem::path target;
   for (unsigned n = 1;; ++n) {
-    target = root_ / "quarantine" / (name + std::to_string(n));
+    target = dir / (name + std::to_string(n));
     if (!std::filesystem::exists(target, ec)) break;
   }
-  std::filesystem::rename(path, target, ec);
-  if (ec) std::filesystem::remove(path, ec);
-  count(&StoreStats::quarantined);
+  if (location.v1) {
+    const std::filesystem::path path = entryPath(key);
+    std::filesystem::rename(path, target, ec);
+    if (ec) std::filesystem::remove(path, ec);
+  } else {
+    try {
+      io::atomicWriteFile(target, bytes);
+    } catch (const Error&) {
+      // The record is out of the index either way; the copy is evidence.
+    }
+  }
+  ++stats_.quarantined;
   quarantinedCounter_.add();
 }
 
@@ -105,14 +299,8 @@ StoreStats DiskStepStore::stats() const {
 }
 
 std::size_t DiskStepStore::objectCount() const {
-  std::size_t n = 0;
-  std::error_code ec;
-  for (auto it = std::filesystem::recursive_directory_iterator(
-           root_ / "objects", ec);
-       !ec && it != std::filesystem::recursive_directory_iterator(); ++it) {
-    if (it->is_regular_file() && it->path().extension() == ".json") ++n;
-  }
-  return n;
+  std::lock_guard lock(mutex_);
+  return index_.size();
 }
 
 template <class T>
@@ -125,10 +313,12 @@ std::optional<T> DiskStepStore::readEntry(
     if (!slot.probe) count(&StoreStats::misses);
     return std::nullopt;
   };
-  const std::filesystem::path path = entryPath(hash, slot.tag);
-  const auto text = io::readFile(path);
-  if (!text) return miss();
+  const Key key{hash, tagOf(slot)};
+  const auto location = locate(key);
+  if (!location) return miss();
   if (slot.probe) span.emplace("store.load");
+  const auto text = readLocation(key, *location);
+  if (!text) return miss();
   std::optional<T> out;
   try {
     const Json doc = Json::parse(*text);
@@ -150,7 +340,7 @@ std::optional<T> DiskStepStore::readEntry(
     }
     out = decode(payload.at(slot.valueField));
   } catch (const Error&) {
-    quarantine(path);
+    quarantine(key, *location, *text);
     return miss();
   }
   count(&StoreStats::hits);
@@ -177,10 +367,29 @@ void DiskStepStore::writeEntry(const EntrySlot& slot,
   const std::string checksum = io::fnv1a64Hex(payload.dump());
   entry.set("payload", std::move(payload));
   entry.set("checksum", checksum);
-  const std::filesystem::path path = entryPath(hash, slot.tag);
-  std::filesystem::create_directories(path.parent_path());
-  io::atomicWriteFile(path, entry.dump() + "\n");
-  count(&StoreStats::writes);
+  const std::string record =
+      io::hex64(hash) + "." + slot.tag + " " + entry.dump() + "\n";
+
+  std::lock_guard lock(mutex_);
+  const PackLock packLock(packFd_, LOCK_EX, root_ / "pack");
+  scanPack();  // other instances' records, up to the pack's end
+  if (seen_ != scanned_) {
+    // A torn last line: an append that died part-way.  No scan indexes
+    // it, and no append is in flight under the lock, so cut it off and
+    // this record starts where it did.
+    if (::ftruncate(packFd_, static_cast<off_t>(scanned_)) != 0) {
+      throw Error("step_store: cannot truncate '" +
+                  (root_ / "pack").string() + "': " + std::strerror(errno));
+    }
+    seen_ = scanned_;
+  }
+  if (::write(packFd_, record.data(), record.size()) !=
+      static_cast<ssize_t>(record.size())) {
+    throw Error("step_store: cannot append to '" +
+                (root_ / "pack").string() + "'");
+  }
+  scanPack();  // indexes this record
+  ++stats_.writes;
 }
 
 std::optional<StepResult> DiskStepStore::loadStep(int kind,

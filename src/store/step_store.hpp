@@ -5,29 +5,49 @@
 //
 //   FORMAT                          "relb-store <version>" -- refuses roots
 //                                   written by an incompatible version
-//   objects/<hh>/<hash16>.<tag>.json one entry per cached result, where
-//                                   <hash16> is the structural hash of the
-//                                   input problem, <hh> its first two hex
-//                                   digits, and <tag> one of r / rbar /
-//                                   zr0 / zr1 / zr2 (the zero-round modes)
+//   pack                            every entry, one record per line, in
+//                                   write order:
+//                                     <hash16>.<tag> <entry>\n
+//                                   where <hash16> is the structural hash of
+//                                   the input problem, <tag> one of r / rbar
+//                                   / zr0 / zr1 / zr2 (the zero-round modes)
 //                                   / rref / rbarref (refused R / R-bar
-//                                   steps: the guard's error message)
+//                                   steps: the guard's error message), and
+//                                   <entry> the checksummed entry document.
+//                                   The last record for a key wins.
+//   objects/<hh>/<hash16>.<tag>.json
+//                                   the file-per-entry layout of earlier
+//                                   builds (<hh> the first two hex digits),
+//                                   each file holding "<entry>\n".  Read,
+//                                   never written; a pack record shadows the
+//                                   file of its key.
 //   quarantine/<hash16>.<tag>.json.<n>
-//                                   corrupt entries are MOVED here on read,
-//                                   <n> the first free number (never deleted
-//                                   or overwritten, never trusted again);
-//                                   the caller transparently recomputes
+//                                   corrupt entries are copied (pack) or
+//                                   moved (objects/) here on read, <n> the
+//                                   first free number (never deleted or
+//                                   overwritten, never trusted again), and
+//                                   dropped from the index; the caller
+//                                   transparently recomputes, and the new
+//                                   record shadows the corrupt one
 //
 // Every entry wraps its payload with a checksum over the canonical compact
 // JSON encoding; loads validate the checksum, then confirm the stored key
 // equals the queried one (a structural-hash collision degrades to a miss),
-// then decode.  One private function reads every tag and one writes it;
-// writes go through io::atomicWriteFile, so a crash mid-write never leaves
-// a half-entry under objects/ -- at worst an orphaned temp file.
+// then decode.  One private function reads every tag and one writes it.
+//
+// Opening scans the pack in bounded chunks and indexes (hash, tag) ->
+// (offset, length); the index holds offsets, never bodies.  A write is one
+// write() of a whole record on an O_APPEND descriptor, so a crash leaves at
+// most a torn last line: no scan indexes it, and the next append cuts it
+// off before writing.  Appends hold an exclusive flock() on the pack and
+// scans a shared one, so a scan never sees an append half done.  Several
+// stores (in one process or many) may append to one root; a lookup that
+// misses rescans the pack if its size changed, so records another instance
+// appended are found too.
 //
 // Thread-safety: all methods may be called concurrently (the engine calls
-// them outside its own lock).  Filesystem operations rely on rename
-// atomicity; the stats counters have their own mutex.
+// them outside its own lock).  The index, the appends and the stats
+// counters share one mutex; record reads are positional and run outside it.
 #pragma once
 
 #include <cstdint>
@@ -36,6 +56,8 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 
 #include "io/json.hpp"
 #include "obs/metrics.hpp"
@@ -56,13 +78,18 @@ struct StoreStats {
 
 class DiskStepStore final : public re::StepStorage {
  public:
-  /// Opens `root`, initializing the layout on first use.  Throws re::Error
-  /// if `root` carries a FORMAT stamp of an incompatible version.  The
-  /// store.quarantine counter is interned in `registry` (global by default;
-  /// inject a session registry for per-client attribution).  The registry
-  /// must outlive the store.
+  /// Opens `root`, initializing the layout on first use, and indexes its
+  /// pack and any objects/ files.  Throws re::Error if `root` carries a
+  /// FORMAT stamp of an incompatible version or the pack cannot be opened.
+  /// The store.quarantine counter is interned in `registry` (global by
+  /// default; inject a session registry for per-client attribution).  The
+  /// registry must outlive the store.
   explicit DiskStepStore(std::filesystem::path root,
                          obs::Registry& registry = obs::Registry::global());
+  ~DiskStepStore() override;
+
+  DiskStepStore(const DiskStepStore&) = delete;
+  DiskStepStore& operator=(const DiskStepStore&) = delete;
 
   [[nodiscard]] std::optional<re::StepResult> loadStep(
       int kind, const re::Problem& input, std::uint64_t hash,
@@ -91,14 +118,49 @@ class DiskStepStore final : public re::StepStorage {
   [[nodiscard]] const std::filesystem::path& root() const { return root_; }
   [[nodiscard]] StoreStats stats() const;
 
-  /// Number of entries under objects/ (walks the tree; for tests and the
-  /// CLI's --stats output, not a hot path).
+  /// Number of distinct entries in the index (pack records and objects/
+  /// files, each key once).
   [[nodiscard]] std::size_t objectCount() const;
 
  private:
-  [[nodiscard]] std::filesystem::path entryPath(std::uint64_t hash,
-                                                const char* tag) const;
-  /// path -> read -> unwrap and checksum -> key check (`options` supplies
+  /// One entry's key: the input's structural hash and its slot's tag.
+  struct Key {
+    std::uint64_t hash = 0;
+    std::uint8_t tag = 0;  // index into the slot table (step_store.cpp)
+    bool operator==(const Key&) const = default;
+  };
+  struct KeyHash {
+    std::size_t operator()(const Key& k) const {
+      return static_cast<std::size_t>(k.hash ^
+                                      (k.tag * 0x9e3779b97f4a7c15ULL));
+    }
+  };
+  /// Where an entry's bytes are: `length` bytes of the pack at `offset`,
+  /// or (v1) the whole objects/ file of its key.
+  struct Location {
+    std::uint64_t offset = 0;
+    std::uint64_t length = 0;
+    bool v1 = false;
+    bool operator==(const Location&) const = default;
+  };
+
+  /// Parses "<hash16>.<tag>" (a record header or an objects/ file stem);
+  /// std::nullopt for anything else, tags this build does not know included.
+  [[nodiscard]] static std::optional<Key> parseKey(std::string_view text);
+  [[nodiscard]] std::filesystem::path entryPath(const Key& key) const;
+  /// Indexes every objects/ file (the constructor, before the pack scan).
+  void indexObjects();
+  /// Indexes the complete records between `scanned_` and the end of the
+  /// pack; the caller holds `mutex_` (or is the constructor) and a flock()
+  /// on the pack.
+  void scanPack();
+  /// The index entry for `key`, rescanning the pack first if its size changed.
+  [[nodiscard]] std::optional<Location> locate(const Key& key);
+  /// The entry's bytes as stored (a short read returns what was read), or
+  /// std::nullopt if its objects/ file is gone.
+  [[nodiscard]] std::optional<std::string> readLocation(
+      const Key& key, const Location& location) const;
+  /// locate -> read -> unwrap and checksum -> key check (`options` supplies
   /// the guards) -> `decode`, which throws re::Error if corrupt; or
   /// quarantine.
   template <class T>
@@ -106,16 +168,21 @@ class DiskStepStore final : public re::StepStorage {
                              const re::StepOptions& options,
                              const re::Problem& input, std::uint64_t hash,
                              const std::function<T(const io::Json&)>& decode);
-  /// Key plus `value` -> wrap -> atomic write -> count.
+  /// Key plus `value` -> wrap -> append one record -> index -> count.
   void writeEntry(const EntrySlot& slot, const re::StepOptions& options,
                   const re::Problem& input, std::uint64_t hash,
                   io::Json value);
-  void quarantine(const std::filesystem::path& path);
+  void quarantine(const Key& key, const Location& location,
+                  std::string_view bytes);
   void count(std::size_t StoreStats::* counter);
 
   std::filesystem::path root_;
   obs::Counter& quarantinedCounter_;
+  int packFd_ = -1;
   mutable std::mutex mutex_;
+  std::unordered_map<Key, Location, KeyHash> index_;
+  std::uint64_t scanned_ = 0;  // end of the last complete pack record seen
+  std::uint64_t seen_ = 0;     // pack size at the last scan
   StoreStats stats_;
 };
 

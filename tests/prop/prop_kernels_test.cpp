@@ -36,6 +36,7 @@
 #include "prop/reference_step.hpp"
 #include "re/bitkernels.hpp"
 #include "re/edge_compat.hpp"
+#include "re/engine.hpp"
 #include "re/packed_words.hpp"
 #include "re/zero_round.hpp"
 
@@ -422,6 +423,58 @@ TEST(PropKernels, ClosedSetEnumerationOnDegenerateMatrices) {
   EXPECT_EQ(text, errorOf([&] { return refimpl::maximalEdgePairs(wide, 21); }));
 }
 
+// The swapped-orientation domination filter maximalEdgePairs once ran over
+// its closed pairs: the number of pairs it would drop, each dominated by
+// another pair in the same or the swapped orientation.
+std::size_t pairsTheOldFilterDrops(
+    const std::vector<std::pair<re::LabelSet, re::LabelSet>>& pairs) {
+  std::size_t dropped = 0;
+  for (std::size_t i = 0; i < pairs.size(); ++i) {
+    for (std::size_t j = 0; j < pairs.size(); ++j) {
+      if (j == i) continue;
+      const auto& [a, b] = pairs[i];
+      const auto& [c, d] = pairs[j];
+      if ((a.subsetOf(c) && b.subsetOf(d)) ||
+          (a.subsetOf(d) && b.subsetOf(c))) {
+        ++dropped;
+        break;
+      }
+    }
+  }
+  return dropped;
+}
+
+TEST(PropKernels, ClosedPairsNeedNoDominationFilter) {
+  // Distinct closed pairs of a symmetric relation dominate each other in
+  // neither orientation (the proof is in edge_compat.cpp), so the filter
+  // removed nothing: checked on edgeCompatibility's matrices and on random
+  // symmetric ones, where the closed pairs also match the reference, which
+  // still filters.
+  prop::forAllProblems(
+      {.name = "kernels-closed-pairs", .gen = {}, .baseSeed = 69000},
+      [](const re::Problem& p, std::mt19937&) -> std::string {
+        const int n = p.alphabet.size();
+        const auto pairs = re::maximalEdgePairs(p.edge, n);
+        if (const std::size_t dropped = pairsTheOldFilterDrops(pairs)) {
+          return "the filter would drop " + std::to_string(dropped) +
+                 " of " + std::to_string(pairs.size()) + " pairs";
+        }
+        return {};
+      });
+  const int iterations = prop::envIterations(200);
+  for (int i = 0; i < iterations; ++i) {
+    std::mt19937 rng(testsupport::effectiveSeed(69500 + i));
+    const int n = 1 + i % 14;
+    const double density =
+        std::uniform_real_distribution<double>(0.05, 0.95)(rng);
+    const auto compat = randomCompat(rng, n, density, 0.1);
+    const auto pairs = re::detail::maximalEdgePairsFromCompat(compat, n);
+    EXPECT_EQ(pairsTheOldFilterDrops(pairs), 0u)
+        << "case " << i << ": n=" << n << ", rows " << describeSets(compat);
+    EXPECT_EQ(pairs, refimpl::maximalEdgePairs(compat, n)) << "case " << i;
+  }
+}
+
 TEST(PropKernels, PackedStrengthMatchesEnumerationReference) {
   prop::forAllProblems(
       {.name = "kernels-strength", .gen = {}, .baseSeed = 65000},
@@ -514,24 +567,26 @@ TEST(PropKernels, WidePackedStrengthOnThePiChainsThirtyLabelConstraint) {
 }
 
 TEST(PropKernels, ApplyRMatchesPreRewritePipeline) {
+  // R reads no StepOptions field, so there is no width to vary; the free
+  // operator and a session's memoized step must both match the reference.
   prop::forAllProblems(
       {.name = "kernels-apply-r", .gen = {}, .baseSeed = 66000},
       [](const re::Problem& p, std::mt19937&) -> std::string {
         const auto reference =
             tryOp<re::StepResult>([&] { return refimpl::applyR(p); });
-        for (const int threads : {1, 2, 8}) {
-          re::StepOptions options;
-          options.numThreads = threads;
-          const auto actual =
-              tryOp<re::StepResult>([&] { return re::applyR(p, options); });
+        re::EngineSession session;
+        const std::pair<const char*, std::optional<re::StepResult>> paths[] = {
+            {"free applyR",
+             tryOp<re::StepResult>([&] { return re::applyR(p); })},
+            {"session applyR",
+             tryOp<re::StepResult>([&] { return session.applyR(p); })}};
+        for (const auto& [name, actual] : paths) {
           if (actual.has_value() != reference.has_value()) {
-            return "applyR throw disagreement at numThreads=" +
-                   std::to_string(threads);
+            return std::string(name) + ": throw disagreement";
           }
           if (actual && !(actual->problem == reference->problem &&
                           actual->meaning == reference->meaning)) {
-            return "applyR result differs from reference at numThreads=" +
-                   std::to_string(threads);
+            return std::string(name) + ": result differs from reference";
           }
         }
         return {};

@@ -1,9 +1,11 @@
 // Differential oracles for the speedup operators.
 //
-//   * R and Rbar promise bit-identical results for every
-//     StepOptions::numThreads; the suite compares serial against 2- and
-//     8-lane runs (including agreement on *throwing*, since Rbar rejects
-//     problems whose node constraint maximizes to nothing).
+//   * Rbar promises bit-identical results for every StepOptions::numThreads;
+//     the suite compares serial against 2- and 8-lane runs (including
+//     agreement on *throwing*, since Rbar rejects problems whose node
+//     constraint maximizes to nothing).  R reads no option, so its paths are
+//     compared instead: the free operator, a session's computed and
+//     memoized step, and the pre-rewrite reference.
 //   * The semantic round-elimination invariant on tiny instances: for
 //     Delta = 3 problems, Pi is 1-round solvable on high-girth trees iff
 //     Rbar(R(Pi)) is 0-round solvable (Brandt's speedup, checked against the
@@ -13,6 +15,8 @@
 #include <optional>
 
 #include "prop/prop.hpp"
+#include "prop/reference_step.hpp"
+#include "re/engine.hpp"
 #include "re/re_step.hpp"
 #include "re/tree_verifier.hpp"
 
@@ -30,14 +34,12 @@ std::optional<re::StepResult> tryStep(Fn&& fn) {
   }
 }
 
-std::string compareAcrossThreads(const re::Problem& p, bool rbarSide) {
+std::string compareAcrossThreads(const re::Problem& p) {
   std::optional<re::StepResult> serial;
   for (const int threads : {1, 2, 8}) {
     re::StepOptions options;
     options.numThreads = threads;
-    const auto result = tryStep([&] {
-      return rbarSide ? re::applyRbar(p, options) : re::applyR(p, options);
-    });
+    const auto result = tryStep([&] { return re::applyRbar(p, options); });
     if (threads == 1) {
       serial = result;
       continue;
@@ -56,11 +58,35 @@ std::string compareAcrossThreads(const re::Problem& p, bool rbarSide) {
   return {};
 }
 
-TEST(PropStep, ApplyRIsThreadCountInvariant) {
+TEST(PropStep, ApplyRAgreesAcrossFreeAndMemoizedPaths) {
+  // The session is asked twice, and a second session over the same core
+  // once: the first answer is computed, the other two are the memo's.
   prop::forAllProblems(
-      {.name = "step-r-threads", .gen = {}, .baseSeed = 31000},
-      [](const re::Problem& p, std::mt19937&) {
-        return compareAcrossThreads(p, /*rbarSide=*/false);
+      {.name = "step-r-paths", .gen = {}, .baseSeed = 31000},
+      [](const re::Problem& p, std::mt19937&) -> std::string {
+        const auto reference = tryStep([&] { return refimpl::applyR(p); });
+        auto core = std::make_shared<re::EngineCore>();
+        re::EngineSession session(core);
+        re::EngineSession other(core);
+        const std::pair<const char*, std::optional<re::StepResult>> paths[] = {
+            {"free applyR", tryStep([&] { return re::applyR(p); })},
+            {"session applyR", tryStep([&] { return session.applyR(p); })},
+            {"memoized applyR", tryStep([&] { return session.applyR(p); })},
+            {"shared-core applyR", tryStep([&] { return other.applyR(p); })}};
+        for (const auto& [name, result] : paths) {
+          if (result.has_value() != reference.has_value()) {
+            return std::string(name) + " disagrees with the reference on "
+                                       "throwing";
+          }
+          if (result && !(result->problem == reference->problem &&
+                          result->meaning == reference->meaning)) {
+            return std::string(name) + " differs from the reference";
+          }
+        }
+        if (core->stats().stepMisses != 1) {
+          return "the memoized paths recomputed the step";
+        }
+        return {};
       });
 }
 
@@ -74,7 +100,7 @@ TEST(PropStep, ApplyRbarIsThreadCountInvariant) {
       [](const re::Problem& p, std::mt19937&) {
         const auto r = tryStep([&] { return re::applyR(p); });
         if (!r || r->problem.alphabet.size() > 6) return std::string{};
-        return compareAcrossThreads(r->problem, /*rbarSide=*/true);
+        return compareAcrossThreads(r->problem);
       });
 }
 

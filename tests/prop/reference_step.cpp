@@ -133,8 +133,8 @@ bool slotsRelaxTo(const std::vector<LabelSet>& a,
 }
 
 // Serial maximal-pair computation: Galois closure over the full 2^n subset
-// sweep, then a plain quadratic swapped-orientation domination filter (no
-// signature buckets -- the buckets only prune, they never change the set).
+// sweep, then a plain quadratic swapped-orientation domination filter (the
+// production code runs none: on a symmetric matrix it removes nothing).
 std::vector<std::pair<LabelSet, LabelSet>> maximalEdgePairs(
     const std::vector<LabelSet>& compat, int alphabetSize) {
   if (alphabetSize > 20) {
@@ -381,7 +381,7 @@ StepResult applyRbar(const Problem& p, const re::StepOptions& options) {
   }
 
   // Plain quadratic antichain filter (strict domination under Definition 7);
-  // the production signature buckets only prune comparisons.
+  // the production maximal-first scan only prunes comparisons.
   std::vector<char> dominated(valid.size(), 0);
   for (std::size_t i = 0; i < valid.size(); ++i) {
     for (std::size_t j = 0; j < valid.size() && !dominated[i]; ++j) {

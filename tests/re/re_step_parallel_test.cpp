@@ -1,8 +1,10 @@
-// Determinism and equivalence of the parallel engine: applyR / applyRbar /
+// Determinism and equivalence of the parallel engine: applyRbar and
 // speedupStep must produce bit-identical problems (alphabet names, node and
 // edge constraints, meaning vectors) for every StepOptions::numThreads, on
-// the paper's Pi_Delta(a, x) family and on randomized problems.  Explicit
-// widths are honored beyond the hardware concurrency, so this test
+// the paper's Pi_Delta(a, x) family and on randomized problems.  applyR
+// reads no option, so it is checked across paths instead: the free
+// operator, a session's memoized step and the pre-rewrite reference agree.
+// Explicit widths are honored beyond the hardware concurrency, so this test
 // genuinely multithreads even on a single-core machine (and is the target
 // of the TSan CI job).
 #include <gtest/gtest.h>
@@ -12,6 +14,7 @@
 #include "core/family.hpp"
 #include "core/sequence.hpp"
 #include "prop/reference_step.hpp"
+#include "re/engine.hpp"
 #include "re/re_step.hpp"
 
 namespace relb::re {
@@ -37,13 +40,28 @@ void expectStepResultsEqual(const StepResult& serial,
   EXPECT_EQ(serial.meaning, parallel.meaning) << "numThreads=" << numThreads;
 }
 
+// R's free operator, a session's memoized step and the reference agree;
+// returns the free result.
+StepResult checkRPathsAgree(const Problem& p) {
+  const StepResult r = applyR(p);
+  EngineSession session;
+  {
+    SCOPED_TRACE("session applyR against the free operator");
+    expectStepResultsEqual(r, session.applyR(p), 1);
+  }
+  {
+    SCOPED_TRACE("reference applyR against the free operator");
+    expectStepResultsEqual(r, refimpl::applyR(p), 1);
+  }
+  return r;
+}
+
 void checkAllWidthsAgree(const Problem& p) {
-  const StepResult r1 = applyR(p, withThreads(1));
+  const StepResult r1 = checkRPathsAgree(p);
   const StepResult rbar1 = applyRbar(r1.problem, withThreads(1));
   const Problem sped1 = speedupStep(p, withThreads(1));
   for (const int threads : kWidths) {
     if (threads == 1) continue;
-    expectStepResultsEqual(r1, applyR(p, withThreads(threads)), threads);
     expectStepResultsEqual(rbar1, applyRbar(r1.problem, withThreads(threads)),
                            threads);
     const Problem sped = speedupStep(p, withThreads(threads));
@@ -124,11 +142,7 @@ class ParallelRandomStepTest : public ::testing::TestWithParam<unsigned> {};
 TEST_P(ParallelRandomStepTest, RandomProblemsAgreeAcrossWidths) {
   std::mt19937 rng(GetParam());
   const auto p = randomProblem(rng, 4, 3, 3, 0.5);
-  const StepResult r1 = applyR(p, withThreads(1));
-  for (const int threads : kWidths) {
-    if (threads == 1) continue;
-    expectStepResultsEqual(r1, applyR(p, withThreads(threads)), threads);
-  }
+  const StepResult r1 = checkRPathsAgree(p);
   if (r1.problem.alphabet.size() > 12) return;  // keep Rbar cheap
   // Rbar may legitimately reject (empty after maximization); all widths
   // must then agree on the rejection.
