@@ -526,7 +526,7 @@ BENCHMARK(BM_CertifyChainWarmStore)
 // engine.  BM_ServeRoundTrip is the single-request end-to-end latency floor;
 // BM_ServeThroughput keeps `clients` connections in flight at once
 // (send-all, then receive-all, per iteration), which is the concurrency the
-// per-connection threads and scheduler lanes are supposed to deliver.  Real
+// per-connection threads under the scheduler's worker cap deliver.  Real
 // time throughout: the work happens on server threads, not the caller's.
 // ---------------------------------------------------------------------------
 

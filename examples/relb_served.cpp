@@ -16,13 +16,17 @@
 //               [--store DIR]
 #include <poll.h>
 
+#include <cstdint>
 #include <cstdlib>
 #include <iostream>
+#include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "obs/metrics.hpp"
 #include "re/types.hpp"
 #include "serve/server.hpp"
+#include "util/parse.hpp"
 #include "util/shutdown.hpp"
 
 namespace {
@@ -34,7 +38,7 @@ int usage(std::ostream& out, int code) {
          "(default 0)\n"
          "  --unix PATH          listen on a unix-domain socket instead of "
          "TCP\n"
-         "  --workers N          scheduler lanes; 0 = one per core "
+         "  --workers N          requests run at once; 0 = one per core "
          "(default 0)\n"
          "  --queue N            admission queue capacity (default 64)\n"
          "  --max-connections N  concurrent connection cap (default 64)\n"
@@ -58,23 +62,32 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    // Numbers are read whole, and none of these is negative: a sign, a
+    // trailing character or an out-of-range value is a bad value.
+    const auto number = [&](auto& dest) {
+      if (!relb::util::parseNumber(value(), dest) || std::cmp_less(dest, 0)) {
+        throw std::invalid_argument(arg);
+      }
+    };
     try {
       if (arg == "--help" || arg == "-h") {
         return usage(std::cout, 0);
       } else if (arg == "--host") {
         config.host = value();
       } else if (arg == "--port") {
-        config.port = std::stoi(value());
+        std::uint16_t port = 0;
+        number(port);
+        config.port = port;
       } else if (arg == "--unix") {
         config.unixSocketPath = value();
       } else if (arg == "--workers") {
-        config.workers = std::stoi(value());
+        number(config.workers);
       } else if (arg == "--queue") {
-        config.queueCapacity = static_cast<std::size_t>(std::stoul(value()));
+        number(config.queueCapacity);
       } else if (arg == "--max-connections") {
-        config.maxConnections = std::stoi(value());
+        number(config.maxConnections);
       } else if (arg == "--deadline-ms") {
-        config.defaultDeadlineMillis = std::stol(value());
+        number(config.defaultDeadlineMillis);
       } else if (arg == "--store") {
         config.storeDir = value();
       } else {

@@ -121,7 +121,11 @@ struct ObsWiring {
       err << "observability error: " << e.what() << "\n";
       if (code == 0) code = 1;
     }
-    tracer.clearSinks();
+    // Only this run's sinks (a null one matches nothing): others on the
+    // global tracer belong to the embedder or to a concurrent run.
+    tracer.removeSink(text.get());
+    tracer.removeSink(chrome.get());
+    tracer.removeSink(aggregator.get());
     return code;
   }
 };

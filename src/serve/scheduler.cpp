@@ -1,6 +1,6 @@
 #include "serve/scheduler.hpp"
 
-#include <utility>
+#include "util/thread_pool.hpp"
 
 namespace relb::serve {
 
@@ -13,86 +13,76 @@ Scheduler::Scheduler(const SchedulerConfig& config, obs::Registry& registry)
       queueDepthGauge_(registry.gauge("serve.queue_depth")),
       queueHighWaterGauge_(registry.gauge("serve.queue_high_water")),
       capacity_(config.queueCapacity),
-      pool_(config.workers, registry),
-      laneCount_(util::resolveThreadCount(config.workers)) {
-  dispatcher_ = std::thread([this] {
-    pool_.forEachIndex(static_cast<std::size_t>(laneCount_),
-                       [this](std::size_t) { laneLoop(); });
-  });
-}
+      workers_(util::resolveThreadCount(config.workers)) {}
 
 Scheduler::~Scheduler() { drain(); }
 
-Scheduler::Admit Scheduler::submit(Job job) {
+Scheduler::Outcome Scheduler::run(
+    std::chrono::steady_clock::time_point deadline,
+    const std::function<void()>& work) {
   {
-    std::lock_guard<std::mutex> lock(mutex_);
+    std::unique_lock<std::mutex> lock(mutex_);
     if (draining_) {
       rejectedCounter_.add();
-      return Admit::kDraining;
+      return Outcome::kDraining;
     }
-    if (queue_.size() >= capacity_) {
+    if (nextTicket_ - nowServing_ >= capacity_) {
       rejectedCounter_.add();
-      return Admit::kQueueFull;
+      return Outcome::kQueueFull;
     }
-    queue_.push_back(std::move(job));
+    const std::uint64_t ticket = nextTicket_++;
     acceptedCounter_.add();
-    const auto depth = static_cast<std::int64_t>(queue_.size());
+    const auto depth = static_cast<std::int64_t>(nextTicket_ - nowServing_);
     queueDepthGauge_.set(depth);
     queueHighWaterGauge_.setMax(depth);
+
+    changed_.wait(lock, [&] {
+      return ticket == nowServing_ && running_ < workers_;
+    });
+    ++nowServing_;
+    queueDepthGauge_.set(static_cast<std::int64_t>(nextTicket_ - nowServing_));
+    // Notified under the lock here and below: once drain() can see this
+    // request finished, it may return and the scheduler may be destroyed.
+    changed_.notify_all();  // the next ticket may start too
+    // Deadlines govern waiting: checked once, when the turn comes.  A
+    // request that makes it past this point runs to completion even if it
+    // is slow.
+    if (deadline != kNoDeadline &&
+        std::chrono::steady_clock::now() > deadline) {
+      expiredCounter_.add();
+      return Outcome::kExpired;
+    }
+    ++running_;
   }
-  hasWork_.notify_one();
-  return Admit::kAccepted;
+  try {
+    work();
+  } catch (...) {
+    failedCounter_.add();
+    finish();
+    throw;
+  }
+  completedCounter_.add();
+  finish();
+  return Outcome::kRan;
 }
 
-void Scheduler::laneLoop() {
-  for (;;) {
-    Job job;
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      hasWork_.wait(lock, [this] { return draining_ || !queue_.empty(); });
-      if (queue_.empty()) return;  // draining_ and nothing left to do
-      job = std::move(queue_.front());
-      queue_.pop_front();
-      queueDepthGauge_.set(static_cast<std::int64_t>(queue_.size()));
-    }
-    // Deadlines govern queueing: checked once, at dequeue.  A job that makes
-    // it past this point runs to completion even if it is slow.
-    if (job.deadline != std::chrono::steady_clock::time_point::min() &&
-        std::chrono::steady_clock::now() > job.deadline) {
-      expiredCounter_.add();
-      if (job.expire) job.expire();
-      continue;
-    }
-    try {
-      job.run();
-      completedCounter_.add();
-    } catch (...) {
-      // Jobs are expected to answer their client themselves; an escaped
-      // exception must not take down the lane (or, via forEachIndex's
-      // rethrow, the whole scheduler).
-      failedCounter_.add();
-    }
-  }
+void Scheduler::finish() {
+  std::lock_guard<std::mutex> lock(mutex_);
+  --running_;
+  changed_.notify_all();
 }
 
 void Scheduler::drain() {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    draining_ = true;
-  }
-  hasWork_.notify_all();
-  // Exactly one caller joins (thread::join from two threads is UB); every
-  // caller returns only after the lanes have finished.
-  std::lock_guard<std::mutex> joinLock(drainMutex_);
-  if (!dispatcherJoined_) {
-    dispatcher_.join();
-    dispatcherJoined_ = true;
-  }
+  std::unique_lock<std::mutex> lock(mutex_);
+  draining_ = true;
+  changed_.wait(lock, [this] {
+    return nowServing_ == nextTicket_ && running_ == 0;
+  });
 }
 
 std::size_t Scheduler::queueDepth() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return queue_.size();
+  return nextTicket_ - nowServing_;
 }
 
 }  // namespace relb::serve

@@ -1,28 +1,28 @@
-// The request scheduler: a bounded admission queue drained by worker lanes
-// running on the existing util::ThreadPool.
+// The request scheduler: an admission gate that runs each request on the
+// thread that submitted it, at most `workers` at a time, in FIFO order.
 //
 // Admission model:
-//   * submit() either accepts a job (bounded FIFO queue) or rejects it
-//     immediately -- kQueueFull when the queue is at capacity (the caller
-//     answers 429), kDraining once drain() started (the caller answers 503).
-//     Nothing ever blocks on admission, so a saturated server sheds load in
-//     O(1) instead of stacking clients.
-//   * every job may carry an absolute deadline.  Deadlines govern QUEUEING:
-//     a job whose deadline passed before a lane picked it up runs its
-//     expire() callback (the caller answers 504) instead of run(); a job
-//     that started in time always runs to completion.
+//   * run() either admits a request or refuses it at once -- kQueueFull when
+//     `queueCapacity` admitted requests are already waiting to start (the
+//     caller answers 429), kDraining once drain() started (the caller
+//     answers 503).  Admission never blocks, so a saturated server sheds
+//     load in O(1) instead of stacking clients.
+//   * an admitted request takes a FIFO ticket and waits until its ticket is
+//     next and fewer than `workers` requests are running.  Requests start
+//     in admission order.
+//   * every request may carry an absolute deadline.  Deadlines govern
+//     WAITING: a request whose deadline passed before its turn came returns
+//     kExpired without running (the caller answers 504); a request that
+//     started in time always runs to completion.
 //
-// Execution model: the scheduler owns a private ThreadPool and occupies it
-// with one long-running lane per resolved thread (the pool's dynamic
-// fan-out, deliberately used as a fixed lane set).  Because lanes are pool
-// workers, any parallel_for the engine reaches from inside a request runs
-// inline on that lane (nested-section rule in thread_pool.hpp): requests
-// are serial inside, concurrent across -- exactly the scaling the shared
-// warm EngineCore wants, and still bit-identical by the width-invariance
-// guarantee.
+// Execution model: the scheduler owns no thread.  run() executes the work
+// inline on the calling (connection) thread, so a request costs no thread
+// hop and no hand-off.  The server runs each request serially inside
+// (numThreads = 1), so `workers` bounds the CPU the requests use and
+// concurrency comes from running several requests at once.
 //
-// Draining: drain() stops admission, lets every queued job run (or expire)
-// to completion, and joins the lanes.  Idempotent; the destructor drains.
+// Draining: drain() stops admission and blocks until every admitted request
+// has run or expired.  Idempotent; the destructor drains.
 //
 // Observability (the serve.* glossary in docs/observability.md): counters
 // serve.accepted / serve.rejected / serve.expired / serve.completed /
@@ -33,39 +33,30 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstddef>
-#include <deque>
+#include <cstdint>
 #include <functional>
 #include <mutex>
-#include <thread>
 
 #include "obs/metrics.hpp"
-#include "util/thread_pool.hpp"
 
 namespace relb::serve {
 
 struct SchedulerConfig {
-  /// Lane count, util::ThreadPool width semantics (0 = one per core).
+  /// Requests allowed to run at once, util::ThreadPool width semantics
+  /// (0 = one per core).
   int workers = 0;
-  /// Maximum number of ADMITTED-but-not-started jobs; submissions beyond it
-  /// are rejected with kQueueFull.
+  /// Maximum number of ADMITTED-but-not-started requests; admissions beyond
+  /// it are refused with kQueueFull.
   std::size_t queueCapacity = 64;
 };
 
 class Scheduler {
  public:
-  enum class Admit { kAccepted, kQueueFull, kDraining };
+  enum class Outcome { kRan, kExpired, kQueueFull, kDraining };
 
-  struct Job {
-    /// Executed on a lane.  Must not throw; a defensive catch counts
-    /// serve.failed and swallows.
-    std::function<void()> run;
-    /// Executed instead of run() when the deadline passed while queued.
-    /// Optional; an expired job without one is simply dropped (counted).
-    std::function<void()> expire;
-    /// Absolute admission deadline; time_point::min() = none.
-    std::chrono::steady_clock::time_point deadline =
-        std::chrono::steady_clock::time_point::min();
-  };
+  /// No deadline: the request waits for its turn however long it takes.
+  static constexpr std::chrono::steady_clock::time_point kNoDeadline =
+      std::chrono::steady_clock::time_point::min();
 
   explicit Scheduler(const SchedulerConfig& config,
                      obs::Registry& registry = obs::Registry::global());
@@ -74,20 +65,25 @@ class Scheduler {
   Scheduler(const Scheduler&) = delete;
   Scheduler& operator=(const Scheduler&) = delete;
 
-  [[nodiscard]] Admit submit(Job job);
+  /// Admits, waits for the request's turn, and runs `work` on the calling
+  /// thread; kRan once it returned.  An exception from `work` counts
+  /// serve.failed, frees the slot, and propagates to the caller.
+  Outcome run(std::chrono::steady_clock::time_point deadline,
+              const std::function<void()>& work);
 
-  /// Stops admission, completes (or expires) every queued job, joins the
-  /// lanes.  Safe to call repeatedly and from any thread.
+  /// Stops admission and blocks until every admitted request has run or
+  /// expired.  Safe to call repeatedly and from any thread.
   void drain();
 
-  /// Jobs admitted but not yet picked up by a lane.
+  /// Requests admitted but not yet started.
   [[nodiscard]] std::size_t queueDepth() const;
 
-  /// Resolved lane count.
-  [[nodiscard]] int workers() const { return laneCount_; }
+  /// Resolved cap on concurrently running requests.
+  [[nodiscard]] int workers() const { return workers_; }
 
  private:
-  void laneLoop();
+  /// Hands a running request's slot back.
+  void finish();
 
   obs::Counter& acceptedCounter_;
   obs::Counter& rejectedCounter_;
@@ -98,20 +94,15 @@ class Scheduler {
   obs::Gauge& queueHighWaterGauge_;
 
   std::size_t capacity_;
-  util::ThreadPool pool_;
-  int laneCount_ = 1;
+  int workers_;
 
   mutable std::mutex mutex_;
-  std::condition_variable hasWork_;
-  std::deque<Job> queue_;
+  /// Signalled whenever a ticket starts or a running request finishes.
+  std::condition_variable changed_;
+  std::uint64_t nextTicket_ = 0;  // handed to the next admitted request
+  std::uint64_t nowServing_ = 0;  // the next ticket allowed to start
+  int running_ = 0;
   bool draining_ = false;
-
-  /// Runs pool_.forEachIndex(laneCount_, lane) -- forEachIndex blocks for
-  /// the batch's lifetime, so it needs a thread of its own (and contributes
-  /// the calling-thread lane, making laneCount_ total).
-  std::thread dispatcher_;
-  std::mutex drainMutex_;  // serializes the join in drain()
-  bool dispatcherJoined_ = false;  // guarded by drainMutex_
 };
 
 }  // namespace relb::serve

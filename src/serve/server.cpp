@@ -10,7 +10,6 @@
 
 #include <cerrno>
 #include <cstring>
-#include <future>
 #include <utility>
 
 #include "driver/driver.hpp"
@@ -144,8 +143,8 @@ void Server::stop() {
   if (stopped_) return;
   stopped_ = true;
   if (acceptThread_.joinable()) acceptThread_.join();
-  // Drain before joining connections: threads blocked on a queued job's
-  // future need the scheduler to run (or expire) that job first.
+  // Stop admission and wait until every admitted request ran or expired;
+  // each connection thread answers its own, then sees the stop and exits.
   scheduler_.drain();
   std::list<Connection> connections;
   {
@@ -223,7 +222,7 @@ void Server::serveConnection(int fd) {
       break;
     }
     // Drain rule: between requests, stop means close.  (A request already
-    // admitted is always answered -- handlePayload blocks on its future
+    // admitted is always answered -- handlePayload runs it to its answer
     // below, before we come back to this poll.)
     if ((fds[1].revents & POLLIN) != 0) break;
     if ((fds[0].revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
@@ -272,36 +271,34 @@ bool Server::handlePayload(const std::string& payload, int fd) {
   const std::int64_t deadlineMillis = request.deadlineMillis != 0
                                           ? request.deadlineMillis
                                           : config_.defaultDeadlineMillis;
-  auto answered = std::make_shared<std::promise<Response>>();
-  std::future<Response> future = answered->get_future();
-  Scheduler::Job job;
-  if (deadlineMillis != 0) {
-    job.deadline = admitted + std::chrono::milliseconds(deadlineMillis);
+  const auto deadline =
+      deadlineMillis != 0 ? admitted + std::chrono::milliseconds(deadlineMillis)
+                          : Scheduler::kNoDeadline;
+  Response response;
+  Scheduler::Outcome outcome = Scheduler::Outcome::kRan;
+  try {
+    outcome = scheduler_.run(
+        deadline, [&] { response = execute(request, admitted); });
+  } catch (const std::exception& e) {
+    response = errorResponse(request.id, StatusCode::kFailed,
+                             std::string("serve: ") + e.what());
   }
-  job.run = [this, request, admitted, answered] {
-    try {
-      answered->set_value(execute(request, admitted));
-    } catch (const std::exception& e) {
-      answered->set_value(errorResponse(request.id, StatusCode::kFailed,
-                                        std::string("serve: ") + e.what()));
-    }
-  };
-  job.expire = [request, deadlineMillis, answered] {
-    answered->set_value(errorResponse(
-        request.id, StatusCode::kDeadlineExpired,
-        "serve: still queued after " + std::to_string(deadlineMillis) +
-            " ms admission deadline"));
-  };
-
-  switch (scheduler_.submit(std::move(job))) {
-    case Scheduler::Admit::kAccepted:
-      sendResponse(fd, future.get());
+  switch (outcome) {
+    case Scheduler::Outcome::kRan:
+      sendResponse(fd, response);
       return true;
-    case Scheduler::Admit::kQueueFull:
+    case Scheduler::Outcome::kExpired:
+      sendResponse(fd, errorResponse(
+                           request.id, StatusCode::kDeadlineExpired,
+                           "serve: still queued after " +
+                               std::to_string(deadlineMillis) +
+                               " ms admission deadline"));
+      return true;
+    case Scheduler::Outcome::kQueueFull:
       sendResponse(fd, errorResponse(request.id, StatusCode::kRejected,
                                      "serve: admission queue full"));
       return true;
-    case Scheduler::Admit::kDraining:
+    case Scheduler::Outcome::kDraining:
       sendResponse(fd, errorResponse(request.id, StatusCode::kBusy,
                                      "serve: draining"));
       return false;
@@ -324,9 +321,10 @@ Response Server::execute(const Request& request,
     run.edgeSpec = request.edgeSpec;
     run.maxSteps = request.maxSteps;
   }
-  // Lanes are ThreadPool workers already: engine parallel sections inline
-  // onto the lane, and width invariance keeps the bytes identical to any
-  // CLI run's.  Concurrency across requests is the scaling axis.
+  // Serial inside: the request runs on its connection thread and touches no
+  // thread pool, so the scheduler's worker cap is the whole CPU budget, and
+  // width invariance keeps the bytes identical to any CLI run's.
+  // Concurrency across requests is the scaling axis.
   run.numThreads = util::kSerialNumThreads;
   run.captureCert = request.wantCertificate;
   obs::SessionScope scope("serve-req-" + std::to_string(request.id),

@@ -5,7 +5,8 @@
 //   * a listening socket -- TCP loopback by default, or a unix-domain
 //     socket when ServeConfig::unixSocketPath is set (CI uses the latter to
 //     dodge port collisions);
-//   * a Scheduler (bounded admission queue + worker lanes, scheduler.hpp);
+//   * a Scheduler (the admission gate: bounded FIFO wait, capped number of
+//     running requests, scheduler.hpp);
 //   * one shared re::EngineCore, optionally warmed by a store::DiskStepStore
 //     attached at start() -- every request's EngineSession runs over it, so
 //     a request identical to an earlier one is answered from cache with
@@ -20,14 +21,14 @@
 // A framing violation gets a final 400 and the connection closed; a
 // malformed envelope gets a 400 and the stream continues.
 //
-// Execution: each admitted request becomes a driver::RunRequest (the CLI's
-// own library entry point) run over the shared core with numThreads = 1 --
-// lanes are already ThreadPool workers, so engine-internal parallel
-// sections inline onto the lane; concurrency across requests is the
-// scaling axis, and width invariance keeps the bytes equal to any CLI
-// run's.  Each request runs under its own obs::SessionScope, which is what
-// makes the per-response cache stats *attributable* rather than a slice of
-// a global blur.
+// Execution: each admitted request runs on the connection thread that read
+// it, once the scheduler lets it start.  It becomes a driver::RunRequest
+// (the CLI's own library entry point) run over the shared core with
+// numThreads = 1: requests are serial inside and concurrent across, the
+// scheduler's worker cap bounds how many run at once, and width invariance
+// keeps the bytes equal to any CLI run's.  Each request runs under its own
+// obs::SessionScope, which is what makes the per-response cache stats
+// *attributable* rather than a slice of a global blur.
 //
 // Shutdown: requestStop() (signal-handler-adjacent: a pipe write) begins a
 // graceful drain -- stop accepting, answer everything admitted, close
@@ -60,9 +61,10 @@ struct ServeConfig {
   /// stale socket file is unlinked at start and the live one at stop.
   std::string unixSocketPath;
 
-  /// Scheduler lanes (util::ThreadPool width semantics: 0 = one per core).
+  /// Requests allowed to run at once (util::ThreadPool width semantics:
+  /// 0 = one per core).
   int workers = 0;
-  /// Admission queue capacity; submissions beyond it are answered 429.
+  /// Admitted requests allowed to wait for a start; more are answered 429.
   std::size_t queueCapacity = 64;
   /// Concurrent connections; one more is answered 503 busy and closed.
   int maxConnections = 64;

@@ -60,12 +60,12 @@ int availableCpuCount() {
 
 bool insideWorker() { return tlsInsideWorker; }
 
-ThreadPool::ThreadPool(int numThreads, obs::Registry& registry)
-    : batchesCounter_(registry.counter("pool.batches")),
-      itemsCounter_(registry.counter("pool.items")),
-      concurrencyGauge_(registry.gauge("pool.concurrency")),
-      activeGauge_(registry.gauge("pool.active")),
-      maxBatchGauge_(registry.gauge("pool.max_batch")) {
+ThreadPool::ThreadPool(int numThreads)
+    : batchesCounter_(obs::Registry::global().counter("pool.batches")),
+      itemsCounter_(obs::Registry::global().counter("pool.items")),
+      concurrencyGauge_(obs::Registry::global().gauge("pool.concurrency")),
+      activeGauge_(obs::Registry::global().gauge("pool.active")),
+      maxBatchGauge_(obs::Registry::global().gauge("pool.max_batch")) {
   std::lock_guard<std::mutex> lock(mutex_);
   spawnWorkersLocked(resolveThreadCount(numThreads) - 1);
 }

@@ -66,11 +66,8 @@ class ThreadPool {
  public:
   /// Spawns `resolveThreadCount(numThreads) - 1` workers; the thread calling
   /// forEachIndex always participates, so total concurrency is the resolved
-  /// count.  The pool.* counters/gauges are interned in `registry` (the
-  /// global one by default; inject a session registry to attribute pool
-  /// traffic to one client).  The registry must outlive the pool.
-  explicit ThreadPool(int numThreads = 0,
-                      obs::Registry& registry = obs::Registry::global());
+  /// count.  The pool.* counters/gauges live in the global registry.
+  explicit ThreadPool(int numThreads = 0);
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
@@ -109,7 +106,7 @@ class ThreadPool {
   void runItems(Batch& batch);
   void spawnWorkersLocked(int count);
 
-  // pool.* instrumentation, interned once from the injected registry.
+  // pool.* instrumentation, interned once from the global registry.
   obs::Counter& batchesCounter_;
   obs::Counter& itemsCounter_;
   obs::Gauge& concurrencyGauge_;

@@ -6,26 +6,74 @@
 #include <chrono>
 #include <condition_variable>
 #include <mutex>
+#include <stdexcept>
 #include <thread>
+#include <vector>
 
 #include "obs/metrics.hpp"
 
 namespace relb::serve {
 namespace {
 
-using Admit = Scheduler::Admit;
+using Outcome = Scheduler::Outcome;
+constexpr auto kNoDeadline = Scheduler::kNoDeadline;
+
+/// Occupies one lane until release().  run() blocks its caller, so the plug
+/// runs on a thread of its own; the constructor returns once it started.
+class Plug {
+ public:
+  explicit Plug(Scheduler& scheduler)
+      : thread_([this, &scheduler] {
+          outcome_ = scheduler.run(kNoDeadline, [this] {
+            started_.store(true);
+            std::unique_lock<std::mutex> lock(mutex_);
+            cv_.wait(lock, [this] { return released_; });
+          });
+        }) {
+    while (!started_.load()) std::this_thread::yield();
+  }
+  ~Plug() { release(); }
+
+  Outcome release() {
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      released_ = true;
+    }
+    cv_.notify_all();
+    if (thread_.joinable()) thread_.join();
+    return outcome_;
+  }
+
+ private:
+  std::mutex mutex_;
+  std::condition_variable cv_;
+  bool released_ = false;
+  std::atomic<bool> started_{false};
+  Outcome outcome_ = Outcome::kDraining;
+  std::thread thread_;  // last: starts once every member above exists
+};
+
+void waitForDepth(const Scheduler& scheduler, std::size_t depth) {
+  while (scheduler.queueDepth() < depth) std::this_thread::yield();
+}
 
 TEST(Scheduler, RunsSubmittedJobs) {
+  // Each job runs inline, on the thread that called run().
   obs::Registry registry;
   Scheduler scheduler(SchedulerConfig{2, 16}, registry);
-  std::atomic<int> ran{0};
+  int ran = 0;
   for (int i = 0; i < 10; ++i) {
-    Scheduler::Job job;
-    job.run = [&ran] { ran.fetch_add(1); };
-    ASSERT_EQ(scheduler.submit(std::move(job)), Admit::kAccepted);
+    std::thread::id ranOn;
+    ASSERT_EQ(scheduler.run(kNoDeadline,
+                            [&] {
+                              ++ran;
+                              ranOn = std::this_thread::get_id();
+                            }),
+              Outcome::kRan);
+    EXPECT_EQ(ranOn, std::this_thread::get_id());
   }
   scheduler.drain();
-  EXPECT_EQ(ran.load(), 10);
+  EXPECT_EQ(ran, 10);
   const auto snapshot = registry.snapshot();
   EXPECT_EQ(snapshot.counterValue("serve.accepted"), 10u);
   EXPECT_EQ(snapshot.counterValue("serve.completed"), 10u);
@@ -34,142 +82,207 @@ TEST(Scheduler, RunsSubmittedJobs) {
 }
 
 TEST(Scheduler, ZeroCapacityRejectsEverySubmission) {
-  // The deterministic queue-full path: with capacity 0 every submission is
-  // rejected at admission, before any lane is involved.
+  // The deterministic queue-full path: with capacity 0 every request is
+  // refused at admission, even with every lane free.
   obs::Registry registry;
   Scheduler scheduler(SchedulerConfig{1, 0}, registry);
-  std::atomic<int> ran{0};
-  Scheduler::Job job;
-  job.run = [&ran] { ran.fetch_add(1); };
-  EXPECT_EQ(scheduler.submit(std::move(job)), Admit::kQueueFull);
+  int ran = 0;
+  EXPECT_EQ(scheduler.run(kNoDeadline, [&ran] { ++ran; }),
+            Outcome::kQueueFull);
   scheduler.drain();
-  EXPECT_EQ(ran.load(), 0);
+  EXPECT_EQ(ran, 0);
   EXPECT_EQ(registry.snapshot().counterValue("serve.rejected"), 1u);
 }
 
 TEST(Scheduler, BoundedQueueRejectsBeyondCapacity) {
   obs::Registry registry;
   Scheduler scheduler(SchedulerConfig{1, 2}, registry);
-
-  // Plug the single lane so queued jobs stay queued.
-  std::mutex mutex;
-  std::condition_variable cv;
-  bool release = false;
-  std::atomic<bool> plugged{false};
-  Scheduler::Job plug;
-  plug.run = [&] {
-    plugged.store(true);
-    std::unique_lock<std::mutex> lock(mutex);
-    cv.wait(lock, [&] { return release; });
-  };
-  ASSERT_EQ(scheduler.submit(std::move(plug)), Admit::kAccepted);
-  while (!plugged.load()) std::this_thread::yield();
+  Plug plug(scheduler);  // the single lane is busy: admitted requests wait
 
   std::atomic<int> ran{0};
-  const auto makeJob = [&ran] {
-    Scheduler::Job job;
-    job.run = [&ran] { ran.fetch_add(1); };
-    return job;
-  };
-  EXPECT_EQ(scheduler.submit(makeJob()), Admit::kAccepted);
-  EXPECT_EQ(scheduler.submit(makeJob()), Admit::kAccepted);
-  EXPECT_EQ(scheduler.queueDepth(), 2u);
-  // Queue full now.
-  EXPECT_EQ(scheduler.submit(makeJob()), Admit::kQueueFull);
-
-  {
-    std::lock_guard<std::mutex> lock(mutex);
-    release = true;
+  std::vector<std::thread> waiters;
+  for (int i = 0; i < 2; ++i) {
+    waiters.emplace_back([&] {
+      EXPECT_EQ(scheduler.run(kNoDeadline, [&ran] { ran.fetch_add(1); }),
+                Outcome::kRan);
+    });
   }
-  cv.notify_all();
+  waitForDepth(scheduler, 2);
+  EXPECT_EQ(scheduler.queueDepth(), 2u);
+  // Queue full now: refused at once, without waiting.
+  EXPECT_EQ(scheduler.run(kNoDeadline, [&ran] { ran.fetch_add(1); }),
+            Outcome::kQueueFull);
+
+  EXPECT_EQ(plug.release(), Outcome::kRan);
+  for (std::thread& waiter : waiters) waiter.join();
   scheduler.drain();
   EXPECT_EQ(ran.load(), 2);
   const auto snapshot = registry.snapshot();
   EXPECT_EQ(snapshot.counterValue("serve.rejected"), 1u);
   EXPECT_EQ(snapshot.gaugeValue("serve.queue_high_water"), 2);
+  EXPECT_EQ(snapshot.gaugeValue("serve.queue_depth"), 0);
 }
 
-TEST(Scheduler, ExpiredJobsRunExpireInsteadOfRun) {
-  // A deadline in the past is already expired at dequeue: run() must never
-  // fire, expire() must fire exactly once.
+TEST(Scheduler, ExpiredRequestsDoNotRun) {
+  // A deadline in the past is already expired when the turn comes: the
+  // work must never run.
   obs::Registry registry;
   Scheduler scheduler(SchedulerConfig{1, 16}, registry);
-  std::atomic<int> ran{0};
-  std::atomic<int> expired{0};
-  Scheduler::Job job;
-  job.run = [&ran] { ran.fetch_add(1); };
-  job.expire = [&expired] { expired.fetch_add(1); };
-  job.deadline =
+  int ran = 0;
+  const auto past =
       std::chrono::steady_clock::now() - std::chrono::milliseconds(5);
-  ASSERT_EQ(scheduler.submit(std::move(job)), Admit::kAccepted);
+  EXPECT_EQ(scheduler.run(past, [&ran] { ++ran; }), Outcome::kExpired);
+  // The expired request gave its turn up: the next one starts.
+  EXPECT_EQ(scheduler.run(kNoDeadline, [&ran] { ++ran; }), Outcome::kRan);
   scheduler.drain();
+  EXPECT_EQ(ran, 1);
+  const auto snapshot = registry.snapshot();
+  EXPECT_EQ(snapshot.counterValue("serve.expired"), 1u);
+  EXPECT_EQ(snapshot.counterValue("serve.completed"), 1u);
+}
+
+TEST(Scheduler, DeadlinePassingWhileWaitingExpires) {
+  obs::Registry registry;
+  Scheduler scheduler(SchedulerConfig{1, 16}, registry);
+  Plug plug(scheduler);
+  std::atomic<int> ran{0};
+  std::thread waiter([&] {
+    const auto soon =
+        std::chrono::steady_clock::now() + std::chrono::milliseconds(1);
+    EXPECT_EQ(scheduler.run(soon, [&ran] { ran.fetch_add(1); }),
+              Outcome::kExpired);
+  });
+  waitForDepth(scheduler, 1);
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  plug.release();
+  waiter.join();
   EXPECT_EQ(ran.load(), 0);
-  EXPECT_EQ(expired.load(), 1);
   EXPECT_EQ(registry.snapshot().counterValue("serve.expired"), 1u);
 }
 
 TEST(Scheduler, FutureDeadlineDoesNotExpireAnIdleQueue) {
   obs::Registry registry;
   Scheduler scheduler(SchedulerConfig{1, 16}, registry);
-  std::atomic<int> ran{0};
-  Scheduler::Job job;
-  job.run = [&ran] { ran.fetch_add(1); };
-  job.deadline = std::chrono::steady_clock::now() + std::chrono::hours(1);
-  ASSERT_EQ(scheduler.submit(std::move(job)), Admit::kAccepted);
+  int ran = 0;
+  const auto later = std::chrono::steady_clock::now() + std::chrono::hours(1);
+  EXPECT_EQ(scheduler.run(later, [&ran] { ++ran; }), Outcome::kRan);
   scheduler.drain();
-  EXPECT_EQ(ran.load(), 1);
+  EXPECT_EQ(ran, 1);
   EXPECT_EQ(registry.snapshot().counterValue("serve.expired"), 0u);
+}
+
+TEST(Scheduler, WaitingRequestsStartInAdmissionOrder) {
+  obs::Registry registry;
+  Scheduler scheduler(SchedulerConfig{1, 16}, registry);
+  Plug plug(scheduler);
+
+  constexpr int kWaiters = 8;
+  std::mutex orderMutex;
+  std::vector<int> order;
+  std::vector<std::thread> waiters;
+  for (int i = 0; i < kWaiters; ++i) {
+    waiters.emplace_back([&, i] {
+      (void)scheduler.run(kNoDeadline, [&, i] {
+        std::lock_guard<std::mutex> lock(orderMutex);
+        order.push_back(i);
+      });
+    });
+    // Admit waiter i before starting waiter i + 1.
+    waitForDepth(scheduler, static_cast<std::size_t>(i) + 1);
+  }
+  plug.release();
+  for (std::thread& waiter : waiters) waiter.join();
+  std::vector<int> expected(kWaiters);
+  for (int i = 0; i < kWaiters; ++i) expected[static_cast<std::size_t>(i)] = i;
+  EXPECT_EQ(order, expected);
+}
+
+TEST(Scheduler, NeverRunsMoreThanWorkersAtOnce) {
+  obs::Registry registry;
+  Scheduler scheduler(SchedulerConfig{2, 16}, registry);
+  std::atomic<int> running{0};
+  std::atomic<int> peak{0};
+  std::vector<std::thread> callers;
+  for (int i = 0; i < 6; ++i) {
+    callers.emplace_back([&] {
+      (void)scheduler.run(kNoDeadline, [&] {
+        const int now = running.fetch_add(1) + 1;
+        int seen = peak.load();
+        while (now > seen && !peak.compare_exchange_weak(seen, now)) {
+        }
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+        running.fetch_sub(1);
+      });
+    });
+  }
+  for (std::thread& caller : callers) caller.join();
+  EXPECT_LE(peak.load(), scheduler.workers());
+  EXPECT_EQ(registry.snapshot().counterValue("serve.completed"), 6u);
 }
 
 TEST(Scheduler, DrainCompletesQueuedJobsAndRejectsNewOnes) {
   obs::Registry registry;
-  Scheduler scheduler(SchedulerConfig{2, 64}, registry);
+  constexpr int kWaiters = 8;
+  Scheduler scheduler(SchedulerConfig{1, kWaiters}, registry);
+  Plug plug(scheduler);
+
   std::atomic<int> ran{0};
-  for (int i = 0; i < 32; ++i) {
-    Scheduler::Job job;
-    job.run = [&ran] { ran.fetch_add(1); };
-    ASSERT_EQ(scheduler.submit(std::move(job)), Admit::kAccepted);
+  std::vector<std::thread> waiters;
+  for (int i = 0; i < kWaiters; ++i) {
+    waiters.emplace_back([&] {
+      EXPECT_EQ(scheduler.run(kNoDeadline, [&ran] { ran.fetch_add(1); }),
+                Outcome::kRan);
+    });
   }
-  scheduler.drain();
-  EXPECT_EQ(ran.load(), 32);  // graceful: everything admitted was answered
-  Scheduler::Job late;
-  late.run = [&ran] { ran.fetch_add(1); };
-  EXPECT_EQ(scheduler.submit(std::move(late)), Admit::kDraining);
-  EXPECT_EQ(ran.load(), 32);
+  waitForDepth(scheduler, kWaiters);
+
+  std::atomic<bool> drained{false};
+  std::thread drainer([&] {
+    scheduler.drain();
+    drained.store(true);
+  });
+  // The queue is full, so a request that slips in before drain() took
+  // effect is refused with kQueueFull instead of waiting.
+  for (;;) {
+    const Outcome outcome = scheduler.run(kNoDeadline, [&ran] {
+      ran.fetch_add(1);
+    });
+    if (outcome == Outcome::kDraining) break;
+    ASSERT_EQ(outcome, Outcome::kQueueFull);
+    std::this_thread::yield();
+  }
+  // drain() waits for everything admitted, the plug included.
+  EXPECT_FALSE(drained.load());
+  EXPECT_EQ(plug.release(), Outcome::kRan);
+  drainer.join();
+  for (std::thread& waiter : waiters) waiter.join();
+  EXPECT_EQ(ran.load(), kWaiters);  // graceful: everything admitted ran
+
+  EXPECT_EQ(scheduler.run(kNoDeadline, [&ran] { ran.fetch_add(1); }),
+            Outcome::kDraining);
+  EXPECT_EQ(ran.load(), kWaiters);
   // Idempotent from any thread.
   scheduler.drain();
+  const auto snapshot = registry.snapshot();
+  EXPECT_EQ(snapshot.counterValue("serve.accepted"),
+            snapshot.counterValue("serve.completed"));
 }
 
-TEST(Scheduler, ThrowingJobCountsAsFailedAndLaneSurvives) {
+TEST(Scheduler, ThrowingWorkCountsAsFailedAndFreesItsSlot) {
   obs::Registry registry;
   Scheduler scheduler(SchedulerConfig{1, 16}, registry);
-  std::atomic<int> ran{0};
-  Scheduler::Job bad;
-  bad.run = [] { throw std::runtime_error("boom"); };
-  ASSERT_EQ(scheduler.submit(std::move(bad)), Admit::kAccepted);
-  Scheduler::Job good;
-  good.run = [&ran] { ran.fetch_add(1); };
-  ASSERT_EQ(scheduler.submit(std::move(good)), Admit::kAccepted);
+  EXPECT_THROW(
+      (void)scheduler.run(kNoDeadline,
+                          [] { throw std::runtime_error("boom"); }),
+      std::runtime_error);
+  // The only lane was handed back: the next request runs.
+  int ran = 0;
+  EXPECT_EQ(scheduler.run(kNoDeadline, [&ran] { ++ran; }), Outcome::kRan);
   scheduler.drain();
-  EXPECT_EQ(ran.load(), 1);
+  EXPECT_EQ(ran, 1);
   const auto snapshot = registry.snapshot();
   EXPECT_EQ(snapshot.counterValue("serve.failed"), 1u);
   EXPECT_EQ(snapshot.counterValue("serve.completed"), 1u);
-}
-
-TEST(Scheduler, LanesRunOnTheInjectedThreadPool) {
-  // The "fans work onto the existing ThreadPool" contract, visible through
-  // the pool.* instrumentation of the injected registry.
-  obs::Registry registry;
-  Scheduler scheduler(SchedulerConfig{2, 16}, registry);
-  Scheduler::Job job;
-  job.run = [] {};
-  ASSERT_EQ(scheduler.submit(std::move(job)), Admit::kAccepted);
-  scheduler.drain();
-  const auto snapshot = registry.snapshot();
-  EXPECT_EQ(snapshot.counterValue("pool.batches"), 1u);
-  EXPECT_EQ(snapshot.counterValue("pool.items"),
-            static_cast<std::uint64_t>(scheduler.workers()));
 }
 
 }  // namespace

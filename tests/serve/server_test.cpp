@@ -20,6 +20,7 @@
 
 #include "driver/driver.hpp"
 #include "io/json.hpp"
+#include "obs/metrics.hpp"
 #include "re/types.hpp"
 #include "serve/client.hpp"
 
@@ -209,6 +210,49 @@ TEST(Server, EightConcurrentClientsGetBitIdenticalAnswers) {
     EXPECT_EQ(outputs[static_cast<std::size_t>(c)], reference.output)
         << "client " << c;
   }
+  server.stop();
+}
+
+TEST(Server, ConcurrentBurstNeverTouchesTheThreadPool) {
+  // Every request runs serially on its connection thread, so the
+  // scheduler's worker cap is the whole CPU budget: a burst of concurrent
+  // problem and chain requests submits no thread-pool batch at all.
+  ServeConfig config;
+  config.unixSocketPath = socketPath("no-pool");
+  Server server(config);
+  server.start();
+  const auto batches = [] {
+    return obs::Registry::global().snapshot().counterValue("pool.batches");
+  };
+  const std::uint64_t before = batches();
+
+  constexpr int kClients = 8;
+  std::vector<std::string> errors(kClients);
+  std::vector<std::thread> threads;
+  for (int c = 0; c < kClients; ++c) {
+    threads.emplace_back([&, c] {
+      try {
+        Client client = Client::connectUnix(config.unixSocketPath);
+        Request request = problemRequest(c + 1, 3);
+        if (c % 2 == 1) {
+          request.kind = Request::Kind::kChain;
+          request.chainDelta = 3;
+          request.wantCertificate = true;
+        }
+        const Response response = client.roundTrip(request);
+        if (!response.ok()) {
+          errors[static_cast<std::size_t>(c)] = response.diagnostics;
+        }
+      } catch (const re::Error& e) {
+        errors[static_cast<std::size_t>(c)] = e.what();
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (int c = 0; c < kClients; ++c) {
+    EXPECT_EQ(errors[static_cast<std::size_t>(c)], "") << "client " << c;
+  }
+  EXPECT_EQ(batches(), before);
   server.stop();
 }
 

@@ -27,12 +27,15 @@
 //   relb_loadgen (--unix PATH | --host H --port P) [mode flags]
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <random>
+#include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "family/builtin.hpp"
@@ -41,6 +44,7 @@
 #include "re/problem.hpp"
 #include "re/types.hpp"
 #include "serve/client.hpp"
+#include "util/parse.hpp"
 
 namespace {
 
@@ -330,6 +334,18 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    // Numbers are read whole: a trailing character, a sign on an unsigned
+    // flag or an out-of-range value is a bad value, and so is a negative
+    // count or deadline.
+    const auto number = [&](auto& dest) {
+      if (!relb::util::parseNumber(value(), dest)) {
+        throw std::invalid_argument(arg);
+      }
+    };
+    const auto count = [&](auto& dest) {
+      number(dest);
+      if (std::cmp_less(dest, 0)) throw std::invalid_argument(arg);
+    };
     try {
       if (arg == "--help" || arg == "-h") {
         return usage(std::cout, 0);
@@ -337,31 +353,33 @@ int main(int argc, char** argv) {
         options.host = value();
         haveEndpoint = true;
       } else if (arg == "--port") {
-        options.port = std::stoi(value());
+        std::uint16_t port = 0;
+        number(port);
+        options.port = port;
         haveEndpoint = true;
       } else if (arg == "--unix") {
         options.unixPath = value();
         haveEndpoint = true;
       } else if (arg == "--requests") {
-        options.requests = std::stoi(value());
+        count(options.requests);
       } else if (arg == "--clients") {
-        options.clients = std::stoi(value());
+        count(options.clients);
       } else if (arg == "--seed") {
-        options.seed = static_cast<unsigned>(std::stoul(value()));
+        count(options.seed);
       } else if (arg == "--max-steps") {
-        options.maxSteps = std::stoi(value());
+        count(options.maxSteps);
       } else if (arg == "--chain-every") {
-        options.chainEvery = std::stoi(value());
+        count(options.chainEvery);
       } else if (arg == "--duplicate-every") {
-        options.duplicateEvery = std::stoi(value());
+        count(options.duplicateEvery);
       } else if (arg == "--family-every") {
-        options.familyEvery = std::stoi(value());
+        count(options.familyEvery);
       } else if (arg == "--deadline-ms") {
-        options.deadlineMs = std::stol(value());
+        count(options.deadlineMs);
       } else if (arg == "--chain") {
-        options.chainDelta = std::stol(value());
+        count(options.chainDelta);  // negative would read as "no chain"
       } else if (arg == "--x0") {
-        options.chainX0 = std::stol(value());
+        number(options.chainX0);
       } else if (arg == "--cert-out") {
         options.certOut = value();
       } else if (arg == "--node") {
