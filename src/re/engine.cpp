@@ -374,8 +374,7 @@ SpeedupStepStats EngineSession::speedupStepWithStats(const Problem& p) {
     const CacheStats after = stats();
     st.wallMicros =
         std::chrono::duration_cast<std::chrono::microseconds>(t1 - t0).count();
-    st.fromCache = after.stepHits > before.stepHits &&
-                   after.stepMisses == before.stepMisses;
+    st.fromCache = after.stepMisses == before.stepMisses;
     const auto labels = static_cast<std::int64_t>(out.problem.alphabet.size());
     registry_->gauge("re.labels.last").set(labels);
     if (tracer_->enabled()) tracer_->counter("re.labels.last", labels);
@@ -391,7 +390,8 @@ SpeedupStepStats EngineSession::speedupStepWithStats(const Problem& p) {
 AutoLowerBound EngineSession::autoLowerBound(
     const Problem& start, const AutoLowerBoundOptions& options) {
   const obs::ScopedSpan span("engine.autobound", *tracer_);
-  std::uint64_t hash = structuralHash(start);
+  const std::uint64_t startHash = structuralHash(start);
+  std::uint64_t hash = startHash;
   for (const std::uint64_t field :
        {static_cast<std::uint64_t>(options.maxSteps),
         static_cast<std::uint64_t>(options.maxLabels),
@@ -403,7 +403,16 @@ AutoLowerBound EngineSession::autoLowerBound(
               std::forward_as_tuple(options.maxSteps, options.maxLabels,
                                     options_.maxRbarDelta,
                                     options_.enumerationLimit, start),
-              [&] { return searchLowerBound(start, options); });
+              [&] { return searchLowerBound(start, options); },
+              ThroughStore{
+                  [&](StepStorage& s) {
+                    return s.loadAutoBound(start, startHash, options_,
+                                           options);
+                  },
+                  [&](StepStorage& s, const AutoLowerBound& bound) {
+                    s.storeAutoBound(start, startHash, options_, options,
+                                     bound);
+                  }});
 }
 
 std::vector<LabelSet> EngineSession::edgeCompatibility(const Constraint& edge,

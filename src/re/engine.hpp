@@ -18,8 +18,8 @@
 //   * a canonical-problem intern table (see canonical.hpp): fixed-point
 //     detection reduces to "canonical form already interned";
 //   * the durable StepStorage hook (see store/step_store.hpp), which
-//     persists step outcomes (refusals included) and zero-round verdicts;
-//     the autobound memo stays in memory.
+//     persists step outcomes (refusals included), zero-round verdicts and
+//     whole autoLowerBound results, so a warm process skips the search.
 // Any number of sessions, on any threads, may share one core; results are
 // bit-identical to cold computes regardless of who warmed the cache.
 //
@@ -116,11 +116,11 @@ enum class ZeroRoundMode {
   kWithEdgeInputs,
 };
 
-/// Durable backing for the step memo (results and refusals) and the
-/// zero-round cache.  An attached storage is consulted on every in-memory
-/// miss and written through on every computation, making results survive
-/// across processes (see store/step_store.hpp for the on-disk
-/// implementation).
+/// Durable backing for the step memo (results and refusals), the
+/// zero-round cache and the autobound memo.  An attached storage is
+/// consulted on every in-memory miss and written through on every
+/// computation, making results survive across processes (see
+/// store/step_store.hpp for the on-disk implementation).
 ///
 /// Contract:
 ///   * `hash` is structuralHash(input); implementations key on it but MUST
@@ -134,6 +134,8 @@ enum class ZeroRoundMode {
 ///     for equal maxRbarDelta and enumerationLimit for BOTH kinds.  The
 ///     engine asks for a refusal first and falls back to loadStep, so an
 ///     absent refusal should not count as a store miss.
+///   * loadAutoBound only reports a hit for equal maxSteps and maxLabels
+///     (`search`) and equal maxRbarDelta and enumerationLimit (`options`).
 ///   * A load returning std::nullopt means "recompute"; corrupt entries
 ///     must not throw out of loads.
 class StepStorage {
@@ -165,6 +167,20 @@ class StepStorage {
       ZeroRoundMode mode, const Problem& input, std::uint64_t hash) = 0;
   virtual void storeZeroRound(ZeroRoundMode mode, const Problem& input,
                               std::uint64_t hash, bool solvable) = 0;
+
+  /// A persisted whole autoLowerBound result for `start`; `search` supplies
+  /// maxSteps and maxLabels, `options` the step guards.  The defaults
+  /// persist nothing (the search then runs once per process).
+  [[nodiscard]] virtual std::optional<AutoLowerBound> loadAutoBound(
+      const Problem& /*start*/, std::uint64_t /*hash*/,
+      const StepOptions& /*options*/,
+      const AutoLowerBoundOptions& /*search*/) {
+    return std::nullopt;
+  }
+  virtual void storeAutoBound(const Problem& /*start*/, std::uint64_t /*hash*/,
+                              const StepOptions& /*options*/,
+                              const AutoLowerBoundOptions& /*search*/,
+                              const AutoLowerBound& /*bound*/) {}
 };
 
 /// The shared, thread-safe cache core.  Holds no per-request state: options
@@ -207,7 +223,8 @@ struct PassStats {
   std::size_t nodeConfigsOut = 0;
   std::size_t edgeConfigsIn = 0;
   std::size_t edgeConfigsOut = 0;
-  /// True iff the operator was served from the step memo.
+  /// True iff the operator recomputed nothing: it was served from the step
+  /// memo or the attached store.
   bool fromCache = false;
 };
 
@@ -270,8 +287,10 @@ class EngineSession {
   /// The automatic lower-bound search (autobound.hpp), memoized as a whole:
   /// keyed by `start`, options.maxSteps and options.maxLabels, and this
   /// session's maxRbarDelta and enumerationLimit (numThreads never affects
-  /// results).  On a miss the search's speedup steps and (heavily repeated)
-  /// zero-round checks go through this session's memos too.
+  /// results).  With a store attached, a miss reads the store before
+  /// searching and a searched result is written through.  On a miss the
+  /// search's speedup steps and (heavily repeated) zero-round checks go
+  /// through this session's memos too.
   [[nodiscard]] AutoLowerBound autoLowerBound(
       const Problem& start, const AutoLowerBoundOptions& options = {});
 

@@ -5,10 +5,12 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <charconv>
 #include <cstring>
 #include <memory>
+#include <utility>
 
 #include "io/file.hpp"
 #include "io/serialize.hpp"
@@ -24,12 +26,15 @@ using re::StepResult;
 using re::ZeroRoundMode;
 
 // One entry tag.  Every payload is {kindField: kind, "input": problem,
-// ["max_rbar_delta", "enumeration_limit" if guarded], valueField: value}.
+// the first `keyFields` of kKeyFields, valueField: value}.
 struct EntrySlot {
   const char* tag;        // the record tag (the objects/ file suffix)
-  const char* kindField;  // "op" (0 = R, 1 = R-bar) or "mode" (zero-round)
+  const char* kindField;  // "op" (0 = R, 1 = R-bar, 2 = autobound) or
+                          // "mode" (zero-round)
   int kind;
-  bool guarded;  // the step guards are part of the key
+  /// How many scalar key fields follow the input: 0, 2 (the step guards)
+  /// or 4 (the guards and the autobound search budgets).
+  std::size_t keyFields;
   const char* valueField;
   /// Refusal lookups, which the engine makes before loadStep: only hits
   /// count, and "store.load" spans only an entry that exists.
@@ -40,18 +45,41 @@ namespace {
 
 constexpr std::string_view kFormatStamp = "relb-store 1";
 
+// The scalar key fields, in payload order; a slot keys on a prefix.
+constexpr const char* kKeyFields[] = {"max_rbar_delta", "enumeration_limit",
+                                      "max_steps", "max_labels"};
+
 // Every tag; a slot's index here is its Key::tag.
 constexpr EntrySlot kSlots[] = {
-    {"r", "op", 0, false, "result", false},
-    {"rbar", "op", 1, true, "result", false},
-    {"rref", "op", 0, true, "refusal", true},
-    {"rbarref", "op", 1, true, "refusal", true},
-    {"zr0", "mode", 0, false, "solvable", false},
-    {"zr1", "mode", 1, false, "solvable", false},
-    {"zr2", "mode", 2, false, "solvable", false}};
+    {"r", "op", 0, 0, "result", false},
+    {"rbar", "op", 1, 2, "result", false},
+    {"rref", "op", 0, 2, "refusal", true},
+    {"rbarref", "op", 1, 2, "refusal", true},
+    {"zr0", "mode", 0, 0, "solvable", false},
+    {"zr1", "mode", 1, 0, "solvable", false},
+    {"zr2", "mode", 2, 0, "solvable", false},
+    {"ab", "op", 2, 4, "bound", false}};
 constexpr const EntrySlot* kStepSlots = kSlots;
 constexpr const EntrySlot* kRefusalSlots = kSlots + 2;
 constexpr const EntrySlot* kZeroRoundSlots = kSlots + 4;
+constexpr const EntrySlot& kAutoBoundSlot = kSlots[7];
+
+// The stable names a stored autobound result gives its stop reason.
+constexpr std::pair<re::StopReason, std::string_view> kStopReasons[] = {
+    {re::StopReason::kFixedPoint, "fixed-point"},
+    {re::StopReason::kZeroRoundSolvable, "zero-round-solvable"},
+    {re::StopReason::kLabelBudget, "label-budget"},
+    {re::StopReason::kStepLimit, "step-limit"},
+    {re::StopReason::kEngineLimit, "engine-limit"}};
+
+// The key values a load or store compares or writes (a slot reads the
+// first `keyFields`).
+std::array<std::int64_t, 4> keyValues(
+    const StepOptions& options, const re::AutoLowerBoundOptions& search = {}) {
+  return {options.maxRbarDelta,
+          static_cast<std::int64_t>(options.enumerationLimit),
+          search.maxSteps, search.maxLabels};
+}
 
 std::uint8_t tagOf(const EntrySlot& slot) {
   return static_cast<std::uint8_t>(&slot - kSlots);
@@ -305,7 +333,7 @@ std::size_t DiskStepStore::objectCount() const {
 
 template <class T>
 std::optional<T> DiskStepStore::readEntry(
-    const EntrySlot& slot, const StepOptions& options, const Problem& input,
+    const EntrySlot& slot, const KeyValues& keys, const Problem& input,
     std::uint64_t hash, const std::function<T(const Json&)>& decode) {
   std::optional<obs::ScopedSpan> span;
   if (!slot.probe) span.emplace("store.load");
@@ -332,11 +360,10 @@ std::optional<T> DiskStepStore::readEntry(
     if (io::problemFromJson(payload.at("input")) != input) {
       return miss();  // structural-hash collision: another problem's slot
     }
-    if (slot.guarded &&
-        (payload.at("max_rbar_delta").asInt() != options.maxRbarDelta ||
-         payload.at("enumeration_limit").asInt() !=
-             static_cast<std::int64_t>(options.enumerationLimit))) {
-      return miss();  // computed under other guards: not corrupt, not ours
+    for (std::size_t i = 0; i < slot.keyFields; ++i) {
+      if (payload.at(kKeyFields[i]).asInt() != keys[i]) {
+        return miss();  // other guards or budgets: not corrupt, not ours
+      }
     }
     out = decode(payload.at(slot.valueField));
   } catch (const Error&) {
@@ -347,28 +374,26 @@ std::optional<T> DiskStepStore::readEntry(
   return out;
 }
 
-void DiskStepStore::writeEntry(const EntrySlot& slot,
-                               const StepOptions& options,
+void DiskStepStore::writeEntry(const EntrySlot& slot, const KeyValues& keys,
                                const Problem& input, std::uint64_t hash,
                                Json value) {
   const obs::ScopedSpan span("store.write");
   Json payload = Json::object();
   payload.set(slot.kindField, slot.kind);
   payload.set("input", io::problemToJson(input));
-  if (slot.guarded) {
-    payload.set("max_rbar_delta", options.maxRbarDelta);
-    payload.set("enumeration_limit",
-                static_cast<std::int64_t>(options.enumerationLimit));
+  for (std::size_t i = 0; i < slot.keyFields; ++i) {
+    payload.set(kKeyFields[i], keys[i]);
   }
   payload.set(slot.valueField, std::move(value));
-  Json entry = Json::object();
-  entry.set("format", "relb-store-entry");
-  entry.set("version", io::kFormatVersion);
-  const std::string checksum = io::fnv1a64Hex(payload.dump());
-  entry.set("payload", std::move(payload));
-  entry.set("checksum", checksum);
+  // The entry document {"format", "version", "payload", "checksum"}, as
+  // Json::dump would write it (members in insertion order), with the
+  // payload dumped once for both the checksum and the record.
+  const std::string body = payload.dump();
   const std::string record =
-      io::hex64(hash) + "." + slot.tag + " " + entry.dump() + "\n";
+      io::hex64(hash) + "." + slot.tag +
+      " {\"format\":\"relb-store-entry\",\"version\":" +
+      std::to_string(io::kFormatVersion) + ",\"payload\":" + body +
+      ",\"checksum\":\"" + io::fnv1a64Hex(body) + "\"}\n";
 
   std::lock_guard lock(mutex_);
   const PackLock packLock(packFd_, LOCK_EX, root_ / "pack");
@@ -397,7 +422,8 @@ std::optional<StepResult> DiskStepStore::loadStep(int kind,
                                                   std::uint64_t hash,
                                                   const StepOptions& options) {
   return readEntry<StepResult>(
-      kStepSlots[kind], options, input, hash, [&](const Json& result) {
+      kStepSlots[kind], keyValues(options), input, hash,
+      [&](const Json& result) {
         StepResult out;
         out.problem = io::problemFromJson(result.at("problem"));
         for (const Json& s : result.at("meaning").asArray()) {
@@ -423,14 +449,15 @@ void DiskStepStore::storeStep(int kind, const Problem& input,
     meaning.push(io::labelSetToJson(s));
   }
   res.set("meaning", std::move(meaning));
-  writeEntry(kStepSlots[kind], options, input, hash, std::move(res));
+  writeEntry(kStepSlots[kind], keyValues(options), input, hash,
+             std::move(res));
 }
 
 std::optional<std::string> DiskStepStore::loadStepRefusal(
     int kind, const Problem& input, std::uint64_t hash,
     const StepOptions& options) {
   return readEntry<std::string>(
-      kRefusalSlots[kind], options, input, hash,
+      kRefusalSlots[kind], keyValues(options), input, hash,
       [](const Json& refusal) { return refusal.asString(); });
 }
 
@@ -438,7 +465,7 @@ void DiskStepStore::storeStepRefusal(int kind, const Problem& input,
                                      std::uint64_t hash,
                                      const StepOptions& options,
                                      const std::string& message) {
-  writeEntry(kRefusalSlots[kind], options, input, hash, message);
+  writeEntry(kRefusalSlots[kind], keyValues(options), input, hash, message);
 }
 
 std::optional<bool> DiskStepStore::loadZeroRound(ZeroRoundMode mode,
@@ -452,6 +479,46 @@ void DiskStepStore::storeZeroRound(ZeroRoundMode mode, const Problem& input,
                                    std::uint64_t hash, bool solvable) {
   writeEntry(kZeroRoundSlots[static_cast<int>(mode)], {}, input, hash,
              solvable);
+}
+
+std::optional<re::AutoLowerBound> DiskStepStore::loadAutoBound(
+    const Problem& start, std::uint64_t hash, const StepOptions& options,
+    const re::AutoLowerBoundOptions& search) {
+  return readEntry<re::AutoLowerBound>(
+      kAutoBoundSlot, keyValues(options, search), start, hash,
+      [](const Json& bound) {
+        re::AutoLowerBound out;
+        out.rounds = static_cast<int>(bound.at("rounds").asInt());
+        for (const Json& labels : bound.at("labels_per_step").asArray()) {
+          out.labelsPerStep.push_back(static_cast<int>(labels.asInt()));
+        }
+        const std::string& reason = bound.at("reason").asString();
+        const auto* it =
+            std::find_if(std::begin(kStopReasons), std::end(kStopReasons),
+                         [&](const auto& r) { return r.second == reason; });
+        if (it == std::end(kStopReasons)) {
+          throw Error("step_store: unknown stop reason '" + reason + "'");
+        }
+        out.reason = it->first;
+        return out;
+      });
+}
+
+void DiskStepStore::storeAutoBound(const Problem& start, std::uint64_t hash,
+                                   const StepOptions& options,
+                                   const re::AutoLowerBoundOptions& search,
+                                   const re::AutoLowerBound& bound) {
+  Json labels = Json::array();
+  for (const int n : bound.labelsPerStep) labels.push(n);
+  Json value = Json::object();
+  value.set("rounds", bound.rounds);
+  value.set("labels_per_step", std::move(labels));
+  const auto* it =
+      std::find_if(std::begin(kStopReasons), std::end(kStopReasons),
+                   [&](const auto& r) { return r.first == bound.reason; });
+  value.set("reason", std::string(it->second));
+  writeEntry(kAutoBoundSlot, keyValues(options, search), start, hash,
+             std::move(value));
 }
 
 }  // namespace relb::store

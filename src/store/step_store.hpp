@@ -12,8 +12,11 @@
 //                                   the input problem, <tag> one of r / rbar
 //                                   / zr0 / zr1 / zr2 (the zero-round modes)
 //                                   / rref / rbarref (refused R / R-bar
-//                                   steps: the guard's error message), and
-//                                   <entry> the checksummed entry document.
+//                                   steps: the guard's error message) / ab
+//                                   (a whole autoLowerBound result, keyed
+//                                   by the start problem, the step guards
+//                                   and the search budgets), and <entry>
+//                                   the checksummed entry document.
 //                                   The last record for a key wins.
 //   objects/<hh>/<hash16>.<tag>.json
 //                                   the file-per-entry layout of earlier
@@ -50,6 +53,7 @@
 // counters share one mutex; record reads are positional and run outside it.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <filesystem>
 #include <functional>
@@ -115,6 +119,18 @@ class DiskStepStore final : public re::StepStorage {
   void storeZeroRound(re::ZeroRoundMode mode, const re::Problem& input,
                       std::uint64_t hash, bool solvable) override;
 
+  /// Autobound results live under the `ab` tag.  An entry computed under
+  /// other guards or budgets is a miss; the last one written for a start
+  /// problem wins.
+  [[nodiscard]] std::optional<re::AutoLowerBound> loadAutoBound(
+      const re::Problem& start, std::uint64_t hash,
+      const re::StepOptions& options,
+      const re::AutoLowerBoundOptions& search) override;
+  void storeAutoBound(const re::Problem& start, std::uint64_t hash,
+                      const re::StepOptions& options,
+                      const re::AutoLowerBoundOptions& search,
+                      const re::AutoLowerBound& bound) override;
+
   [[nodiscard]] const std::filesystem::path& root() const { return root_; }
   [[nodiscard]] StoreStats stats() const;
 
@@ -123,6 +139,10 @@ class DiskStepStore final : public re::StepStorage {
   [[nodiscard]] std::size_t objectCount() const;
 
  private:
+  /// The scalar key fields a payload may carry after its input: the step
+  /// guards, then the autobound search budgets (step_store.cpp).
+  using KeyValues = std::array<std::int64_t, 4>;
+
   /// One entry's key: the input's structural hash and its slot's tag.
   struct Key {
     std::uint64_t hash = 0;
@@ -160,16 +180,15 @@ class DiskStepStore final : public re::StepStorage {
   /// std::nullopt if its objects/ file is gone.
   [[nodiscard]] std::optional<std::string> readLocation(
       const Key& key, const Location& location) const;
-  /// locate -> read -> unwrap and checksum -> key check (`options` supplies
-  /// the guards) -> `decode`, which throws re::Error if corrupt; or
-  /// quarantine.
+  /// locate -> read -> unwrap and checksum -> key check (`keys` supplies
+  /// the slot's key fields) -> `decode`, which throws re::Error if corrupt;
+  /// or quarantine.
   template <class T>
-  std::optional<T> readEntry(const EntrySlot& slot,
-                             const re::StepOptions& options,
+  std::optional<T> readEntry(const EntrySlot& slot, const KeyValues& keys,
                              const re::Problem& input, std::uint64_t hash,
                              const std::function<T(const io::Json&)>& decode);
   /// Key plus `value` -> wrap -> append one record -> index -> count.
-  void writeEntry(const EntrySlot& slot, const re::StepOptions& options,
+  void writeEntry(const EntrySlot& slot, const KeyValues& keys,
                   const re::Problem& input, std::uint64_t hash,
                   io::Json value);
   void quarantine(const Key& key, const Location& location,

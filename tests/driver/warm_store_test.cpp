@@ -1,9 +1,11 @@
 // Warm-store runs through the driver recompute nothing: a store written
-// before refusal entries existed (tests/data/store_v1_mis3, written by the
-// CLI as `round_eliminator_cli "M^3; P O^2" "M [P O]; O O" 1 --store DIR`)
-// still answers every lookup, and a run whose speedup steps trip an engine
-// guard replays the refusals from the store on --resume, with output
-// byte-identical to the cold run.
+// before refusal and autobound entries existed (tests/data/store_v1_mis3,
+// written by the CLI as `round_eliminator_cli "M^3; P O^2" "M [P O]; O O" 1
+// --store DIR`) still answers every lookup it holds, a run whose speedup
+// steps trip an engine guard replays the refusals from the store on
+// --resume, and a family derivation's warm run reads its automatic lower
+// bound from the store instead of searching, with output byte-identical to
+// the cold run.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -35,6 +37,7 @@ RunRequest problemRequest(const char* node, const char* edge, int maxSteps) {
 void expectRecomputedNothing(const re::CacheStats& s, const char* what) {
   EXPECT_EQ(s.stepMisses, 0u) << what;
   EXPECT_EQ(s.zeroRoundMisses, 0u) << what;
+  EXPECT_EQ(s.autoboundMisses, 0u) << what;
   EXPECT_EQ(s.storeMisses, 0u) << what;
   EXPECT_EQ(s.storeWrites, 0u) << what;
 }
@@ -48,8 +51,21 @@ TEST(WarmStore, StoreWithoutRefusalEntriesStillLoadsWithAllHits) {
   request.resume = true;
   const RunResult warm = run(request);
   ASSERT_EQ(warm.status, RunStatus::kOk) << warm.diagnostics;
-  expectRecomputedNothing(warm.sessionStats, "v1 store");
-  EXPECT_EQ(warm.sessionStats.storeHits, 4u);
+  // Every entry the v1 store holds is a hit.  It has no autobound entry,
+  // so the bound is one store miss -- the search then runs over memo and
+  // store hits -- and one write.
+  const re::CacheStats& s = warm.sessionStats;
+  EXPECT_EQ(s.stepMisses, 0u);
+  EXPECT_EQ(s.zeroRoundMisses, 0u);
+  EXPECT_EQ(s.storeHits, 4u);
+  EXPECT_EQ(s.storeMisses, 1u);
+  EXPECT_EQ(s.storeWrites, 1u);
+  EXPECT_EQ(s.autoboundMisses, 1u);
+
+  const RunResult again = run(request);
+  ASSERT_EQ(again.status, RunStatus::kOk) << again.diagnostics;
+  expectRecomputedNothing(again.sessionStats, "v1 store, bound written");
+  EXPECT_EQ(again.output, warm.output);
 }
 
 TEST(WarmStore, RefusedStepsReplayFromTheStore) {
@@ -69,6 +85,31 @@ TEST(WarmStore, RefusedStepsReplayFromTheStore) {
   ASSERT_EQ(warm.status, RunStatus::kOk) << warm.diagnostics;
   expectRecomputedNothing(warm.sessionStats, "refusal replay");
   EXPECT_EQ(warm.output, cold.output);
+}
+
+TEST(WarmStore, FamilyBoundIsReadFromTheStore) {
+  // The 2-ruling-set family (arXiv 2004.08282): its merge search trips the
+  // zero-round analyzer's guard hundreds of times.  Warm, the bound is one
+  // store hit and the search does not run.
+  const fs::path dir = freshDir("store-two-ruling-set");
+  RunRequest request;
+  request.mode = RunRequest::Mode::kFamily;
+  request.familyName = "two_ruling_set";
+  request.numThreads = 1;
+  request.captureCert = true;
+  request.storeDir = dir.string();
+  const RunResult cold = run(request);
+  ASSERT_EQ(cold.status, RunStatus::kOk) << cold.diagnostics;
+  EXPECT_EQ(cold.sessionStats.autoboundMisses, 1u);
+  ASSERT_FALSE(cold.certificateBytes.empty());
+
+  request.resume = true;
+  const RunResult warm = run(request);
+  ASSERT_EQ(warm.status, RunStatus::kOk) << warm.diagnostics;
+  expectRecomputedNothing(warm.sessionStats, "two_ruling_set");
+  EXPECT_LE(warm.sessionStats.storeHits, 10u);
+  EXPECT_EQ(warm.output, cold.output);
+  EXPECT_EQ(warm.certificateBytes, cold.certificateBytes);
 }
 
 }  // namespace

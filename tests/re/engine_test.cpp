@@ -1,9 +1,11 @@
 // The engine's memo (engine.hpp): cache hits are bit-identical to cold
-// runs, the per-operator statistics of a speedup step are consistent, warm
+// runs, the per-operator statistics of a speedup step are consistent (a
+// step read from an attached store counts as a cache hit), warm
 // sessions perform zero recomputation for certifyChain / the speedup
 // iteration, and canonical interning detects renamed duplicates.
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <memory>
 #include <vector>
 
@@ -14,6 +16,7 @@
 #include "re/problem.hpp"
 #include "re/rename.hpp"
 #include "re/zero_round.hpp"
+#include "store/step_store.hpp"
 
 namespace relb::re {
 namespace {
@@ -103,6 +106,32 @@ TEST(StepStats, MatchesSpeedupStepAndStatsAreConsistent) {
     EXPECT_TRUE(warm.passes[0].fromCache) << name;
     EXPECT_TRUE(warm.passes[1].fromCache) << name;
   }
+}
+
+TEST(StepStats, StepsServedFromTheStoreAreHits) {
+  // A fresh core over a warm store recomputes nothing: both passes read
+  // their step from the store, which ticks no memo hit, and must still
+  // report a hit.
+  const std::filesystem::path dir =
+      std::filesystem::path(testing::TempDir()) / "step-stats-store";
+  std::filesystem::remove_all(dir);
+  const Problem p = misProblem(3);
+  {
+    EngineSession cold;
+    cold.attachStore(std::make_shared<store::DiskStepStore>(dir));
+    const SpeedupStepStats result = cold.speedupStepWithStats(p);
+    EXPECT_FALSE(result.passes[0].fromCache);
+    EXPECT_FALSE(result.passes[1].fromCache);
+  }
+  EngineSession warm;
+  warm.attachStore(std::make_shared<store::DiskStepStore>(dir));
+  const SpeedupStepStats result = warm.speedupStepWithStats(p);
+  expectProblemsBitIdentical(speedupStep(p), result.problem, "warm store");
+  EXPECT_EQ(warm.stats().stepMisses, 0u);
+  EXPECT_EQ(warm.stats().storeHits, 2u);
+  EXPECT_TRUE(result.passes[0].fromCache);
+  EXPECT_TRUE(result.passes[1].fromCache);
+  std::filesystem::remove_all(dir);
 }
 
 TEST(EngineMemo, ZeroRoundCheckFindsSolvableProblem) {

@@ -100,27 +100,44 @@ void expectPackMatchesObjects(const fs::path& actual,
   EXPECT_EQ(got, want);
 }
 
-// Loads the entry the v1 file `file` holds through `store` (its key and
-// guards come from the file's payload); if `copy` is given, stores what was
-// loaded there.  Returns whether the load hit.
+// Loads the entry the objects/ file `file` holds through `store` (its key,
+// guards and budgets come from the file's payload); if `copy` is given,
+// stores what was loaded there.  Returns whether the load hit.
 bool loadObjectFile(DiskStepStore& store, const fs::path& file,
                     DiskStepStore* copy = nullptr) {
   const io::Json payload = io::Json::parse(fileBytes(file)).at("payload");
   const re::Problem input = io::problemFromJson(payload.at("input"));
   const std::uint64_t hash = re::structuralHash(input);
   const std::string tag = file.stem().extension().string().substr(1);
+  re::StepOptions options;
+  if (const io::Json* delta = payload.find("max_rbar_delta")) {
+    options.maxRbarDelta = delta->asInt();
+    options.enumerationLimit =
+        static_cast<std::size_t>(payload.at("enumeration_limit").asInt());
+  }
   if (tag == "r" || tag == "rbar") {
     const int kind = tag == "r" ? 0 : 1;
-    re::StepOptions options;
-    if (kind == 1) {
-      options.maxRbarDelta =
-          static_cast<int>(payload.at("max_rbar_delta").asInt());
-      options.enumerationLimit = static_cast<std::size_t>(
-          payload.at("enumeration_limit").asInt());
-    }
     const auto result = store.loadStep(kind, input, hash, options);
     if (result && copy) copy->storeStep(kind, input, hash, options, *result);
     return result.has_value();
+  }
+  if (tag == "rref" || tag == "rbarref") {
+    const int kind = tag == "rref" ? 0 : 1;
+    const auto refusal = store.loadStepRefusal(kind, input, hash, options);
+    if (refusal && copy) {
+      copy->storeStepRefusal(kind, input, hash, options, *refusal);
+    }
+    return refusal.has_value();
+  }
+  if (tag == "ab") {
+    re::AutoLowerBoundOptions search;
+    search.maxSteps = static_cast<int>(payload.at("max_steps").asInt());
+    search.maxLabels = static_cast<int>(payload.at("max_labels").asInt());
+    const auto bound = store.loadAutoBound(input, hash, options, search);
+    if (bound && copy) {
+      copy->storeAutoBound(input, hash, options, search, *bound);
+    }
+    return bound.has_value();
   }
   const auto mode = static_cast<re::ZeroRoundMode>(payload.at("mode").asInt());
   const auto solvable = store.loadZeroRound(mode, input, hash);
@@ -436,9 +453,17 @@ TEST(DiskStepStore, V1EntriesAreRestoredByteForByte) {
   expectPackMatchesObjects(dir, v1);
 }
 
+// The autobound search budgets of the pinned `ab` entry.
+re::AutoLowerBoundOptions pinnedSearch() {
+  re::AutoLowerBoundOptions search;
+  search.maxSteps = 3;
+  search.maxLabels = 10;
+  return search;
+}
+
 TEST(DiskStepStore, RefusalAndZeroRoundEntryBytesArePinned) {
   // The tags the v1 store lacks, written from fixed inputs and compared
-  // with tests/data/store_entries.
+  // with tests/data/store_entries; then every pinned entry loads back.
   const fs::path dir = freshDir("store-pin-tags");
   DiskStepStore store(dir);
   const re::Problem mis = re::misProblem(3);
@@ -450,9 +475,210 @@ TEST(DiskStepStore, RefusalAndZeroRoundEntryBytesArePinned) {
       "applyRbar: node degree too large for exact maximization");
   store.storeZeroRound(re::ZeroRoundMode::kSymmetricPorts, sinkless,
                        re::structuralHash(sinkless), false);
-  EXPECT_EQ(store.stats().writes, 3u);
-  expectPackMatchesObjects(dir,
-                           fs::path(RELB_TEST_DATA_DIR) / "store_entries");
+  // MIS at Delta = 3 under the pinned budgets, as the search finds it.
+  store.storeAutoBound(mis, re::structuralHash(mis), re::StepOptions{},
+                       pinnedSearch(),
+                       {3, {3, 6, 10}, re::StopReason::kEngineLimit});
+  EXPECT_EQ(store.stats().writes, 4u);
+  const fs::path pinned = fs::path(RELB_TEST_DATA_DIR) / "store_entries";
+  expectPackMatchesObjects(dir, pinned);
+
+  const fs::path copy = freshDir("store-pin-tags-load");
+  fs::copy(pinned, copy, fs::copy_options::recursive);
+  DiskStepStore reader(copy);
+  for (const fs::path& file : objectFiles(copy)) {
+    EXPECT_TRUE(loadObjectFile(reader, file)) << file;
+  }
+  EXPECT_EQ(reader.stats().hits, 4u);
+  EXPECT_EQ(reader.stats().quarantined, 0u);
+}
+
+// An autobound search over `store` in a fresh core under the pinned
+// budgets; `stats` receives the session's stats.
+re::AutoLowerBound boundThrough(const std::shared_ptr<re::StepStorage>& store,
+                                re::CacheStats* stats = nullptr) {
+  re::EngineSession session;
+  session.attachStore(store);
+  const re::AutoLowerBound bound =
+      session.autoLowerBound(re::misProblem(3), pinnedSearch());
+  if (stats != nullptr) *stats = session.stats();
+  return bound;
+}
+
+void expectSameBound(const re::AutoLowerBound& a, const re::AutoLowerBound& b,
+                     const std::string& what) {
+  EXPECT_EQ(a.rounds, b.rounds) << what;
+  EXPECT_EQ(a.labelsPerStep, b.labelsPerStep) << what;
+  EXPECT_EQ(a.reason, b.reason) << what;
+}
+
+TEST(DiskStepStore, AutoBoundPersistsAcrossProcesses) {
+  const fs::path dir = freshDir("store-autobound");
+  re::CacheStats cold;
+  const re::AutoLowerBound first =
+      boundThrough(std::make_shared<DiskStepStore>(dir), &cold);
+  EXPECT_EQ(cold.autoboundMisses, 1u);
+  ASSERT_EQ(packRecords(dir).back().key.substr(16), ".ab")
+      << "the bound is written after the search's own entries";
+
+  auto store = std::make_shared<DiskStepStore>(dir);
+  re::CacheStats warm;
+  expectSameBound(boundThrough(store, &warm), first, "warm");
+  EXPECT_EQ(warm.autoboundMisses, 0u) << "a store hit is not a miss";
+  EXPECT_EQ(warm.autoboundHits, 0u);
+  EXPECT_EQ(warm.storeHits, 1u) << "the search does not run";
+  EXPECT_EQ(warm.storeMisses, 0u);
+  EXPECT_EQ(warm.stepMisses + warm.stepHits, 0u);
+  EXPECT_EQ(warm.zeroRoundMisses + warm.zeroRoundHits, 0u);
+  EXPECT_EQ(store->stats().hits, 1u);
+}
+
+TEST(DiskStepStore, AutoBoundUnderOtherGuardsOrBudgetsIsAMiss) {
+  const fs::path dir = freshDir("store-autobound-key");
+  const re::Problem mis = re::misProblem(3);
+  const std::uint64_t hash = re::structuralHash(mis);
+  const re::AutoLowerBound bound{2, {3, 10, 10}, re::StopReason::kStepLimit};
+  DiskStepStore store(dir);
+  store.storeAutoBound(mis, hash, re::StepOptions{}, pinnedSearch(), bound);
+  ASSERT_TRUE(
+      store.loadAutoBound(mis, hash, re::StepOptions{}, pinnedSearch()));
+
+  struct Variant {
+    const char* field;
+    re::StepOptions options;
+    re::AutoLowerBoundOptions search;
+  };
+  std::vector<Variant> variants(4, {"", {}, pinnedSearch()});
+  variants[0].field = "max_steps";
+  variants[0].search.maxSteps += 1;
+  variants[1].field = "max_labels";
+  variants[1].search.maxLabels -= 1;
+  variants[2].field = "max_rbar_delta";
+  variants[2].options.maxRbarDelta -= 1;
+  variants[3].field = "enumeration_limit";
+  variants[3].options.enumerationLimit += 1;
+  for (const Variant& v : variants) {
+    EXPECT_FALSE(store.loadAutoBound(mis, hash, v.options, v.search))
+        << v.field;
+  }
+  EXPECT_EQ(store.stats().misses, 4u);
+  EXPECT_EQ(store.stats().quarantined, 0u);
+  EXPECT_FALSE(fs::exists(dir / "quarantine"));
+  // Nothing was dropped: the entry still answers its own key.
+  EXPECT_TRUE(
+      store.loadAutoBound(mis, hash, re::StepOptions{}, pinnedSearch()));
+}
+
+// Rewrites the payload of an entry body with `edit` and seals it again with
+// a matching checksum, so only the value decoder can reject it.
+std::string resealed(const std::string& body,
+                     const std::function<std::string(std::string)>& edit) {
+  const std::string payload =
+      edit(io::Json::parse(body).at("payload").dump());
+  return R"({"format":"relb-store-entry","version":1,"payload":)" + payload +
+         R"(,"checksum":")" + io::fnv1a64Hex(payload) + R"("})";
+}
+
+std::string replaced(std::string text, const std::string& from,
+                     const std::string& to) {
+  const auto pos = text.find(from);
+  EXPECT_NE(pos, std::string::npos) << from << " in " << text;
+  if (pos != std::string::npos) text.replace(pos, from.size(), to);
+  return text;
+}
+
+TEST(DiskStepStore, CorruptAutoBoundIsQuarantinedAndRecomputed) {
+  const std::vector<std::pair<std::string,
+                              std::function<std::string(std::string)>>>
+      corruptions = {
+          {"checksum",
+           [](std::string body) {
+             return replaced(body, R"("rounds":)", R"("rounds":1)");
+           }},
+          {"value type",
+           [](std::string body) {
+             return resealed(body, [](std::string payload) {
+               return replaced(payload, R"("labels_per_step":[)",
+                               R"("labels_per_step":["3",)");
+             });
+           }},
+          {"reason",
+           [](std::string body) {
+             return resealed(body, [](std::string payload) {
+               return replaced(payload, R"("reason":")",
+                               R"("reason":"gave-up-)");
+             });
+           }},
+      };
+  for (const auto& [what, corrupt] : corruptions) {
+    const fs::path dir = freshDir("store-autobound-corrupt");
+    const re::AutoLowerBound cold =
+        boundThrough(std::make_shared<DiskStepStore>(dir));
+    ASSERT_EQ(packRecords(dir).back().key.substr(16), ".ab") << what;
+    editLastRecord(dir, corrupt);
+
+    auto store = std::make_shared<DiskStepStore>(dir);
+    re::CacheStats warm;
+    expectSameBound(boundThrough(store, &warm), cold, what);
+    EXPECT_EQ(store->stats().quarantined, 1u) << what;
+    EXPECT_EQ(warm.autoboundMisses, 1u) << what << ": recomputed";
+    EXPECT_EQ(warm.stepMisses + warm.zeroRoundMisses, 0u)
+        << what << ": the search runs over store hits";
+    EXPECT_EQ(warm.storeWrites, 1u) << what;
+    EXPECT_FALSE(fs::is_empty(dir / "quarantine")) << what;
+  }
+}
+
+// A storage that implements only the pure virtuals, like a backend written
+// before autobound results were persisted.
+class StepsOnlyStore final : public re::StepStorage {
+ public:
+  explicit StepsOnlyStore(std::shared_ptr<DiskStepStore> inner)
+      : inner_(std::move(inner)) {}
+  std::optional<re::StepResult> loadStep(
+      int kind, const re::Problem& input, std::uint64_t hash,
+      const re::StepOptions& options) override {
+    return inner_->loadStep(kind, input, hash, options);
+  }
+  void storeStep(int kind, const re::Problem& input, std::uint64_t hash,
+                 const re::StepOptions& options,
+                 const re::StepResult& result) override {
+    inner_->storeStep(kind, input, hash, options, result);
+  }
+  std::optional<bool> loadZeroRound(re::ZeroRoundMode mode,
+                                    const re::Problem& input,
+                                    std::uint64_t hash) override {
+    return inner_->loadZeroRound(mode, input, hash);
+  }
+  void storeZeroRound(re::ZeroRoundMode mode, const re::Problem& input,
+                      std::uint64_t hash, bool solvable) override {
+    inner_->storeZeroRound(mode, input, hash, solvable);
+  }
+
+ private:
+  std::shared_ptr<DiskStepStore> inner_;
+};
+
+TEST(DiskStepStore, StorageWithoutAutoBoundsRecomputesTheBound) {
+  const fs::path dir = freshDir("store-autobound-defaults");
+  const re::AutoLowerBound cold = boundThrough(
+      std::make_shared<StepsOnlyStore>(std::make_shared<DiskStepStore>(dir)));
+  const std::size_t records = packRecords(dir).size();
+  for (const PackRecord& r : packRecords(dir)) {
+    EXPECT_NE(r.key.substr(16), ".ab") << "the default stores nothing";
+  }
+
+  re::CacheStats warm;
+  expectSameBound(
+      boundThrough(std::make_shared<StepsOnlyStore>(
+                       std::make_shared<DiskStepStore>(dir)),
+                   &warm),
+      cold, "steps-only store");
+  EXPECT_EQ(warm.autoboundMisses, 1u) << "the search runs again";
+  EXPECT_EQ(warm.zeroRoundMisses, 0u) << "over the entries it does keep";
+  EXPECT_EQ(warm.stepMisses, 1u) << "the search's refused step: refusals "
+                                    "are not kept either";
+  EXPECT_EQ(packRecords(dir).size(), records) << "and it stores nothing";
 }
 
 TEST(DiskStepStore, TornTailIsSkippedAndTheNextWriteLands) {
