@@ -37,6 +37,7 @@
 #include "re/edge_compat.hpp"
 #include "re/engine.hpp"
 #include "re/re_step.hpp"
+#include "re/simplify.hpp"
 #include "re/cycle_verifier.hpp"
 #include "re/tree_verifier.hpp"
 #include "re/zero_round.hpp"
@@ -422,6 +423,30 @@ BENCHMARK_CAPTURE(BM_AutoBoundCold, two_ruling_set, "two_ruling_set")
 BENCHMARK_CAPTURE(BM_AutoBoundCold, pi, "pi")
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
+
+// One edge-input zero-round verdict (the check the automatic lower bound's
+// merge loop runs per candidate), uncached: the maximal edge pairs, then one
+// interval cover of [0, Delta] per pair.  On a merge candidate of MIS at
+// Delta = 3 after two speedup steps (labels 0 and 1 of 19 merged), and on
+// Pi_Delta(Delta/2, 1), which is unsolvable, so every pair is tried; its
+// Delta = 2^20 row costs what the Delta = 8 row does.
+void BM_ZeroRoundEdgeInputs(benchmark::State& state, int which) {
+  re::Problem p;
+  if (which == 0) {
+    re::EngineSession session;
+    p = re::mergeTwoLabels(
+        session.speedupStep(session.speedupStep(re::misProblem(3))), 0, 1);
+  } else {
+    const re::Count delta = which == 1 ? 8 : re::Count{1} << 20;
+    p = core::familyProblem(delta, delta / 2, 1);
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(re::zeroRoundSolvableWithEdgeInputs(p));
+  }
+}
+BENCHMARK_CAPTURE(BM_ZeroRoundEdgeInputs, mis3_candidate, 0);
+BENCHMARK_CAPTURE(BM_ZeroRoundEdgeInputs, family_delta8, 1);
+BENCHMARK_CAPTURE(BM_ZeroRoundEdgeInputs, family_delta2p20, 2);
 
 // ---------------------------------------------------------------------------
 // Session-layer benchmarks (the EngineCore / EngineSession split).

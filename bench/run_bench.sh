@@ -34,7 +34,9 @@
 # 10^7-node MIS -> domset run; the second BM_LubyMisRound and
 # BM_LocalSimEndToEnd argument is the thread width) and the cold serial
 # automatic-lower-bound rows BM_AutoBoundCold/{two_ruling_set,pi} (a fresh
-# session per iteration: speedup steps, merge search, zero-round checks).  On a
+# session per iteration: speedup steps, merge search, zero-round checks) and
+# the per-candidate edge-input verdict rows BM_ZeroRoundEdgeInputs (a MIS
+# merge candidate, Pi_Delta at Delta = 8 and 2^20).  On a
 # single-core machine numThreads=0 resolves to one lane, so the
 # serial/parallel rows coincide up to noise; the serial rows still track the
 # kernel and antichain-prune baselines against older revisions.
@@ -70,7 +72,7 @@ cmake --build "$BUILD_DIR" -j --target bench_perf_engine round_eliminator_cli
 BENCH_BIN="$BUILD_DIR/bench/bench_perf_engine"
 OUT="${BENCH_OUT:-BENCH_speedup.json}"
 "$BENCH_BIN" \
-  --benchmark_filter='BM_SpeedupStepFamily|BM_SpeedupStepMis|BM_MaximalEdgePairs|BM_CertifyChain|BM_DominationFilter|BM_RightClosure|BM_SubsetSweep|BM_ScopedSpan|BM_RegistryCounterAdd|BM_SessionCreate|BM_ConcurrentSessions|BM_ServeRoundTrip|BM_ServeThroughput|BM_CsrBuild|BM_LubyMisRound|BM_LocalSimEndToEnd|BM_AutoBoundCold' \
+  --benchmark_filter='BM_SpeedupStepFamily|BM_SpeedupStepMis|BM_MaximalEdgePairs|BM_CertifyChain|BM_DominationFilter|BM_RightClosure|BM_SubsetSweep|BM_ScopedSpan|BM_RegistryCounterAdd|BM_SessionCreate|BM_ConcurrentSessions|BM_ServeRoundTrip|BM_ServeThroughput|BM_CsrBuild|BM_LubyMisRound|BM_LocalSimEndToEnd|BM_AutoBoundCold|BM_ZeroRoundEdgeInputs' \
   --benchmark_out="$OUT" \
   --benchmark_out_format=json \
   --benchmark_repetitions=1 \

@@ -1,6 +1,7 @@
 #include "re/autobound.hpp"
 
 #include "obs/trace.hpp"
+#include "re/edge_compat.hpp"
 #include "re/engine.hpp"
 #include "re/rename.hpp"
 #include "re/simplify.hpp"
@@ -48,6 +49,10 @@ bool mergeWhileHard(Problem& p, int maxLabels, EngineSession& session) {
   while (p.alphabet.size() > maxLabels) {
     bool merged = false;
     const int n = p.alphabet.size();
+    // Every candidate has n - 1 labels.  Above kMaxEdgePairLabels the
+    // edge-input analysis refuses each one (a refusal is not a proof of
+    // hardness), so none can merge: decide that before building any.
+    if (n - 1 > kMaxEdgePairLabels) return false;
     for (Label a = 0; a < n && !merged; ++a) {
       for (Label b = a + 1; b < n && !merged; ++b) {
         Problem candidate = [&] {

@@ -50,7 +50,7 @@ std::vector<LabelSet> edgeCompatibility(const Constraint& edge,
 
 std::vector<std::pair<LabelSet, LabelSet>> detail::maximalEdgePairsFromCompat(
     const std::vector<LabelSet>& compat, int alphabetSize) {
-  if (alphabetSize > 20) {
+  if (alphabetSize > kMaxEdgePairLabels) {
     throw Error("maximalEdgePairs: alphabet too large to enumerate subsets");
   }
   const obs::ScopedSpan span("re.maximalEdgePairs");
@@ -61,7 +61,7 @@ std::vector<std::pair<LabelSet, LabelSet>> detail::maximalEdgePairsFromCompat(
   // flat word array, masked to the alphabet (the visited set below is
   // indexed by row intersections), so partner() is ctz + AND only.
   const std::uint32_t fullBits = LabelSet::full(alphabetSize).bits();
-  std::array<std::uint32_t, 20> compatBits{};
+  std::array<std::uint32_t, kMaxEdgePairLabels> compatBits{};
   for (int l = 0; l < alphabetSize; ++l) {
     compatBits[static_cast<std::size_t>(l)] =
         compat[static_cast<std::size_t>(l)].bits() & fullBits;

@@ -14,6 +14,11 @@
 
 namespace relb::re {
 
+/// The largest alphabet maximalEdgePairs enumerates; above it the analysis
+/// refuses (re::Error), and so does every caller that needs the pairs (R,
+/// the edge-input zero-round analysis).
+inline constexpr int kMaxEdgePairLabels = 20;
+
 /// The degree-2 compatibility matrix of an edge constraint:
 /// compat[a] = set of labels b such that the word {a, b} is allowed.
 [[nodiscard]] std::vector<LabelSet> edgeCompatibility(const Constraint& edge,
@@ -24,7 +29,8 @@ namespace relb::re {
 /// edge-compatible, none dominated by another in either orientation (the
 /// matrix is symmetric; edge_compat.cpp has the proof).  Exact for any
 /// Delta.  Serial: the closed sets are enumerated in time proportional
-/// to their number, so a fan-out would cost more than it saves.
+/// to their number, so a fan-out would cost more than it saves.  Throws
+/// re::Error above kMaxEdgePairLabels labels.
 [[nodiscard]] std::vector<std::pair<LabelSet, LabelSet>> maximalEdgePairs(
     const Constraint& edge, int alphabetSize);
 

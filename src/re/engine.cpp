@@ -75,7 +75,8 @@ bool answers(const StepTable::Entry& entry, const Probe& probe) {
 
 /// Read-through and write-through of the attached store for one memoized
 /// value: `load(storage)` returns std::optional<Value>, `save(storage,
-/// value)` persists a computed one.
+/// value)` persists a computed one and returns whether anything was
+/// written (an optional pair's default writes nothing).
 template <typename Load, typename Save>
 struct ThroughStore {
   Load load;
@@ -227,7 +228,8 @@ void EngineSession::count(const Tick& tick) {
 /// A lookup counts a hit or, once the value is computed, a miss.  With a
 /// store attached (`through` is a ThroughStore), a miss first reads the
 /// store -- a store hit fills the memo and counts a store hit, not a miss --
-/// and a computed value is written through.  A computation that throws
+/// and a computed value is written through, counting a store write if the
+/// storage persisted it.  A computation that throws
 /// propagates with nothing inserted and no miss counted.
 template <typename Table, typename Probe, typename Compute, typename Through>
 typename Table::Value EngineSession::memo(Table& table, std::uint64_t hash,
@@ -271,8 +273,7 @@ typename Table::Value EngineSession::memo(Table& table, std::uint64_t hash,
   Value value = compute();
   insert(traffic.miss, value);
   if constexpr (kDurable) {
-    if (storage != nullptr) {
-      through.save(*storage, value);
+    if (storage != nullptr && through.save(*storage, value)) {
       std::lock_guard lock(impl.mutex);
       count(obs_->storeWrite);
     }
@@ -337,11 +338,11 @@ StepResult EngineSession::memoizedStep(int kind, const Problem& p) {
         return std::nullopt;
       },
       [&](StepStorage& s, const StepOutcome& out) {
-        if (out.result) {
-          s.storeStep(kind, p, hash, options_, *out.result);
-        } else {
-          s.storeStepRefusal(kind, p, hash, options_, out.refusal);
+        if (!out.result) {
+          return s.storeStepRefusal(kind, p, hash, options_, out.refusal);
         }
+        s.storeStep(kind, p, hash, options_, *out.result);
+        return true;
       }};
   return memo(core_->impl_->steps,
               mixKey(static_cast<std::uint64_t>(kind), hash), obs_->step,
@@ -410,8 +411,8 @@ AutoLowerBound EngineSession::autoLowerBound(
                                            options);
                   },
                   [&](StepStorage& s, const AutoLowerBound& bound) {
-                    s.storeAutoBound(start, startHash, options_, options,
-                                     bound);
+                    return s.storeAutoBound(start, startHash, options_,
+                                            options, bound);
                   }});
 }
 
@@ -479,6 +480,7 @@ bool EngineSession::zeroRoundSolvable(const Problem& p, ZeroRoundMode mode) {
           [&](StepStorage& s) { return s.loadZeroRound(mode, p, hash); },
           [&](StepStorage& s, bool solvable) {
             s.storeZeroRound(mode, p, hash, solvable);
+            return true;
           }});
 }
 

@@ -152,16 +152,19 @@ class StepStorage {
 
   /// A persisted refusal: the re::Error message a guard threw for this
   /// step.  The defaults persist nothing (refusals are then recomputed once
-  /// per process).
+  /// per process).  The store half returns whether it persisted anything;
+  /// the engine counts a store write only then.
   [[nodiscard]] virtual std::optional<std::string> loadStepRefusal(
       int /*kind*/, const Problem& /*input*/, std::uint64_t /*hash*/,
       const StepOptions& /*options*/) {
     return std::nullopt;
   }
-  virtual void storeStepRefusal(int /*kind*/, const Problem& /*input*/,
+  virtual bool storeStepRefusal(int /*kind*/, const Problem& /*input*/,
                                 std::uint64_t /*hash*/,
                                 const StepOptions& /*options*/,
-                                const std::string& /*message*/) {}
+                                const std::string& /*message*/) {
+    return false;
+  }
 
   [[nodiscard]] virtual std::optional<bool> loadZeroRound(
       ZeroRoundMode mode, const Problem& input, std::uint64_t hash) = 0;
@@ -170,17 +173,20 @@ class StepStorage {
 
   /// A persisted whole autoLowerBound result for `start`; `search` supplies
   /// maxSteps and maxLabels, `options` the step guards.  The defaults
-  /// persist nothing (the search then runs once per process).
+  /// persist nothing (the search then runs once per process); the store
+  /// half returns whether it persisted anything, as storeStepRefusal does.
   [[nodiscard]] virtual std::optional<AutoLowerBound> loadAutoBound(
       const Problem& /*start*/, std::uint64_t /*hash*/,
       const StepOptions& /*options*/,
       const AutoLowerBoundOptions& /*search*/) {
     return std::nullopt;
   }
-  virtual void storeAutoBound(const Problem& /*start*/, std::uint64_t /*hash*/,
+  virtual bool storeAutoBound(const Problem& /*start*/, std::uint64_t /*hash*/,
                               const StepOptions& /*options*/,
                               const AutoLowerBoundOptions& /*search*/,
-                              const AutoLowerBound& /*bound*/) {}
+                              const AutoLowerBound& /*bound*/) {
+    return false;
+  }
 };
 
 /// The shared, thread-safe cache core.  Holds no per-request state: options

@@ -1,6 +1,8 @@
 #include "re/zero_round.hpp"
 
 #include <algorithm>
+#include <utility>
+#include <vector>
 
 #include "re/edge_compat.hpp"
 
@@ -95,20 +97,62 @@ bool zeroRoundSolvableAdversarialPorts(const Problem& p) {
   return zeroRoundAdversarialWitness(p).has_value();
 }
 
+// For an oriented maximal pair (A, B) the algorithm needs, for every side-bit
+// pattern m in [0, Delta], a node configuration C = {S_1^c_1, ..., S_k^c_k}
+// admitting a word with m labels from A and Delta - m from B.
+//
+// Closed form.  The intersection flow (source -> groups of C -> labels ->
+// pattern groups A^m, B^(Delta-m) -> sink) puts no capacity on its label
+// layer, so it collapses to a transport problem with two sinks: group i
+// ships c_i units, each to the A-sink if S_i meets A and to the B-sink if
+// S_i meets B, and it may split them freely (each slot picks its label on
+// its own).  The A-sink must take exactly m units, the B-sink Delta - m.
+// That is feasible iff every S_i meets A u B and lo_C <= m <= hi_C, where
+//   lo_C = sum of c_i over the S_i disjoint from B (they must go to A),
+//   hi_C = sum of c_i over the S_i meeting A (all that can go to A).
+// So (A, B) works iff the intervals [lo_C, hi_C] of the admissible C cover
+// [0, Delta]: a sort by lo and one sweep, O(k log k) in the number of node
+// configurations, with no dependence on Delta (Count is 64-bit, and chain
+// problems reach Delta = 2^40, so no loop or bitmask over m).
+//
+// Symmetry.  {A^m B^(Delta-m) : 0 <= m <= Delta} and {B^m A^(Delta-m)} are
+// the same set of patterns (substitute m -> Delta - m), so (B, A) works iff
+// (A, B) does; each unordered pair is tested once.
 bool zeroRoundSolvableWithEdgeInputs(const Problem& p) {
+  const Count delta = p.delta();
   const auto pairs = maximalEdgePairs(p.edge, p.alphabet.size());
+  std::vector<std::pair<Count, Count>> intervals;
+  intervals.reserve(p.node.size());
   const auto works = [&](LabelSet a, LabelSet b) {
-    for (Count m = 0; m <= p.delta(); ++m) {
-      const Configuration pattern(
-          {{a, m}, {b, p.delta() - m}});
-      if (!p.node.intersectsConfiguration(pattern)) return false;
+    intervals.clear();
+    const LabelSet either = a | b;
+    for (const auto& config : p.node.configurations()) {
+      if (config.degree() != delta) continue;
+      Count lo = 0;
+      Count hi = 0;
+      bool placeable = true;
+      for (const Group& g : config.groups()) {
+        if (!g.set.intersects(either)) {
+          placeable = false;
+          break;
+        }
+        if (!g.set.intersects(b)) lo += g.count;
+        if (g.set.intersects(a)) hi += g.count;
+      }
+      if (placeable) intervals.emplace_back(lo, hi);
     }
-    return true;
+    std::sort(intervals.begin(), intervals.end());
+    Count uncovered = 0;  // the least m no interval seen so far covers
+    for (const auto& [lo, hi] : intervals) {
+      if (lo > uncovered) break;
+      uncovered = std::max(uncovered, hi + 1);
+    }
+    return uncovered > delta;
   };
-  for (const auto& [a, b] : pairs) {
-    if (works(a, b) || (a != b && works(b, a))) return true;
-  }
-  return false;
+  return std::any_of(pairs.begin(), pairs.end(),
+                     [&](const auto& pair) {
+                       return works(pair.first, pair.second);
+                     });
 }
 
 double randomizedFailureLowerBound(const Problem& p) {

@@ -47,9 +47,12 @@ namespace relb::re {
 /// 0) -- the model of Theorem 3.  A 0-round algorithm induces label sets
 /// (A, B) used on side-0 / side-1 half-edges with A x B edge-compatible;
 /// w.l.o.g. (A, B) is a maximal compatible pair, and the algorithm exists
-/// iff for some oriented maximal pair every side-bit pattern admits an
-/// allowed word, i.e. N intersects [A]^m [B]^{Delta-m} for every m.
-/// Exact for any Delta (Delta+1 flow checks per candidate pair).
+/// iff for some maximal pair every side-bit pattern admits an allowed word,
+/// i.e. N intersects [A]^m [B]^{Delta-m} for every m.  Exact for any Delta:
+/// each node configuration admits an interval of m, and a pair works iff
+/// the intervals cover [0, Delta] (zero_round.cpp has the derivation).
+/// Throws re::Error where maximalEdgePairs does (an edge degree other than
+/// 2, or more than kMaxEdgePairLabels labels).
 [[nodiscard]] bool zeroRoundSolvableWithEdgeInputs(const Problem& p);
 
 /// Lemma 15 generalized: if the problem is not 0-round solvable on the

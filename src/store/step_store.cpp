@@ -190,7 +190,7 @@ void DiskStepStore::indexObjects() {
     const std::filesystem::path& path = it->path();
     if (path.extension() != ".json" || !it->is_regular_file(ec)) continue;
     if (const auto key = parseKey(path.stem().string())) {
-      index_[*key] = Location{0, 0, true};
+      index_[*key].push_back(Location{0, 0, true});
     }
   }
 }
@@ -235,7 +235,7 @@ void DiskStepStore::scanPack() {
         if (const auto key =
                 parseKey(std::string_view(head).substr(0, space))) {
           const std::uint64_t body = lineStart + space + 1;
-          index_[*key] = Location{body, lineEnd - body, false};
+          index_[*key].push_back(Location{body, lineEnd - body, false});
         }
       }
       head.clear();
@@ -248,22 +248,21 @@ void DiskStepStore::scanPack() {
   seen_ = pos;
 }
 
-std::optional<DiskStepStore::Location> DiskStepStore::locate(
-    const Key& key) {
+std::vector<DiskStepStore::Location> DiskStepStore::locate(const Key& key) {
   std::lock_guard lock(mutex_);
   auto it = index_.find(key);
   if (it == index_.end()) {
     struct stat st {};
     if (::fstat(packFd_, &st) != 0 ||
         static_cast<std::uint64_t>(st.st_size) == seen_) {
-      return std::nullopt;
+      return {};
     }
     const PackLock packLock(packFd_, LOCK_SH, root_ / "pack");
     scanPack();  // another instance appended since
     it = index_.find(key);
-    if (it == index_.end()) return std::nullopt;
+    if (it == index_.end()) return {};
   }
-  return it->second;
+  return {it->second.rbegin(), it->second.rend()};
 }
 
 std::optional<std::string> DiskStepStore::readLocation(
@@ -287,8 +286,12 @@ void DiskStepStore::quarantine(const Key& key, const Location& location,
                                std::string_view bytes) {
   std::lock_guard lock(mutex_);
   const auto it = index_.find(key);
-  if (it == index_.end() || it->second != location) return;  // done already
-  index_.erase(it);
+  if (it == index_.end()) return;  // done already
+  const auto record =
+      std::find(it->second.begin(), it->second.end(), location);
+  if (record == it->second.end()) return;
+  it->second.erase(record);
+  if (it->second.empty()) index_.erase(it);
   // Numbered, never overwritten: a second corruption of the same entry
   // must not replace the evidence of the first.
   const std::string hex = io::hex64(key.hash);
@@ -337,41 +340,40 @@ std::optional<T> DiskStepStore::readEntry(
     std::uint64_t hash, const std::function<T(const Json&)>& decode) {
   std::optional<obs::ScopedSpan> span;
   if (!slot.probe) span.emplace("store.load");
-  const auto miss = [&] {
-    if (!slot.probe) count(&StoreStats::misses);
-    return std::nullopt;
-  };
   const Key key{hash, tagOf(slot)};
-  const auto location = locate(key);
-  if (!location) return miss();
-  if (slot.probe) span.emplace("store.load");
-  const auto text = readLocation(key, *location);
-  if (!text) return miss();
-  std::optional<T> out;
-  try {
-    const Json doc = Json::parse(*text);
-    const Json& payload = doc.at("payload");
-    if (doc.at("format").asString() != "relb-store-entry" ||
-        doc.at("version").asInt() != io::kFormatVersion ||
-        io::fnv1a64Hex(payload.dump()) != doc.at("checksum").asString() ||
-        payload.at(slot.kindField).asInt() != slot.kind) {
-      throw Error("step_store: corrupt entry");
-    }
-    if (io::problemFromJson(payload.at("input")) != input) {
-      return miss();  // structural-hash collision: another problem's slot
-    }
-    for (std::size_t i = 0; i < slot.keyFields; ++i) {
-      if (payload.at(kKeyFields[i]).asInt() != keys[i]) {
-        return miss();  // other guards or budgets: not corrupt, not ours
+  for (const Location& location : locate(key)) {
+    if (!span) span.emplace("store.load");
+    const auto text = readLocation(key, location);
+    if (!text) continue;
+    try {
+      const Json doc = Json::parse(*text);
+      const Json& payload = doc.at("payload");
+      if (doc.at("format").asString() != "relb-store-entry" ||
+          doc.at("version").asInt() != io::kFormatVersion ||
+          io::fnv1a64Hex(payload.dump()) != doc.at("checksum").asString() ||
+          payload.at(slot.kindField).asInt() != slot.kind) {
+        throw Error("step_store: corrupt entry");
       }
+      // Another problem's record (a structural-hash collision), or one
+      // computed under other guards or budgets: not corrupt, not ours.
+      if (io::problemFromJson(payload.at("input")) != input) continue;
+      bool sameKey = true;
+      for (std::size_t i = 0; i < slot.keyFields; ++i) {
+        sameKey = sameKey && payload.at(kKeyFields[i]).asInt() == keys[i];
+      }
+      if (!sameKey) continue;
+      std::optional<T> out = decode(payload.at(slot.valueField));
+      count(&StoreStats::hits);
+      return out;
+    } catch (const Error&) {
+      // Stop here: the caller recomputes and appends a record that
+      // shadows this one and every older copy.
+      quarantine(key, location, *text);
+      break;
     }
-    out = decode(payload.at(slot.valueField));
-  } catch (const Error&) {
-    quarantine(key, *location, *text);
-    return miss();
   }
-  count(&StoreStats::hits);
-  return out;
+  if (!slot.probe) count(&StoreStats::misses);
+  return std::nullopt;
 }
 
 void DiskStepStore::writeEntry(const EntrySlot& slot, const KeyValues& keys,
@@ -461,11 +463,12 @@ std::optional<std::string> DiskStepStore::loadStepRefusal(
       [](const Json& refusal) { return refusal.asString(); });
 }
 
-void DiskStepStore::storeStepRefusal(int kind, const Problem& input,
+bool DiskStepStore::storeStepRefusal(int kind, const Problem& input,
                                      std::uint64_t hash,
                                      const StepOptions& options,
                                      const std::string& message) {
   writeEntry(kRefusalSlots[kind], keyValues(options), input, hash, message);
+  return true;
 }
 
 std::optional<bool> DiskStepStore::loadZeroRound(ZeroRoundMode mode,
@@ -504,7 +507,7 @@ std::optional<re::AutoLowerBound> DiskStepStore::loadAutoBound(
       });
 }
 
-void DiskStepStore::storeAutoBound(const Problem& start, std::uint64_t hash,
+bool DiskStepStore::storeAutoBound(const Problem& start, std::uint64_t hash,
                                    const StepOptions& options,
                                    const re::AutoLowerBoundOptions& search,
                                    const re::AutoLowerBound& bound) {
@@ -519,6 +522,7 @@ void DiskStepStore::storeAutoBound(const Problem& start, std::uint64_t hash,
   value.set("reason", std::string(it->second));
   writeEntry(kAutoBoundSlot, keyValues(options, search), start, hash,
              std::move(value));
+  return true;
 }
 
 }  // namespace relb::store

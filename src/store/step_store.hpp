@@ -17,7 +17,10 @@
 //                                   by the start problem, the step guards
 //                                   and the search budgets), and <entry>
 //                                   the checksummed entry document.
-//                                   The last record for a key wins.
+//                                   A key may have several records (an
+//                                   `ab` key under several budgets, a
+//                                   recomputed corrupt entry); a load
+//                                   tries them newest first.
 //   objects/<hh>/<hash16>.<tag>.json
 //                                   the file-per-entry layout of earlier
 //                                   builds (<hh> the first two hex digits),
@@ -35,11 +38,14 @@
 //
 // Every entry wraps its payload with a checksum over the canonical compact
 // JSON encoding; loads validate the checksum, then confirm the stored key
-// equals the queried one (a structural-hash collision degrades to a miss),
-// then decode.  One private function reads every tag and one writes it.
+// equals the queried one, then decode.  A record of another input (a
+// structural-hash collision) or of other key fields (other guards or
+// budgets) is passed over for the next older one; a key none of whose
+// records answers is a miss.  One private function reads every tag and one writes it.
 //
-// Opening scans the pack in bounded chunks and indexes (hash, tag) ->
-// (offset, length); the index holds offsets, never bodies.  A write is one
+// Opening scans the pack in bounded chunks and indexes (hash, tag) -> every
+// record's (offset, length), oldest first; the index holds offsets, never
+// bodies.  A write is one
 // write() of a whole record on an O_APPEND descriptor, so a crash leaves at
 // most a torn last line: no scan indexes it, and the next append cuts it
 // off before writing.  Appends hold an exclusive flock() on the pack and
@@ -62,6 +68,7 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <vector>
 
 #include "io/json.hpp"
 #include "obs/metrics.hpp"
@@ -109,7 +116,7 @@ class DiskStepStore final : public re::StepStorage {
   [[nodiscard]] std::optional<std::string> loadStepRefusal(
       int kind, const re::Problem& input, std::uint64_t hash,
       const re::StepOptions& options) override;
-  void storeStepRefusal(int kind, const re::Problem& input,
+  bool storeStepRefusal(int kind, const re::Problem& input,
                         std::uint64_t hash, const re::StepOptions& options,
                         const std::string& message) override;
 
@@ -119,14 +126,14 @@ class DiskStepStore final : public re::StepStorage {
   void storeZeroRound(re::ZeroRoundMode mode, const re::Problem& input,
                       std::uint64_t hash, bool solvable) override;
 
-  /// Autobound results live under the `ab` tag.  An entry computed under
-  /// other guards or budgets is a miss; the last one written for a start
-  /// problem wins.
+  /// Autobound results live under the `ab` tag, one record per budget and
+  /// guard combination a start problem was searched under; an entry
+  /// computed under other guards or budgets does not answer.
   [[nodiscard]] std::optional<re::AutoLowerBound> loadAutoBound(
       const re::Problem& start, std::uint64_t hash,
       const re::StepOptions& options,
       const re::AutoLowerBoundOptions& search) override;
-  void storeAutoBound(const re::Problem& start, std::uint64_t hash,
+  bool storeAutoBound(const re::Problem& start, std::uint64_t hash,
                       const re::StepOptions& options,
                       const re::AutoLowerBoundOptions& search,
                       const re::AutoLowerBound& bound) override;
@@ -134,8 +141,8 @@ class DiskStepStore final : public re::StepStorage {
   [[nodiscard]] const std::filesystem::path& root() const { return root_; }
   [[nodiscard]] StoreStats stats() const;
 
-  /// Number of distinct entries in the index (pack records and objects/
-  /// files, each key once).
+  /// Number of distinct keys in the index (pack records and objects/
+  /// files, each key once however many records it has).
   [[nodiscard]] std::size_t objectCount() const;
 
  private:
@@ -155,7 +162,7 @@ class DiskStepStore final : public re::StepStorage {
                                       (k.tag * 0x9e3779b97f4a7c15ULL));
     }
   };
-  /// Where an entry's bytes are: `length` bytes of the pack at `offset`,
+  /// Where a record's bytes are: `length` bytes of the pack at `offset`,
   /// or (v1) the whole objects/ file of its key.
   struct Location {
     std::uint64_t offset = 0;
@@ -174,15 +181,18 @@ class DiskStepStore final : public re::StepStorage {
   /// pack; the caller holds `mutex_` (or is the constructor) and a flock()
   /// on the pack.
   void scanPack();
-  /// The index entry for `key`, rescanning the pack first if its size changed.
-  [[nodiscard]] std::optional<Location> locate(const Key& key);
+  /// The records of `key`, newest first, rescanning the pack first if the
+  /// key is absent and the pack's size changed.
+  [[nodiscard]] std::vector<Location> locate(const Key& key);
   /// The entry's bytes as stored (a short read returns what was read), or
   /// std::nullopt if its objects/ file is gone.
   [[nodiscard]] std::optional<std::string> readLocation(
       const Key& key, const Location& location) const;
-  /// locate -> read -> unwrap and checksum -> key check (`keys` supplies
-  /// the slot's key fields) -> `decode`, which throws re::Error if corrupt;
-  /// or quarantine.
+  /// For each record of the key, newest first: read -> unwrap and
+  /// checksum -> key check (`keys` supplies the slot's key fields) ->
+  /// `decode`, which throws re::Error if corrupt.  A record of another
+  /// input or key fields is passed over; a corrupt one is quarantined and
+  /// ends the lookup with a miss.
   template <class T>
   std::optional<T> readEntry(const EntrySlot& slot, const KeyValues& keys,
                              const re::Problem& input, std::uint64_t hash,
@@ -199,7 +209,7 @@ class DiskStepStore final : public re::StepStorage {
   obs::Counter& quarantinedCounter_;
   int packFd_ = -1;
   mutable std::mutex mutex_;
-  std::unordered_map<Key, Location, KeyHash> index_;
+  std::unordered_map<Key, std::vector<Location>, KeyHash> index_;
   std::uint64_t scanned_ = 0;  // end of the last complete pack record seen
   std::uint64_t seen_ = 0;     // pack size at the last scan
   StoreStats stats_;

@@ -12,13 +12,22 @@
 //   * Model hierarchy: adversarial-ports solvability implies solvability in
 //     both easier models (the symmetric family is one adversary choice; the
 //     edge-input model only adds information).
+//   * Edge inputs: the interval-cover verdict equals the (Delta+1)-pattern
+//     flow formulation it replaced (reference_step.hpp), both orientations
+//     tested, on random problems, on the paper's families and on every merge
+//     candidate the automatic lower bound meets on MIS.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 
+#include "core/family.hpp"
 #include "local/families.hpp"
 #include "local/halfedge.hpp"
 #include "prop/prop.hpp"
+#include "prop/reference_step.hpp"
+#include "re/encodings.hpp"
+#include "re/engine.hpp"
+#include "re/simplify.hpp"
 #include "re/zero_round.hpp"
 #include "support/graphs.hpp"
 
@@ -121,6 +130,84 @@ TEST(PropZeroRound, ModelHierarchyIsMonotone) {
         }
         return std::string{};
       });
+}
+
+// The closed-form and the flow verdicts of `p`, as "solvable",
+// "unsolvable" or the refusal text; empty if they agree.
+std::string edgeInputDisagreement(const re::Problem& p) {
+  const auto verdict = [&](bool (*analysis)(const re::Problem&)) {
+    try {
+      return std::string(analysis(p) ? "solvable" : "unsolvable");
+    } catch (const re::Error& e) {
+      return std::string("refused: ") + e.what();
+    }
+  };
+  const std::string closed = verdict(&re::zeroRoundSolvableWithEdgeInputs);
+  const std::string flow = verdict(&refimpl::zeroRoundSolvableWithEdgeInputs);
+  if (closed == flow) return {};
+  return "interval cover says " + closed + ", the flow sweep " + flow;
+}
+
+TEST(PropZeroRound, EdgeInputIntervalCoverMatchesFlowSweep) {
+  // Default-width groups (mostly solvable), then narrow groups over more,
+  // less condensed configurations (mostly unsolvable, and more intervals
+  // per pair to cover with).
+  int solvable = 0;
+  int unsolvable = 0;
+  for (const bool narrow : {false, true}) {
+    prop::forAllProblems(
+        {.name = narrow ? "zero-round-edge-inputs-narrow"
+                        : "zero-round-edge-inputs",
+         .gen = {.maxAlphabet = 20,
+                 .maxDelta = 8,
+                 .maxNodeConfigs = 6,
+                 .maxEdgeConfigs = narrow ? 8 : 4,
+                 .disjunctionDensity = narrow ? 0.1 : 0.25,
+                 .condenseBias = narrow ? 0.3 : 0.5},
+         .baseSeed = narrow ? 72000u : 71000u},
+        [&](const re::Problem& p, std::mt19937&) {
+          const std::string message = edgeInputDisagreement(p);
+          if (message.empty()) {
+            ++(re::zeroRoundSolvableWithEdgeInputs(p) ? solvable
+                                                       : unsolvable);
+          }
+          return message;
+        });
+  }
+  EXPECT_GT(solvable, 0) << "the draws must reach both verdicts";
+  EXPECT_GT(unsolvable, 0) << "the draws must reach both verdicts";
+}
+
+TEST(PropZeroRound, EdgeInputIntervalCoverMatchesFlowSweepOnFamilies) {
+  for (re::Count delta = 3; delta <= 8; ++delta) {
+    for (re::Count a = 0; a <= delta; ++a) {
+      for (re::Count x = 0; x <= delta; ++x) {
+        EXPECT_EQ(edgeInputDisagreement(core::familyProblem(delta, a, x)), "")
+            << "Pi_" << delta << "(" << a << ", " << x << ")";
+        if (x + 1 <= a && x + 1 <= delta) {
+          EXPECT_EQ(
+              edgeInputDisagreement(core::familyPlusProblem(delta, a, x)), "")
+              << "Pi+_" << delta << "(" << a << ", " << x << ")";
+        }
+      }
+    }
+  }
+}
+
+TEST(PropZeroRound, EdgeInputIntervalCoverMatchesFlowSweepOnMergeCandidates) {
+  // The automatic lower bound's merge loop asks for exactly these verdicts.
+  re::EngineSession session;
+  const re::Problem q =
+      session.speedupStep(session.speedupStep(re::misProblem(3)));
+  const int n = q.alphabet.size();
+  ASSERT_GE(n, 2);
+  for (re::Label a = 0; a < n; ++a) {
+    for (re::Label b = a + 1; b < n; ++b) {
+      EXPECT_EQ(edgeInputDisagreement(re::mergeTwoLabels(q, a, b)), "")
+          << "merging labels " << int{a} << " and " << int{b} << " of "
+          << n;
+    }
+  }
 }
 
 }  // namespace

@@ -10,6 +10,8 @@
 #include <string>
 #include <unordered_map>
 
+#include "re/edge_compat.hpp"
+
 namespace relb::refimpl {
 
 using re::Alphabet;
@@ -96,6 +98,21 @@ LabelSet selfCompatibleLabels(const Problem& p) {
     if (p.edge.containsWord(w)) out.insert(static_cast<Label>(l));
   }
   return out;
+}
+
+bool zeroRoundSolvableWithEdgeInputs(const Problem& p) {
+  const auto pairs = re::maximalEdgePairs(p.edge, p.alphabet.size());
+  const auto works = [&](LabelSet a, LabelSet b) {
+    for (Count m = 0; m <= p.delta(); ++m) {
+      const Configuration pattern({{a, m}, {b, p.delta() - m}});
+      if (!p.node.intersectsConfiguration(pattern)) return false;
+    }
+    return true;
+  };
+  for (const auto& [a, b] : pairs) {
+    if (works(a, b) || (a != b && works(b, a))) return true;
+  }
+  return false;
 }
 
 bool slotsRelaxTo(const std::vector<LabelSet>& a,

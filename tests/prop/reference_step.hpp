@@ -1,5 +1,6 @@
-// Pre-rewrite reference implementations of the R/Rbar hot paths, kept
-// compilable under the property-test target only.
+// Pre-rewrite reference implementations of the R/Rbar hot paths and of the
+// edge-input zero-round analysis, kept compilable under the property-test
+// target only.
 //
 // The bit-parallel kernels in src/re (packed-word enumeration, SWAR
 // domination, bitmask Kuhn matching, shape-based edge compatibility, the
@@ -52,6 +53,14 @@ std::vector<std::pair<re::LabelSet, re::LabelSet>> maximalEdgePairs(
 
 /// Per-label containsWord probe (the original of re::selfCompatibleLabels).
 re::LabelSet selfCompatibleLabels(const re::Problem& p);
+
+/// The (Delta+1)-pattern flow formulation of the edge-input zero-round
+/// analysis (the original of re::zeroRoundSolvableWithEdgeInputs, which
+/// covers [0, Delta] with one interval per node configuration): for every
+/// maximal pair, in both orientations, one Configuration::intersects
+/// max-flow per side-bit pattern [A]^m [B]^(Delta-m), m = 0..Delta.  Linear
+/// in Delta, so small-Delta problems only.
+bool zeroRoundSolvableWithEdgeInputs(const re::Problem& p);
 
 /// Definition 7 on explicit slot vectors via std::function Kuhn matching
 /// (the original of the bitmask kernels::slotsRelaxTo).

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <memory>
+#include <string>
+
+#include "obs/scope.hpp"
+#include "re/edge_compat.hpp"
 #include "re/encodings.hpp"
 #include "re/engine.hpp"
 #include "re/problem.hpp"
@@ -94,6 +100,60 @@ TEST(IterateSpeedup, FamilyMemberSurvivesSteps) {
   EXPECT_TRUE(trace.reason == StopReason::kLabelBudget ||
               trace.reason == StopReason::kEngineLimit ||
               trace.reason == StopReason::kStepLimit);
+}
+
+// Counts one tracer's spans by name.
+class SpanCounter final : public obs::TraceSink {
+ public:
+  void consume(const obs::TraceEvent& event) override {
+    if (event.kind == obs::TraceEvent::Kind::kSpan) ++counts[event.name];
+  }
+  std::map<std::string, int> counts;
+};
+
+// A storage that keeps nothing and counts the zero-round lookups of
+// problems the edge-input analysis refuses for their size.
+class OversizeLookups final : public StepStorage {
+ public:
+  std::optional<StepResult> loadStep(int, const Problem&, std::uint64_t,
+                                     const StepOptions&) override {
+    return std::nullopt;
+  }
+  void storeStep(int, const Problem&, std::uint64_t, const StepOptions&,
+                 const StepResult&) override {}
+  std::optional<bool> loadZeroRound(ZeroRoundMode, const Problem& input,
+                                    std::uint64_t) override {
+    if (input.alphabet.size() > kMaxEdgePairLabels) ++oversized;
+    return std::nullopt;
+  }
+  void storeZeroRound(ZeroRoundMode, const Problem&, std::uint64_t,
+                      bool) override {}
+  int oversized = 0;
+};
+
+TEST(AutoLowerBound, MergeBuildsNoCandidateAboveTheEdgePairLimit) {
+  // The 2-ruling set problem at Delta = 3 (arXiv 2004.08282) under the
+  // family derivation's budgets: its second speedup has 25 labels, so every
+  // merge candidate would have 24 and the edge-input analysis would refuse
+  // each one.  The merge gives up before building any.
+  const Problem start = Problem::parse("S^3\nP1 O1^2\nP2 O2^2\n",
+                                       "S [P1 O1]\nO1 [O1 P2 O2]\nO2^2\n");
+  obs::SessionScope scope("merge-guard");
+  const auto spans = std::make_shared<SpanCounter>();
+  scope.tracer().addSink(spans);
+  const auto storage = std::make_shared<OversizeLookups>();
+  EngineSession session(nullptr, StepOptions{}, &scope);
+  session.attachStore(storage);
+  AutoLowerBoundOptions options;
+  options.maxSteps = 6;
+  options.maxLabels = 10;
+  const AutoLowerBound bound = session.autoLowerBound(start, options);
+  EXPECT_EQ(bound.rounds, 2);
+  EXPECT_EQ(bound.labelsPerStep, (std::vector<int>{5, 7}));
+  EXPECT_EQ(bound.reason, StopReason::kLabelBudget);
+  EXPECT_EQ(spans->counts["re.autobound.merge"], 1) << "the merge ran";
+  EXPECT_EQ(spans->counts["re.autobound.candidate"], 0);
+  EXPECT_EQ(storage->oversized, 0) << "no candidate reached the store";
 }
 
 }  // namespace

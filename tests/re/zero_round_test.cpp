@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+
+#include "core/family.hpp"
 #include "re/problem.hpp"
 
 namespace relb::re {
@@ -74,6 +77,49 @@ TEST(ZeroRound, GreedyWitnessAcrossMultipleConfigs) {
 TEST(ZeroRound, FailureBoundFormula) {
   const auto p = misProblem(4);  // q = 2 configs, delta = 4
   EXPECT_DOUBLE_EQ(randomizedFailureLowerBound(p), 1.0 / 64.0);
+}
+
+TEST(ZeroRound, EdgeInputVerdictAtHugeDeltaMatchesSmallDelta) {
+  // The interval cover never iterates over the side-bit patterns m, so a
+  // chain-scale Delta answers as fast as Delta = 8 (a per-m sweep would run
+  // 2^40 flows).  The verdicts of these shapes do not depend on Delta.
+  constexpr Count kHuge = Count{1} << 40;
+  // At Delta = 3..8, Pi_Delta(a, x) is unsolvable with edge inputs exactly
+  // when a >= x + 2.
+  struct Shape {
+    const char* name;
+    Count (*a)(Count);
+    Count (*x)(Count);
+    bool solvable;
+  };
+  const Shape shapes[] = {
+      {"(0, 0)", [](Count) { return Count{0}; }, [](Count) { return Count{0}; },
+       true},
+      {"(Delta, 0)", [](Count d) { return d; }, [](Count) { return Count{0}; },
+       false},
+      {"(0, Delta)", [](Count) { return Count{0}; }, [](Count d) { return d; },
+       true},
+      {"(Delta, Delta)", [](Count d) { return d; }, [](Count d) { return d; },
+       true},
+      {"(1, 0)", [](Count) { return Count{1}; }, [](Count) { return Count{0}; },
+       true},
+      {"(Delta - 1, 1)", [](Count d) { return d - 1; },
+       [](Count) { return Count{1}; }, false},
+  };
+  const auto start = std::chrono::steady_clock::now();
+  for (const Shape& shape : shapes) {
+    for (const Count delta : {Count{8}, kHuge}) {
+      EXPECT_EQ(zeroRoundSolvableWithEdgeInputs(core::familyProblem(
+                    delta, shape.a(delta), shape.x(delta))),
+                shape.solvable)
+          << "Pi_Delta" << shape.name << " at Delta = " << delta;
+    }
+  }
+  EXPECT_FALSE(zeroRoundSolvableWithEdgeInputs(sinklessOrientationProblem(3)));
+  EXPECT_FALSE(
+      zeroRoundSolvableWithEdgeInputs(sinklessOrientationProblem(kHuge)));
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(10))
+      << "the verdicts must not scale with Delta";
 }
 
 }  // namespace

@@ -661,12 +661,16 @@ class StepsOnlyStore final : public re::StepStorage {
 
 TEST(DiskStepStore, StorageWithoutAutoBoundsRecomputesTheBound) {
   const fs::path dir = freshDir("store-autobound-defaults");
+  re::CacheStats coldStats;
   const re::AutoLowerBound cold = boundThrough(
-      std::make_shared<StepsOnlyStore>(std::make_shared<DiskStepStore>(dir)));
+      std::make_shared<StepsOnlyStore>(std::make_shared<DiskStepStore>(dir)),
+      &coldStats);
   const std::size_t records = packRecords(dir).size();
   for (const PackRecord& r : packRecords(dir)) {
     EXPECT_NE(r.key.substr(16), ".ab") << "the default stores nothing";
   }
+  EXPECT_EQ(coldStats.storeWrites, records)
+      << "a write is counted only for a record written";
 
   re::CacheStats warm;
   expectSameBound(
@@ -679,6 +683,42 @@ TEST(DiskStepStore, StorageWithoutAutoBoundsRecomputesTheBound) {
   EXPECT_EQ(warm.stepMisses, 1u) << "the search's refused step: refusals "
                                     "are not kept either";
   EXPECT_EQ(packRecords(dir).size(), records) << "and it stores nothing";
+  EXPECT_EQ(warm.storeWrites, packRecords(dir).size() - records)
+      << "the defaults' writes are not counted";
+}
+
+TEST(DiskStepStore, AutoBoundsUnderAlternatingBudgetsStayWarm) {
+  // Each run is a fresh process over one root; runs alternate two budgets.
+  // Both budgets' records stay readable, so the third and fourth runs read
+  // their bound instead of searching and writing it again.
+  const fs::path dir = freshDir("store-autobound-budgets");
+  re::AutoLowerBoundOptions longer = pinnedSearch();
+  longer.maxSteps += 1;
+  std::vector<re::AutoLowerBound> bounds;
+  for (int run = 0; run < 4; ++run) {
+    const re::AutoLowerBoundOptions search =
+        run % 2 == 0 ? pinnedSearch() : longer;
+    auto store = std::make_shared<DiskStepStore>(dir);
+    re::EngineSession session;
+    session.attachStore(store);
+    bounds.push_back(session.autoLowerBound(re::misProblem(3), search));
+    if (run < 2) continue;
+    const std::string what = "run " + std::to_string(run);
+    expectSameBound(bounds.back(), bounds[static_cast<std::size_t>(run - 2)],
+                    what);
+    EXPECT_EQ(session.stats().autoboundMisses, 0u) << what;
+    EXPECT_EQ(session.stats().storeHits, 1u) << what << ": the bound only";
+    EXPECT_EQ(session.stats().storeMisses, 0u) << what;
+    EXPECT_EQ(session.stats().storeWrites, 0u) << what;
+    EXPECT_EQ(store->stats().quarantined, 0u) << what;
+  }
+  const auto records = packRecords(dir);
+  EXPECT_EQ(std::count_if(records.begin(), records.end(),
+                          [](const PackRecord& r) {
+                            return r.key.substr(16) == ".ab";
+                          }),
+            2)
+      << "one record per budget";
 }
 
 TEST(DiskStepStore, TornTailIsSkippedAndTheNextWriteLands) {

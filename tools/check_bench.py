@@ -56,6 +56,7 @@ KEY_PREFIXES = (
     "BM_CsrBuild/",
     "BM_LubyMisRound/",
     "BM_AutoBoundCold/",
+    "BM_ZeroRoundEdgeInputs/",
 )
 
 # Benchmarks where the last argument is StepOptions::numThreads; only their
